@@ -571,7 +571,9 @@ def osborn_bar_laurent(alpha, lo: int, hi: int) -> GradedAlgebra:
                       indices, rule, validate=False)
     for i in indices:
         for j in indices:
-            assert all(k != excluded for k, _ in A.raw(i, j))
+            if any(k == excluded for k, _ in A.raw(i, j)):
+                raise NotClosedError(
+                    f"x^{i} * x^{j} reaches the excluded index {excluded}")
     return A
 
 

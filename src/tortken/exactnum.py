@@ -26,6 +26,10 @@ class OutOfRangeError(ValueError):
     """Argument outside the documented domain of a combinatorial map."""
 
 
+class NotDivisibleError(ArithmeticError):
+    """An exact division that the theory guarantees left a remainder."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -202,7 +206,8 @@ def binom_p_quotient(p: int, m: int, i: int) -> int:
     """(C(p^m, i) / p) mod p for 0 < i < p^m.
 
     C(p^m, i) is divisible by p exactly m - v_p(i) >= 1 times (carries in base-p
-    addition of i and p^m - i), so the quotient is an integer; this is asserted.
+    addition of i and p^m - i), so the quotient is an integer; a remainder raises
+    NotDivisibleError.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -212,7 +217,8 @@ def binom_p_quotient(p: int, m: int, i: int) -> int:
         raise OutOfRangeError(f"need 0 < i < {p**m}, got {i}")
     c = math.comb(p**m, i)
     q, r = divmod(c, p)
-    assert r == 0
+    if r:
+        raise NotDivisibleError(f"C({p}^{m}, {i}) is not divisible by {p}")
     return q % p
 
 

@@ -2,14 +2,16 @@
 
 Ideals of a finite-dimensional algebra are exactly the subspaces invariant
 under all left- and right-multiplication operators, so closure is operator
-spinning with RREF reduction, and simplicity is module irreducibility.  A
-"Simple" verdict is only ever produced by a sound argument: Norton's
-irreducibility criterion on a singular operator of the multiplication
-envelope, or an exhaustive projective sweep over a finite field.
+spinning on an incremental echelon basis, and simplicity is module
+irreducibility.  A "Simple" verdict is only ever produced by a sound
+argument: Norton's irreducibility criterion on a singular operator of the
+multiplication envelope, or an exhaustive projective sweep over a finite
+field.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 from dataclasses import dataclass, field as _dc_field
@@ -25,20 +27,35 @@ class CannotCertifyError(RuntimeError):
     parameter ranges, e.g. large nullspaces over the rationals)."""
 
 
-class Subspace:
-    """A subspace of a FiniteAlgebra in canonical RREF coordinate form."""
+class UnsoundWitnessError(RuntimeError):
+    """A not-simple witness failed its explicit re-check as an ideal."""
 
-    __slots__ = ("algebra", "rows")
+
+class Subspace:
+    """A subspace of a FiniteAlgebra, kept as an incremental echelon basis.
+
+    The basis is the reduced row echelon form of the span.  An RREF row is 1
+    in its pivot column and 0 in every other pivot column, so only its entries
+    on the free (non-pivot) columns are stored, in a map from pivot column to
+    that free part.  `add` extends the basis in place: the new vector is
+    reduced against the stored pivots, and a nonzero residue is normalised,
+    cleared from the existing rows in its pivot column, and inserted.  Since
+    the RREF of a row space is unique, `rows` does not depend on the order in
+    which vectors were added.  Over F_p the inner loops run on plain ints with
+    one reduction mod p per entry; over Q they run on `Fraction`s.
+    """
+
+    __slots__ = ("algebra", "_p", "_zero", "_free", "_free_pos", "_pivots")
 
     def __init__(self, algebra: FiniteAlgebra, rows: Sequence[Sequence]):
         self.algebra = algebra
-        f = algebra.field
-        mat = Matrix(f, [list(r) for r in rows]) if rows else None
-        if mat is None:
-            self.rows = ()
-        else:
-            R, rank, _ = mat.rref()
-            self.rows = tuple(tuple(R.data[i]) for i in range(rank))
+        self._p = algebra.field.char
+        self._zero = algebra.field.zero
+        self._free = list(range(algebra.dim))  # non-pivot columns, ascending
+        self._free_pos = {j: j for j in self._free}  # column -> index in _free
+        self._pivots: dict[int, list] = {}     # pivot column -> free part
+        for row in rows:
+            self.add(row)
 
     @classmethod
     def from_elements(cls, algebra: FiniteAlgebra,
@@ -46,23 +63,99 @@ class Subspace:
         return cls(algebra, [algebra.dense(e) for e in elements])
 
     @property
+    def rows(self) -> tuple:
+        """The RREF rows, ordered by pivot column."""
+        one = self.algebra.field.one
+        out = []
+        for c in sorted(self._pivots):
+            row = [self._zero] * self.algebra.dim
+            row[c] = one
+            for j, x in zip(self._free, self._pivots[c]):
+                row[j] = x
+            out.append(tuple(row))
+        return tuple(out)
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._pivots)
+
+    def _sparse(self, vec: Sequence) -> dict:
+        if len(vec) != self.algebra.dim:
+            raise ValueError(f"vector of length {len(vec)} in a space of "
+                             f"dimension {self.algebra.dim}")
+        f = self.algebra.field
+        return {j: x for j, x in enumerate(map(f.coerce, vec)) if x}
+
+    def _free_residue(self, v: dict) -> list:
+        """The residue of the sparse vector v ({column: entry}) on the free
+        columns, canonical; it is 0 on every pivot column.  Over F_p, v may
+        hold any ints: reduction mod p is deferred to the end."""
+        p = self._p
+        r = [self._zero] * len(self._free)
+        free_pos = self._free_pos
+        for c, x in v.items():
+            t = free_pos.get(c)
+            if t is not None:
+                r[t] += x
+                continue
+            if p:
+                x %= p
+            if x:
+                r = [a - x * b for a, b in zip(r, self._pivots[c])]
+        return [a % p for a in r] if p else r
+
+    def _insert(self, v: dict) -> list | None:
+        """Add a sparse vector ({column: entry}, uncanonical ints allowed over
+        F_p).  Returns the normalised residue as (column, entry) pairs of its
+        nonzero entries, or None if v lies in the span."""
+        r = self._free_residue(v)
+        if not any(r):
+            return None
+        p = self._p
+        k = next(t for t, x in enumerate(r) if x)
+        if p:
+            inv = pow(r[k], -1, p)
+            r = [x * inv % p for x in r]
+        else:
+            inv = 1 / r[k]
+            r = [x * inv for x in r]
+        free = self._free
+        residue = [(j, x) for j, x in zip(free, r) if x]
+        pivots = self._pivots
+        for c, fr in pivots.items():
+            x = fr[k]
+            if x:
+                fr = ([(a - x * b) % p for a, b in zip(fr, r)] if p
+                      else [a - x * b for a, b in zip(fr, r)])
+                pivots[c] = fr
+            del fr[k]
+        del r[k]
+        pivots[free.pop(k)] = r
+        self._free_pos = {j: t for t, j in enumerate(free)}
+        return residue
+
+    def add(self, vec: Sequence) -> tuple | None:
+        """Extend the span by vec.  Returns the normalised residue that became
+        a new basis vector, as a dense tuple, or None when vec already lies in
+        the span."""
+        residue = self._insert(self._sparse(vec))
+        if residue is None:
+            return None
+        out = [self._zero] * self.algebra.dim
+        for j, x in residue:
+            out[j] = x
+        return tuple(out)
 
     def reduce(self, vec: Sequence) -> list:
         """Residue of vec after elimination against the RREF rows."""
-        f = self.algebra.field
-        v = [f.coerce(x) for x in vec]
-        for row in self.rows:
-            lead = next(i for i, x in enumerate(row) if not f.is_zero(x))
-            if not f.is_zero(v[lead]):
-                c = v[lead]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
+        out = [self._zero] * self.algebra.dim
+        for j, x in zip(self._free, self._free_residue(self._sparse(vec))):
+            out[j] = x
+        return out
 
     def contains(self, element: dict) -> bool:
-        f = self.algebra.field
-        return all(f.is_zero(x) for x in self.reduce(self.algebra.dense(element)))
+        return not any(self._free_residue(
+            self._sparse(self.algebra.dense(element))))
 
     def basis_elements(self) -> list[dict]:
         return [{i: c for i, c in enumerate(row) if not self.algebra.field.is_zero(c)}
@@ -81,31 +174,43 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.algebra.name!r})"
 
 
+def _sparse_columns(operators: Sequence) -> list:
+    """Column-major dense operators as sparse columns: op[j] becomes the
+    tuple of (i, x) with x the nonzero entry in row i of column j."""
+    return [[tuple((i, x) for i, x in enumerate(col) if x) for col in op]
+            for op in operators]
+
+
 def _spin(A: FiniteAlgebra, seeds: Sequence[Sequence],
           operators: Sequence) -> Subspace:
-    """Smallest subspace containing `seeds` and invariant under the operators
-    (dim x dim matrices), by breadth-first saturation with RREF reduction."""
-    f = A.field
-    space = Subspace(A, [list(s) for s in seeds])
-    frontier = [list(r) for r in space.rows]
-    while frontier and space.dim < A.dim:
-        batch = []
-        for v in frontier:
-            for op in operators:
-                w = [f.zero] * A.dim
-                for j, c in enumerate(v):
-                    if f.is_zero(c):
-                        continue
-                    col = op[j]
-                    for i, x in enumerate(col):
-                        if not f.is_zero(x):
-                            w[i] = f.add(w[i], f.mul(c, x))
-                batch.append(w)
-        frontier = []
-        for w in batch:
-            res = space.reduce(w)
-            if any(not f.is_zero(x) for x in res):
-                space = Subspace(A, list(space.rows) + [res])
+    """Smallest subspace containing `seeds` and invariant under the operators.
+
+    The operators are given as sparse columns (`_sparse_columns`), converted
+    once by the caller.  One Subspace is extended in place, breadth first:
+    every new basis vector is pushed through every operator, and each nonzero
+    image that leaves the span adds its residue.  The spin stops as soon as
+    the span is the whole algebra.
+    """
+    n = A.dim
+    space = Subspace(A, [])
+    frontier = collections.deque()
+    for s in seeds:
+        res = space._insert(space._sparse(s))
+        if res is not None:
+            frontier.append(res)
+    while frontier and space.dim < n:
+        v = frontier.popleft()
+        for op in operators:
+            w: dict = {}
+            for j, c in v:
+                for i, x in op[j]:
+                    w[i] = w.get(i, 0) + c * x
+            if not w:
+                continue
+            res = space._insert(w)
+            if res is not None:
+                if space.dim == n:
+                    break
                 frontier.append(res)
     return space
 
@@ -126,10 +231,10 @@ def _mult_operators(A: FiniteAlgebra) -> list:
 
 def ideal_closure(A: FiniteAlgebra, generators: Sequence[dict]) -> Subspace:
     """Smallest ideal containing the generators: closure under left and right
-    multiplication by every basis element, worklist-saturated with RREF."""
+    multiplication by every basis element, spun on one echelon basis."""
     if not generators:
         raise ValueError("need at least one generator")
-    ops = _mult_operators(A)
+    ops = _sparse_columns(_mult_operators(A))
     seeds = [A.dense(A.element(g)) for g in generators]
     return _spin(A, seeds, ops)
 
@@ -181,12 +286,11 @@ def _projective_points(field: Field, vectors: Sequence[Sequence]):
         first = next((c for c in coeffs if c), None)
         if first != 1:  # normalize first nonzero coordinate to 1
             continue
-        v = [field.zero] * n
+        v = [0] * n
         for c, vec in zip(coeffs, vectors):
             if c:
-                for i in range(n):
-                    v[i] = field.add(v[i], field.mul(c, vec[i]))
-        yield v
+                v = [a + c * b for a, b in zip(v, vec)]
+        yield [a % p for a in v]
 
 
 def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
@@ -211,8 +315,9 @@ def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
         return SimplicityCertificate(A.name, "not_simple", aa, audit)
 
     ops = _mult_operators(A)
+    spin_ops = _sparse_columns(ops)
     for g in range(A.dim):
-        closure = _spin(A, [A.dense(A.basis(g))], ops)
+        closure = _spin(A, [A.dense(A.basis(g))], spin_ops)
         if closure.dim < A.dim:
             audit.append(f"closure of basis element {A.labels[g]} is proper "
                          f"({closure.dim}-dimensional)")
@@ -220,7 +325,7 @@ def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
     audit.append(f"all {A.dim} basis closures are full")
     for g, h in itertools.combinations(range(A.dim), 2):
         seed = A.dense({g: f.one, h: f.neg(f.one)})
-        closure = _spin(A, [seed], ops)
+        closure = _spin(A, [seed], spin_ops)
         if closure.dim < A.dim:
             audit.append(f"closure of {A.labels[g]} - {A.labels[h]} is proper "
                          f"({closure.dim}-dimensional)")
@@ -272,11 +377,11 @@ def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
         audit.append(f"norton: singular operator with nullity {len(null)}, "
                      f"{len(points)} kernel points")
         for v in points:
-            sp = _spin(A, [v], ops)
+            sp = _spin(A, [v], spin_ops)
             if sp.dim < A.dim:
                 audit.append("kernel point spans a proper ideal")
                 return SimplicityCertificate(A.name, "not_simple", sp, audit)
-        tops = _transpose_ops(ops)
+        tops = _sparse_columns(_transpose_ops(ops))
         tnull = Matrix(f, [[op[j][i] for i in range(A.dim)]  # transpose of op
                            for j in range(A.dim)]).nullspace()
         u = tnull[0]
@@ -285,7 +390,9 @@ def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
             # annihilator of the dual spin is a proper ideal of A
             ann = Matrix(f, [list(r) for r in tsp.rows]).nullspace()
             witness = Subspace(A, ann)
-            assert is_ideal(A, witness)
+            if not is_ideal(A, witness):
+                raise UnsoundWitnessError(
+                    f"{A.name}: annihilator of the dual spin is not an ideal")
             audit.append("dual kernel point spans a proper invariant subspace")
             return SimplicityCertificate(A.name, "not_simple", witness, audit)
         audit.append("norton criterion passed")
@@ -295,7 +402,7 @@ def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
         full = Matrix.identity(f, A.dim).data
         audit.append("no singular envelope operator found; projective sweep")
         for v in _projective_points(f, full):
-            sp = _spin(A, [v], ops)
+            sp = _spin(A, [v], spin_ops)
             if sp.dim < A.dim:
                 audit.append("projective point spans a proper ideal")
                 return SimplicityCertificate(A.name, "not_simple", sp, audit)

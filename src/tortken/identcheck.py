@@ -183,16 +183,34 @@ def _fork_run(chunk):
     return _sweep(poly, A, indices, first_slice=chunk)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _sweep_parallel(poly: FreePoly, A: FiniteAlgebra, indices: Sequence,
                     threads: int) -> CheckOutcome:
     """Chunk the first variable across processes; merge = first failing chunk,
-    which preserves the lexicographically-least-witness contract."""
+    which preserves the lexicographically-least-witness contract.
+
+    The pool has at most one worker per usable CPU.  Where that leaves one
+    worker, or the platform cannot fork, the sweep runs sequentially."""
     idx = list(indices)
+    threads = min(threads, _usable_cpus())
+    if threads < 2:
+        return _sweep(poly, A, idx)
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # the platform cannot fork
+        return _sweep(poly, A, idx)
     # contiguous chunks keep chunk order aligned with lexicographic order
     per = (len(idx) + threads - 1) // threads
     chunks = [list(range(i, min(i + per, len(idx))))
               for i in range(0, len(idx), per)]
-    ctx = multiprocessing.get_context("fork")
     with ctx.Pool(len(chunks), initializer=_fork_init,
                   initargs=(poly, A, idx)) as pool:
         results = pool.map(_fork_run, chunks)

@@ -159,6 +159,15 @@ def test_osborn_bar_laurent():
         osborn_bar_laurent(Fraction(1, 3), -6, 6)
 
 
+def test_osborn_bar_laurent_checks_closure(monkeypatch):
+    # a product that reaches the excluded index -2a-1 must raise, even under
+    # `python -O`; fake one by routing every product there
+    monkeypatch.setattr(GradedAlgebra, "raw",
+                        lambda self, i, j: ((-2, Fraction(1)),))
+    with pytest.raises(NotClosedError):
+        osborn_bar_laurent(Fraction(1, 2), -6, 6)
+
+
 def test_osborn_bar_finite_dimension():
     B = osborn_bar_finite(1, 3, 1)
     assert B.dim == 3**1 - 1 == 2

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tortken.exactnum import (Field, Matrix, MixedFieldsError, NotSquareError,
+from tortken.exactnum import (Field, Matrix, MixedFieldsError,
+                              NotDivisibleError, NotSquareError,
                               OutOfRangeError, Scalar, binom_p_quotient,
                               binomial, lucas_binomial)
 
@@ -94,6 +95,13 @@ def test_binom_p_quotient():
         binom_p_quotient(3, 1, 0)
     with pytest.raises(OutOfRangeError):
         binom_p_quotient(3, 1, 3)
+
+
+def test_binom_p_quotient_checks_divisibility(monkeypatch):
+    # the check is an explicit raise, so it survives `python -O`
+    monkeypatch.setattr(math, "comb", lambda n, k: 29)  # C(9, 3) is 84
+    with pytest.raises(NotDivisibleError):
+        binom_p_quotient(3, 2, 3)
 
 
 def test_rref_examples():

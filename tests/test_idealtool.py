@@ -1,15 +1,20 @@
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tortken.exactnum import Field, OutOfRangeError
+from tortken import idealtool
+from tortken.exactnum import Field, Matrix, OutOfRangeError
 from tortken.algebras import (FiniteAlgebra, divided_power, gametic, osborn,
                               osborn_bar_finite, plus, random_commutative)
-from tortken.idealtool import (Subspace, certify_simplicity, ideal_closure,
-                               is_ideal, psi_char0, psi_charp,
-                               psi_cyclic_char0, psi_form)
+from tortken.idealtool import (Subspace, UnsoundWitnessError,
+                               certify_simplicity, ideal_closure, is_ideal,
+                               psi_char0, psi_charp, psi_cyclic_char0,
+                               psi_form)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -138,6 +143,140 @@ def test_certificate_json():
     assert payload["verdict"] == "not_simple"
     assert payload["witness_ideal"]["dim"] == 2
     assert len(payload["witness_ideal"]["basis"]) == 2
+
+
+def test_dual_spin_witness_is_rechecked(monkeypatch):
+    # a wrong dual spin (zero transposed operators leave every dual vector
+    # invariant) yields an annihilator that is not an ideal; the explicit
+    # check must refuse it, also under `python -O`
+    A = plus(osborn(1, 1, 3, 1))
+    monkeypatch.setattr(idealtool, "_transpose_ops",
+                        lambda ops: [[[0] * A.dim for _ in op] for op in ops])
+    with pytest.raises(UnsoundWitnessError):
+        certify_simplicity(A)
+
+
+def test_subspace_add_returns_residue():
+    A = plus(osborn(0, 1, 3, 1))
+    S = Subspace(A, [])
+    assert S.add([0, 2, 1]) == (0, 1, 2)
+    assert S.add([0, 1, 2]) is None
+    assert S.add([1, 1, 1]) == (1, 0, 2)
+    assert S.rows == ((1, 0, 2), (0, 1, 2))
+    assert S.reduce([1, 1, 0]) == [0, 0, 2]
+    with pytest.raises(ValueError):
+        S.add([1, 0])
+
+
+# -- the incremental kernel against the rebuild-per-vector spin ----------------
+
+def _rref_rows(A, rows):
+    if not rows:
+        return ()
+    R, rank, _ = Matrix(A.field, [list(r) for r in rows]).rref()
+    return tuple(tuple(R.data[i]) for i in range(rank))
+
+
+def _oracle_reduce(f, rows, vec):
+    v = [f.coerce(x) for x in vec]
+    for row in rows:
+        lead = next(i for i, x in enumerate(row) if not f.is_zero(x))
+        if not f.is_zero(v[lead]):
+            c = v[lead]
+            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+def _oracle_closure(A, seeds):
+    """Ideal closure by breadth-first spinning that rebuilds and re-RREFs the
+    whole basis for every new vector."""
+    f = A.field
+    n = A.dim
+    prod = [[A.dense(A.mul(A.basis(i), A.basis(j))) for j in range(n)]
+            for i in range(n)]
+    rows = _rref_rows(A, seeds)
+    frontier = list(rows)
+    while frontier and len(rows) < n:
+        batch = []
+        for v in frontier:
+            for i in range(n):
+                left = [f.zero] * n    # e_i * v
+                right = [f.zero] * n   # v * e_i
+                for j, c in enumerate(v):
+                    for k in range(n):
+                        left[k] = f.add(left[k], f.mul(c, prod[i][j][k]))
+                        right[k] = f.add(right[k], f.mul(c, prod[j][i][k]))
+                batch += [left, right]
+        frontier = []
+        for w in batch:
+            res = _oracle_reduce(f, rows, w)
+            if any(not f.is_zero(x) for x in res):
+                rows = _rref_rows(A, list(rows) + [res])
+                frontier.append(res)
+    return rows
+
+
+def _random_scalar(f, rng):
+    if f.char:
+        return rng.randrange(f.char)
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+
+
+def _random_algebra(f, dim, commutative, rng):
+    if commutative:
+        return random_commutative(dim, f, rng.randrange(10**6))
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                c = _random_scalar(f, rng)
+                if c and rng.random() < 0.4:
+                    table[i][j][k] = c
+    return FiniteAlgebra("random", f, dim, table)
+
+
+FIELDS = (Field.prime(2), F3, Q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 5), st.booleans(),
+       st.integers(1, 3), st.integers(0, 2**32))
+def test_closure_matches_rebuild_oracle(f, dim, commutative, ngens, seed):
+    rng = random.Random(seed)
+    A = _random_algebra(f, dim, commutative, rng)
+    gens = [{i: c for i in range(dim) if (c := _random_scalar(f, rng))}
+            for _ in range(ngens)]
+    dense = [A.dense(A.element(g)) for g in gens]
+    assert ideal_closure(A, gens).rows == _oracle_closure(A, dense)
+    # the kernel on its own: any insertion order gives the same RREF rows
+    S = Subspace(A, dense[::-1])
+    assert S.rows == _rref_rows(A, dense)
+    probe = [_random_scalar(f, rng) for _ in range(dim)]
+    assert S.reduce(probe) == _oracle_reduce(f, _rref_rows(A, dense), probe)
+
+
+def _sweep_verdict(A):
+    """Simplicity from the oracle closure of every projective point."""
+    if not any(A.mul(A.basis(i), A.basis(j))
+               for i in range(A.dim) for j in range(A.dim)):
+        return "degenerate"
+    for coeffs in itertools.product(range(A.field.char), repeat=A.dim):
+        if next((c for c in coeffs if c), None) != 1:
+            continue
+        if len(_oracle_closure(A, [list(coeffs)])) < A.dim:
+            return "not_simple"
+    return "simple"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS[:2]), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**32))
+def test_certificate_matches_exhaustive_sweep(f, dim, commutative, seed):
+    A = _random_algebra(f, dim, commutative, random.Random(seed))
+    cert = certify_simplicity(A)
+    assert cert.verdict == _sweep_verdict(A)
+    if cert.verdict == "not_simple":
+        assert 0 < cert.witness.dim < A.dim and is_ideal(A, cert.witness)
 
 
 def test_psi_char0():

@@ -1,5 +1,6 @@
 import pytest
 
+from tortken import identcheck
 from tortken.exactnum import Field
 from tortken.algebras import (derivation_novikov, derivation_symmetric,
                               divided_power, gametic, integration_product,
@@ -292,3 +293,71 @@ def test_outcome_json():
     out = check_identity(COMM, gametic(2))
     d = out.to_json_dict(gametic(2))
     assert d["verdict"] == FAILS and "witness" in d
+
+
+# -- the fork pool of the multilinear sweep -------------------------------------
+
+class _InlinePool:
+    """Stands in for a process pool: records its size, runs map in-process."""
+
+    def __init__(self, sizes, processes, initializer, initargs):
+        sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+class _InlineContext:
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes, initializer, initargs):
+        return _InlinePool(self.sizes, processes, initializer, initargs)
+
+
+def _same_outcome(a, b):
+    return (a.verdict, a.checked, a.skipped, a.witness, a.value) == \
+        (b.verdict, b.checked, b.skipped, b.witness, b.value)
+
+
+@pytest.mark.parametrize("name", ["tortken", "sokolov"])
+def test_sweep_parallel_without_fork_runs_sequentially(monkeypatch, name):
+    A = plus(osborn(1, 1, 3, 2))
+    poly = catalog_entry(name).poly
+
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(identcheck, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(identcheck.multiprocessing, "get_context", no_fork)
+    out = identcheck._sweep_parallel(poly, A, range(A.dim), 2)
+    assert _same_outcome(out, identcheck._sweep(poly, A, range(A.dim)))
+
+
+@pytest.mark.parametrize("name", ["tortken", "sokolov"])
+def test_sweep_parallel_pool_capped_at_usable_cpus(monkeypatch, name):
+    A = plus(osborn(1, 1, 3, 2))
+    poly = catalog_entry(name).poly
+    ctx = _InlineContext()
+    monkeypatch.setattr(identcheck.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(identcheck.multiprocessing, "get_context",
+                        lambda method: ctx)
+    out = identcheck._sweep_parallel(poly, A, range(A.dim), 1000)
+    assert ctx.sizes == [2]
+    assert _same_outcome(out, identcheck._sweep(poly, A, range(A.dim)))
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(identcheck.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(identcheck.os, "cpu_count", lambda: 2)
+    assert identcheck._usable_cpus() == 2
+    monkeypatch.setattr(identcheck.os, "cpu_count", lambda: None)
+    assert identcheck._usable_cpus() == 1
