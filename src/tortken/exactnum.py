@@ -14,10 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 
-class MixedFieldsError(ValueError):
-    """Operands belong to different ground fields."""
-
-
 class NotSquareError(ValueError):
     """Determinant requested for a non-square matrix."""
 
@@ -131,52 +127,6 @@ class Field:
         return "Q" if self.char == 0 else f"F{self.char}"
 
 
-class Scalar:
-    """Field element wrapper used at API boundaries; raises on cross-field mixes."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = field.coerce(value)
-
-    def _join(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise MixedFieldsError(f"{self.field} vs {other.field}")
-            return other
-        return Scalar(self.field, other)
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._join(other).value))
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._join(other).value))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._join(other).value))
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._join(other).value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        return self.value == self.field.coerce(other)
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"Scalar({self.field!r}, {self.value})"
-
-    def __str__(self):
-        return self.field.fmt(self.value)
-
-
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; 0 outside 0 <= k <= n."""
     if n < 0:
@@ -242,9 +192,6 @@ class Matrix:
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, [[0] * cols for _ in range(rows)])
-
-    def at(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self.data[i][j])
 
     def copy(self) -> "Matrix":
         return Matrix(self.field, [row[:] for row in self.data])

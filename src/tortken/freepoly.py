@@ -340,10 +340,6 @@ def parse(text: str, variables: Sequence[str]) -> FreePoly:
     return _Parser(text, variables).parse()
 
 
-def is_multilinear(poly: FreePoly) -> bool:
-    return poly.is_multilinear()
-
-
 def _shapes(n: int) -> list[Tree]:
     """All binary tree shapes with n leaves; leaves are the placeholder None."""
     if n == 1:

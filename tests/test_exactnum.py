@@ -4,29 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tortken.exactnum import (Field, Matrix, MixedFieldsError,
-                              NotDivisibleError, NotSquareError,
-                              OutOfRangeError, Scalar, binom_p_quotient,
-                              binomial, lucas_binomial)
+from tortken.exactnum import (Field, Matrix, NotDivisibleError,
+                              NotSquareError, OutOfRangeError,
+                              binom_p_quotient, binomial, lucas_binomial)
 
 Q = Field.rationals()
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 
 
-def test_scalar_examples():
-    assert Scalar(Q, "1/2") + Scalar(Q, "1/3") == Scalar(Q, "5/6")
-    assert Scalar(F3, 2) * Scalar(F3, 2) == Scalar(F3, 1)
-    assert Scalar(Q, 7) / Scalar(Q, -14) == Scalar(Q, "-1/2")
-    v = (Scalar(Q, 7) / Scalar(Q, -14)).value
-    assert (v.numerator, v.denominator) == (-1, 2)
-
-
 def test_scalar_errors():
-    with pytest.raises(ZeroDivisionError):
-        Scalar(F5, 1) / Scalar(F5, 0)
-    with pytest.raises(MixedFieldsError):
-        Scalar(Q, 1) + Scalar(F5, 1)
     with pytest.raises(ZeroDivisionError):
         F3.coerce(Fraction(1, 3))
 

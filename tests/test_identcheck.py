@@ -1,18 +1,29 @@
+import itertools
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tortken import identcheck
 from tortken.exactnum import Field
-from tortken.algebras import (derivation_novikov, derivation_symmetric,
+from tortken.algebras import (FiniteAlgebra, OutOfWindowError,
+                              derivation_novikov, derivation_symmetric,
                               divided_power, gametic, integration_product,
                               minus, opposite, osborn, osborn_laurent,
                               p2_product, plus, random_commutative,
                               square_product, standard_derivation, twist)
-from tortken.freepoly import FreePoly, catalog, catalog_entry
+from tortken.freepoly import (FreePoly, catalog, catalog_entry,
+                              multilinear_monomials)
 from tortken.identcheck import (FAILS, HOLDS, INCONCLUSIVE,
                                 REFERENCE_DEG4_MATRIX, check_identity,
                                 check_identity_windowed, degree3_system,
                                 evaluate, identity_space,
-                                operator_identity_check, reference_deg4_report,
+                                reference_deg4_report,
                                 tortken_prime_relation,
                                 verify_reference_solutions)
 
@@ -159,6 +170,50 @@ def test_tortken_prime():
     assert out.verdict == FAILS
     # the witness shows a nonzero third derivative of the fourfold product
     assert evaluate(tp, _dsym(3, 2), out.witness) == out.value
+
+
+def operator_identity_check(A, a1: dict, a2: dict, a3: dict) -> bool:
+    """Whether the alternating sum of composed right multiplications
+    r_{s(1)} r_{s(2)} r_{s(3)} over Sym_3 vanishes as an operator (an oracle
+    for alt_right_mult that multiplies matrices instead of evaluating)."""
+    f = A.field
+    n = A.dim
+
+    def rmat(a):
+        cols = [A.dense(A.mul(A.basis(j), a)) for j in range(n)]
+        return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+    def matmul(x, y):
+        return [[sum_field(f, (f.mul(x[i][t], y[t][j]) for t in range(n)))
+                 for j in range(n)] for i in range(n)]
+
+    mats = [rmat(a1), rmat(a2), rmat(a3)]
+    total = [[f.zero] * n for _ in range(n)]
+    for perm in itertools.permutations(range(3)):
+        sign = _perm_sign(perm)
+        # (b) r_x r_y r_z applies r_x first: as a matrix that is M_z M_y M_x
+        m = matmul(mats[perm[2]], matmul(mats[perm[1]], mats[perm[0]]))
+        for i in range(n):
+            for j in range(n):
+                term = m[i][j] if sign > 0 else f.neg(m[i][j])
+                total[i][j] = f.add(total[i][j], term)
+    return all(f.is_zero(total[i][j]) for i in range(n) for j in range(n))
+
+
+def sum_field(f: Field, items) -> object:
+    acc = f.zero
+    for x in items:
+        acc = f.add(acc, x)
+    return acc
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
 
 
 def test_operator_identity_check():
@@ -355,9 +410,183 @@ def test_sweep_parallel_pool_capped_at_usable_cpus(monkeypatch, name):
     assert _same_outcome(out, identcheck._sweep(poly, A, range(A.dim)))
 
 
+def test_check_identity_pools_threads_above_the_dimension(monkeypatch):
+    # TORTKEN_THREADS above the dimension still takes the pool, capped at the
+    # usable CPUs
+    A = plus(osborn(1, 1, 3, 2))
+    ctx = _InlineContext()
+    monkeypatch.setenv("TORTKEN_THREADS", "10")
+    monkeypatch.setattr(identcheck.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(identcheck.multiprocessing, "get_context",
+                        lambda method: ctx)
+    out = check_identity(TORTKEN, A)
+    assert ctx.sizes == [2]
+    assert _same_outcome(out, identcheck._sweep(TORTKEN, A, range(A.dim)))
+
+
 def test_usable_cpus_without_affinity(monkeypatch):
     monkeypatch.delattr(identcheck.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(identcheck.os, "cpu_count", lambda: 2)
     assert identcheck._usable_cpus() == 2
     monkeypatch.setattr(identcheck.os, "cpu_count", lambda: None)
     assert identcheck._usable_cpus() == 1
+
+
+# -- the compiled evaluator against a naive one ----------------------------------
+#
+# The oracle evaluates every term tree recursively on each full assignment, in
+# itertools.product order, and counts one skip per assignment that escapes.
+
+def _oracle_value(poly, A, els):
+    def ev(tree):
+        if isinstance(tree, str):
+            return els[tree]
+        return A.mul(ev(tree[0]), ev(tree[1]))
+
+    f = A.field
+    acc = {}
+    for tree, coef in poly.terms.items():
+        for k, v in ev(tree).items():
+            acc[k] = f.add(acc.get(k, f.zero), f.mul(f.coerce(coef), v))
+    return {k: v for k, v in acc.items() if not f.is_zero(v)}
+
+
+def _oracle_sweep(poly, A, indices):
+    checked = skipped = 0
+    for assign in itertools.product(indices, repeat=len(poly.variables)):
+        els = {v: A.basis(i) for v, i in zip(poly.variables, assign)}
+        try:
+            val = _oracle_value(poly, A, els)
+        except OutOfWindowError:
+            skipped += 1
+            continue
+        checked += 1
+        if val:
+            return FAILS, checked, skipped, els, val
+    return HOLDS if checked else INCONCLUSIVE, checked, skipped, None, None
+
+
+def _oracle_rows(degree, A, substitutions):
+    f = A.field
+    variables = [f"t{i + 1}" for i in range(degree)]
+    monos = [FreePoly.monomial(m, variables)
+             for m in multilinear_monomials(degree, True)]
+    rows, used, skipped = [], 0, 0
+    for sub in substitutions:
+        els = dict(zip(variables, sub))
+        try:
+            evals = [_oracle_value(m, A, els) for m in monos]
+        except OutOfWindowError:
+            skipped += 1
+            continue
+        used += 1
+        support = sorted(set().union(*evals))
+        rows += ([[e.get(k, f.zero) for e in evals] for k in support]
+                 or [[f.zero] * len(monos)])
+    return rows, used, skipped
+
+
+def _outcome_tuple(out):
+    return out.verdict, out.checked, out.skipped, out.witness, out.value
+
+
+def _random_table(f, dim, commutative, rng):
+    def scalar():
+        if f.char:
+            return rng.randrange(f.char)
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i if commutative else 0, dim):
+            for k in range(dim):
+                if rng.random() < 0.4 and (c := scalar()):
+                    table[i][j][k] = c
+            if commutative:
+                table[j][i] = table[i][j]
+    return FiniteAlgebra("random", f, dim, table)
+
+
+SWEEP_LAWS = [e.name for e in catalog()
+              if 3 <= e.degree <= 5 and e.poly.is_multilinear()]
+SMALL_FIELDS = (Field.prime(2), F3, Field.rationals())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_FIELDS), st.integers(1, 4), st.booleans(),
+       st.sampled_from(SWEEP_LAWS), st.integers(0, 2**32))
+def test_sweep_matches_naive_oracle(f, dim, commutative, law, seed):
+    A = _random_table(f, dim, commutative, random.Random(seed))
+    poly = catalog_entry(law).poly
+    out = identcheck._sweep(poly, A, range(dim))
+    assert _outcome_tuple(out) == _oracle_sweep(poly, A, range(dim))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.integers(-4, 2), st.integers(1, 3),
+       st.sampled_from(SWEEP_LAWS))
+def test_windowed_sweep_matches_naive_oracle(laurent, start, width, law):
+    # windows -4..4 and 0..6: most assignments of degree 4 and 5 escape
+    if laurent:
+        A = osborn_laurent(Fraction(1, 2), 0, -4, 4, "jordan")
+    else:
+        A = integration_product(6)
+        start = abs(start)
+    idx = range(start, start + width)
+    poly = catalog_entry(law).poly
+    out = check_identity_windowed(poly, A, idx)
+    assert _outcome_tuple(out) == _oracle_sweep(poly, A, idx)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_FIELDS), st.integers(1, 3), st.booleans(),
+       st.integers(3, 4), st.booleans(), st.integers(0, 2**32))
+def test_identity_space_rows_match_naive_oracle(f, dim, commutative, degree,
+                                                windowed, seed):
+    rng = random.Random(seed)
+    if windowed:
+        A = osborn_laurent(1, 0, -3, 3, "jordan")
+        subs = [tuple(A.basis(rng.randrange(-2, 3)) for _ in range(degree))
+                for _ in range(8)]
+    else:
+        A = _random_table(f, dim, commutative, rng)
+        subs = [tuple({i: c for i in range(dim)
+                       if (c := A.field.coerce(rng.randint(-2, 2)))}
+                      for _ in range(degree)) for _ in range(8)]
+    rep = identity_space(degree, A, subs)
+    rows, used, skipped = _oracle_rows(degree, A, subs)
+    assert (rep.substitution_count, rep.skipped) == (used, skipped)
+    assert rep.matrix.data == (rows or [[A.field.zero] * rep.matrix.cols])
+    assert rep.rank == rep.matrix.rank()
+
+
+def test_alt_right_mult_agrees_with_operator_oracle():
+    alt = catalog_entry("alt_right_mult").poly
+    for A in (osborn(1, 0, 3, 1), random_commutative(3, F5, seed=1)):
+        vanishes = all(
+            operator_identity_check(A, A.basis(i), A.basis(j), A.basis(k))
+            for i, j, k in itertools.product(range(A.dim), repeat=3))
+        assert check_identity(alt, A).holds is vanishes
+
+
+def test_evaluate_reports_missing_variables():
+    with pytest.raises(ValueError, match="misses"):
+        evaluate(TORTKEN, gametic(2), {"a": {0: 1}, "b": {0: 1}})
+    # a declared variable that no term uses need not be bound
+    unused = FreePoly.monomial(("a", "b"), ("a", "b", "c"))
+    G = gametic(2)
+    assert evaluate(unused, G, {"a": G.basis(0), "b": G.basis(1)}) == \
+        G.mul(G.basis(0), G.basis(1))
+
+
+@pytest.mark.parametrize("target", ["counterexample", "tortken-prime"])
+def test_reproduce_without_asserts_matches_golden(target):
+    # python -O strips asserts: the evaluator paths must not rely on them
+    env = dict(os.environ, TORTKEN_THREADS="1",
+               PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-m", "tortken", "reproduce",
+                           target], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).parent / "golden" / f"{target}.txt"
+    assert proc.stdout == golden.read_text()
