@@ -1,8 +1,10 @@
-"""Concrete algebras: structure-constant tables and windowed graded products.
+"""Concrete algebras: one model for structure-constant tables and windowed
+graded products.
 
 Elements are sparse dicts (basis index -> raw field scalar, no stored zeros).
-Finite algebras carry a full structure-constant table; graded algebras carry a
-product rule on an explicit finite index window, with out-of-window products
+Every algebra is a tuple of basis indices with a product table built once
+from a rule.  A finite algebra's rule never leaves its indices; a graded
+algebra is a window on an infinite basis, and its out-of-window products are
 detected at evaluation time instead of being silently truncated.
 """
 
@@ -61,61 +63,100 @@ def el_scale(field: Field, c, a: dict) -> dict:
         return {}
     return {k: field.mul(c, v) for k, v in a.items()}
 
-class FiniteAlgebra:
-    """Finite-dimensional algebra given by structure constants on a basis."""
+class Algebra:
+    """An algebra on a finite tuple of basis indices, given by its product
+    table.
 
-    __slots__ = ("name", "field", "dim", "labels", "table")
+    The table is built once, at construction, from a product rule: ``rule(i,
+    j)`` gives (index, coefficient) pairs for the product of basis elements i
+    and j, and those pairs are normalized (coefficients made canonical,
+    repeated indices merged, zeros dropped, sorted by index).  A rule may name
+    indices outside the index set: the algebra is then a window on an
+    infinite graded object, and such a product escapes.  `mul` raises
+    OutOfWindowError exactly on the basis pairs whose product escapes, instead
+    of truncating it; ``closed`` says that no product escapes.  Indices are
+    ints, or tuples for tensor constructions; ``label(k)`` names any index
+    the table names, escaped ones included.
 
-    def __init__(self, name: str, field: Field, dim: int,
-                 table: Sequence[Sequence], labels: Sequence[str] | None = None):
+    `FiniteAlgebra` and `GradedAlgebra` are the two constructors; every
+    algebra is built by one of them or is derived from one and keeps its
+    class.
+    """
+
+    __slots__ = ("name", "field", "indices", "dim", "position", "label",
+                 "table", "closed", "_escapes")
+
+    def __init__(self, name: str, field: Field, indices: Sequence,
+                 rule: Callable, label: Callable):
         self.name = name
         self.field = field
-        self.dim = dim
-        self.labels = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
-        if len(self.labels) != dim:
-            raise ValueError("label count != dim")
-        norm = []
-        for i in range(dim):
+        self.indices = tuple(indices)
+        self.dim = len(self.indices)
+        if not self.indices:
+            raise ValueError("empty window")
+        self.position = {k: t for t, k in enumerate(self.indices)}
+        if len(self.position) != self.dim:
+            raise ValueError("repeated basis index")
+        self.label = label
+        self._escapes: dict = {}  # (i, j) -> full product, for escaping pairs
+        rows = []
+        for i in self.indices:
             row = []
-            for j in range(dim):
-                cell = table[i][j]
-                pairs = cell.items() if isinstance(cell, dict) else cell
-                ent = []
-                for k, c in pairs:
-                    if not 0 <= k < dim:
-                        raise ValueError(f"structure constant index {k} out of range")
-                    c = field.coerce(c)
-                    if not field.is_zero(c):
-                        ent.append((k, c))
-                row.append(tuple(sorted(ent)))
-            norm.append(tuple(row))
-        self.table = tuple(norm)
+            for j in self.indices:
+                ent = _normalize(field, rule(i, j))
+                if any(k not in self.position for k, _ in ent):
+                    self._escapes[i, j] = ent
+                    ent = None
+                row.append(ent)
+            rows.append(self._by_index(row))
+        self.table = self._by_index(rows)
+        self.closed = not self._escapes
+
+    def _by_index(self, values: list):
+        """Values keyed by basis index: a tuple when the indices are 0..dim-1,
+        the faster lookup in `mul`, else a dict."""
+        if self.indices == tuple(range(self.dim)):
+            return tuple(values)
+        return dict(zip(self.indices, values))
 
     # -- elements ---------------------------------------------------------
 
-    def basis(self, i: int) -> dict:
-        if not 0 <= i < self.dim:
-            raise ValueError(f"basis index {i} out of range")
+    def basis(self, i) -> dict:
+        if i not in self.position:
+            raise ValueError(f"index {i} outside window")
         return {i: self.field.one}
 
     def element(self, coords: dict) -> dict:
         out = {}
         for k, c in coords.items():
+            if k not in self.position:
+                raise ValueError(f"index {k} outside window")
             c = self.field.coerce(c)
             if not self.field.is_zero(c):
                 out[k] = c
         return out
 
+    def product(self, i, j) -> tuple:
+        """The normalized product of basis elements i and j as sorted
+        (index, coefficient) pairs, escaped indices included."""
+        ent = self.table[i][j]
+        return self._escapes[i, j] if ent is None else ent
+
     def mul(self, a: dict, b: dict) -> dict:
-        p = self.field.char
         table = self.table
         out: dict = {}
         for i, ca in a.items():
             row = table[i]
             for j, cb in b.items():
+                ent = row[j]
+                if ent is None:
+                    k = next(k for k, _ in self._escapes[i, j]
+                             if k not in self.position)
+                    raise OutOfWindowError(k, i, j)
                 c = ca * cb
-                for k, ck in row[j]:
+                for k, ck in ent:
                     out[k] = out.get(k, 0) + c * ck
+        p = self.field.char
         if p:
             return {k: v % p for k, v in out.items() if v % p}
         return {k: v for k, v in out.items() if v}
@@ -126,27 +167,37 @@ class FiniteAlgebra:
         parts = []
         for k in sorted(e):
             c = e[k]
-            parts.append(self.labels[k] if c == self.field.one
-                         else f"{self.field.fmt(c)}*{self.labels[k]}")
+            parts.append(self.label(k) if c == self.field.one
+                         else f"{self.field.fmt(c)}*{self.label(k)}")
         return " + ".join(parts)
 
     def dense(self, e: dict) -> list:
         v = [self.field.zero] * self.dim
         for k, c in e.items():
-            v[k] = c
+            v[self.position[k]] = c
         return v
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(self.label(i) for i in self.indices)
+
+    def derived(self, name: str, rule: Callable) -> "Algebra":
+        """An algebra of the same class, indices and labels whose product of
+        basis elements i and j is rule(i, j)."""
+        return _of_class(self, name, self.field, self.indices, rule, self.label)
 
     # -- structure --------------------------------------------------------
 
     def is_commutative(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
+        ix = self.indices
+        return all(self.product(i, j) == self.product(j, i)
+                   for t, i in enumerate(ix) for j in ix[t + 1:])
 
     def is_associative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
+        for i in self.indices:
+            for j in self.indices:
                 ij = self.mul(self.basis(i), self.basis(j))
-                for k in range(self.dim):
+                for k in self.indices:
                     left = self.mul(ij, self.basis(k))
                     right = self.mul(self.basis(i),
                                      self.mul(self.basis(j), self.basis(k)))
@@ -154,21 +205,17 @@ class FiniteAlgebra:
                         return False
         return True
 
-    def _unit_system(self, side: str) -> Matrix | None:
+    def _unit_system(self, side: str) -> list | None:
         """Solve e*b_i = b_i (side='left') or b_i*e = b_i (side='right')."""
         f = self.field
         rows, rhs = [], []
-        for i in range(self.dim):
-            cols = []
-            for j in range(self.dim):
-                prod = (self.mul(self.basis(j), self.basis(i)) if side == "left"
-                        else self.mul(self.basis(i), self.basis(j)))
-                cols.append(prod)
-            for k in range(self.dim):
-                rows.append([cols[j].get(k, f.zero) for j in range(self.dim)])
+        for i in self.indices:
+            cols = [dict(self.product(j, i) if side == "left"
+                         else self.product(i, j)) for j in self.indices]
+            for k in self.indices:
+                rows.append([col.get(k, f.zero) for col in cols])
                 rhs.append(f.one if k == i else f.zero)
-        sol = Matrix(f, rows).solve(rhs)
-        return sol
+        return Matrix(f, rows).solve(rhs)
 
     def predicates(self) -> dict:
         """Commutativity/associativity flags and exact unit solves."""
@@ -177,7 +224,8 @@ class FiniteAlgebra:
         unit = None
         if left is not None and right is not None:
             unit = left
-        to_el = lambda v: None if v is None else {k: c for k, c in enumerate(v) if c}
+        to_el = lambda v: None if v is None else {
+            k: c for k, c in zip(self.indices, v) if c}
         return {
             "is_commutative": self.is_commutative(),
             "is_associative": self.is_associative(),
@@ -191,11 +239,13 @@ class FiniteAlgebra:
     # -- serialization ----------------------------------------------------
 
     def to_spec(self) -> dict:
-        entries = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.table[i][j]:
-                    entries.append([i, j, k, self.field.fmt(c)])
+        """Structure constants on the basis positions 0..dim-1."""
+        if not self.closed:
+            raise ValueError(f"{self.name}: products leave the window")
+        pos = self.position
+        entries = [[pos[i], pos[j], pos[k], self.field.fmt(c)]
+                   for i in self.indices for j in self.indices
+                   for k, c in self.product(i, j)]
         return {"kind": "structure_constants", "name": self.name,
                 "field": {"char": self.field.char}, "dim": self.dim,
                 "labels": list(self.labels), "table": entries}
@@ -203,141 +253,130 @@ class FiniteAlgebra:
     def to_json(self) -> str:
         return json.dumps(self.to_spec())
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "FiniteAlgebra":
-        if spec.get("kind") != "structure_constants":
-            raise ValueError("not a structure_constants spec")
-        field = Field(spec["field"]["char"])
-        dim = spec["dim"]
-        table = [[[] for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in spec["table"]:
-            table[i][j].append((k, field.parse(c)))
-        return cls(spec.get("name", "custom"), field, dim, table,
-                   spec.get("labels"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteAlgebra":
-        return cls.from_spec(json.loads(text))
-
     def table_text(self) -> str:
-        cells = [[self.fmt_element(self.mul(self.basis(i), self.basis(j)))
-                  for j in range(self.dim)] for i in range(self.dim)]
-        head = [""] + list(self.labels)
-        rows = [head] + [[self.labels[i]] + cells[i] for i in range(self.dim)]
+        labels = self.labels
+        cells = [[self.fmt_element(dict(self.product(i, j)))
+                  for j in self.indices] for i in self.indices]
+        head = [""] + list(labels)
+        rows = [head] + [[labels[t]] + cells[t] for t in range(self.dim)]
         widths = [max(len(r[c]) for r in rows) for c in range(self.dim + 1)]
         return "\n".join(" | ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
                          for r in rows)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FiniteAlgebra) and self.field == other.field
-                and self.dim == other.dim and self.table == other.table)
+        try:
+            return (self.field, self.indices, self.table, self._escapes) == \
+                (other.field, other.indices, other.table, other._escapes)
+        except AttributeError:
+            return NotImplemented
 
     def __repr__(self) -> str:
-        return f"FiniteAlgebra({self.name!r}, dim={self.dim}, {self.field!r})"
+        return (f"{type(self).__name__}({self.name!r}, "
+                f"{self.indices[0]}..{self.indices[-1]}, {self.field!r})")
 
 
-class GradedAlgebra:
-    """Algebra on an explicit index window with a sparse product rule.
+def _normalize(field: Field, pairs) -> tuple:
+    merged: dict = {}
+    for k, c in pairs:
+        merged[k] = field.add(merged.get(k, field.zero), field.coerce(c))
+    return tuple(sorted((k, c) for k, c in merged.items()
+                        if not field.is_zero(c)))
 
-    ``rule(i, j)`` returns (index, coefficient) pairs and may name indices
-    outside the window; multiplying elements raises OutOfWindowError if such
-    an index carries a nonzero coefficient.  Indices are ints for Laurent-type
-    windows and tuples for tensor constructions.
+
+def _of_class(A: Algebra, name: str, field: Field, indices: Sequence,
+              rule: Callable, label: Callable) -> Algebra:
+    """A new algebra of A's class, built by the model's own initializer."""
+    B = object.__new__(type(A))
+    Algebra.__init__(B, name, field, indices, rule, label)
+    return B
+
+
+def _spec_index(x, dim: int, what: str) -> int:
+    if type(x) is not int or not 0 <= x < dim:
+        raise ValueError(f"{what} {x!r} is not an index in 0..{dim - 1}")
+    return x
+
+
+class FiniteAlgebra(Algebra):
+    """Structure constants on the basis 0..dim-1: table[i][j] is the product
+    of basis elements i and j, a dict or (index, coefficient) pairs."""
+
+    __slots__ = ()
+
+    def __init__(self, name: str, field: Field, dim: int,
+                 table: Sequence[Sequence], labels: Sequence[str] | None = None):
+        names = tuple(labels) if labels else tuple(f"b{i}" for i in range(dim))
+        if len(names) != dim:
+            raise ValueError("label count != dim")
+
+        def rule(i, j):
+            cell = table[i][j]
+            return cell.items() if isinstance(cell, dict) else cell
+
+        super().__init__(name, field, range(dim), rule, names.__getitem__)
+        if not self.closed:
+            (i, j), ent = next(iter(self._escapes.items()))
+            raise ValueError(f"structure constant of ({i}, {j}) names an index "
+                             f"outside 0..{dim - 1}: "
+                             f"{[k for k, _ in ent if k not in self.position]}")
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "FiniteAlgebra":
+        """Load structure constants; entries are [i, j, k, coefficient] with
+        the coefficient an int or an "a/b" string, and repeated (i, j, k)
+        entries add up."""
+        if not isinstance(spec, dict) or spec.get("kind") != "structure_constants":
+            raise ValueError("not a structure_constants spec")
+        field = spec["field"]
+        if not isinstance(field, dict) or type(field.get("char")) is not int:
+            raise ValueError("field must be {\"char\": <int>}")
+        field = Field(field["char"])
+        dim = spec["dim"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim {dim!r} is not a positive int")
+        labels = spec.get("labels")
+        if labels is not None and not (isinstance(labels, list) and
+                                       all(isinstance(s, str) for s in labels)):
+            raise ValueError("labels must be a list of strings")
+        if not isinstance(spec["table"], list):
+            raise ValueError("table must be a list of [i, j, k, coefficient]")
+        table = [[[] for _ in range(dim)] for _ in range(dim)]
+        for entry in spec["table"]:
+            if not (isinstance(entry, list) and len(entry) == 4):
+                raise ValueError(f"table entry {entry!r} is not [i, j, k, coefficient]")
+            i, j, k, c = entry
+            table[_spec_index(i, dim, "row")][_spec_index(j, dim, "column")].append(
+                (_spec_index(k, dim, "index"), field.parse(c)))
+        return cls(spec.get("name", "custom"), field, dim, table, labels)
+
+    @classmethod
+    def from_json(cls, text: str) -> "FiniteAlgebra":
+        return cls.from_spec(json.loads(text))
+
+
+class GradedAlgebra(Algebra):
+    """A product rule on an explicit window of a graded basis.
+
+    ``rule(i, j)`` may name indices outside the window (see `Algebra`).
+    ``drop_bounds=(lo, hi)`` checks that every product of x_i and x_j lies in
+    degrees i+j-hi .. i+j-lo.
     """
 
-    __slots__ = ("name", "field", "indices", "index_set", "rule", "label_fn",
-                 "drop_bounds", "_cache")
+    __slots__ = ()
 
     def __init__(self, name: str, field: Field, indices: Sequence,
                  rule: Callable, label_fn: Callable | None = None,
-                 drop_bounds: tuple[int, int] | None = None,
-                 validate: bool = True):
-        self.name = name
-        self.field = field
-        self.indices = tuple(indices)
-        if not self.indices:
-            raise ValueError("empty window")
-        self.index_set = frozenset(self.indices)
-        self.rule = rule
-        self.label_fn = label_fn or (lambda i: f"x^{i}")
-        self.drop_bounds = drop_bounds
-        self._cache: dict = {}
-        if validate and drop_bounds is not None:
+                 drop_bounds: tuple[int, int] | None = None):
+        super().__init__(name, field, indices, rule,
+                         label_fn or (lambda i: f"x^{i}"))
+        if drop_bounds is not None:
             lo, hi = drop_bounds
             for i in self.indices:
                 for j in self.indices:
-                    for k, _ in self.raw(i, j):
+                    for k, _ in self.product(i, j):
                         if not i + j - hi <= k <= i + j - lo:
                             raise ValueError(
                                 f"shift bounds {drop_bounds} violated at ({i},{j})->{k}")
-
-    def raw(self, i, j) -> tuple:
-        """Normalized rule output; may contain out-of-window indices."""
-        key = (i, j)
-        ent = self._cache.get(key)
-        if ent is None:
-            f = self.field
-            merged: dict = {}
-            for k, c in self.rule(i, j):
-                c = f.coerce(c)
-                if not f.is_zero(c):
-                    merged[k] = f.add(merged.get(k, f.zero), c)
-            ent = tuple(sorted((k, c) for k, c in merged.items() if not f.is_zero(c)))
-            self._cache[key] = ent
-        return ent
-
-    def basis(self, i) -> dict:
-        if i not in self.index_set:
-            raise ValueError(f"index {i} outside window")
-        return {i: self.field.one}
-
-    def element(self, coords: dict) -> dict:
-        out = {}
-        for k, c in coords.items():
-            if k not in self.index_set:
-                raise ValueError(f"index {k} outside window")
-            c = self.field.coerce(c)
-            if not self.field.is_zero(c):
-                out[k] = c
-        return out
-
-    def mul(self, a: dict, b: dict) -> dict:
-        f = self.field
-        inside = self.index_set
-        out: dict = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                c = ca * cb
-                for k, ck in self.raw(i, j):
-                    if k not in inside:
-                        raise OutOfWindowError(k, i, j)
-                    out[k] = out.get(k, 0) + c * ck
-        if f.char:
-            return {k: v % f.char for k, v in out.items() if v % f.char}
-        return {k: v for k, v in out.items() if v}
-
-    def fmt_element(self, e: dict) -> str:
-        if not e:
-            return "0"
-        parts = []
-        for k in sorted(e):
-            c = e[k]
-            parts.append(self.label_fn(k) if c == self.field.one
-                         else f"{self.field.fmt(c)}*{self.label_fn(k)}")
-        return " + ".join(parts)
-
-    def __eq__(self, other) -> bool:
-        if not (isinstance(other, GradedAlgebra) and self.field == other.field
-                and self.indices == other.indices):
-            return False
-        return all(self.raw(i, j) == other.raw(i, j)
-                   for i in self.indices for j in self.indices)
-
-    def __repr__(self) -> str:
-        return f"GradedAlgebra({self.name!r}, window={self.indices[0]}..{self.indices[-1]})"
-
-
-Algebra = FiniteAlgebra | GradedAlgebra
 
 
 # -- divided powers and derivations ---------------------------------------
@@ -376,51 +415,35 @@ def divided_power(p: int, m: int) -> Algebra:
 
 
 def standard_derivation(A: Algebra):
-    """The shift derivation x^(i) -> x^(i-1) on a divided-power basis."""
-    if isinstance(A, FiniteAlgebra):
-        return [({i - 1: A.field.one} if i > 0 else {}) for i in range(A.dim)]
+    """The shift derivation x^(i) -> x^(i-1) on a divided-power basis.
+
+    A derivation is a function from a basis index (in the window or not) to
+    its image, a sparse element."""
     one = A.field.one
-    return lambda i: ((i - 1, one),) if i - 1 >= 0 else ()
+    return lambda i: {i - 1: one} if i > 0 else {}
 
 
-def _apply_derivation_finite(A: FiniteAlgebra, images: Sequence[dict], e: dict) -> dict:
+def _apply(field: Field, D, e: dict) -> dict:
     out: dict = {}
     for k, c in e.items():
-        out = el_add(A.field, out, el_scale(A.field, c, images[k]))
+        out = el_add(field, out, el_scale(field, c, D(k)))
     return out
 
 
 def validate_derivation(A: Algebra, D) -> None:
-    """Check D(ab) = D(a)b + aD(b) on all basis pairs (in-window pairs if graded)."""
-    if isinstance(A, FiniteAlgebra):
-        for i in range(A.dim):
-            for j in range(A.dim):
-                prod = A.mul(A.basis(i), A.basis(j))
-                lhs = _apply_derivation_finite(A, D, prod)
-                rhs = el_add(A.field,
-                             A.mul(_apply_derivation_finite(A, D, A.basis(i)), A.basis(j)),
-                             A.mul(A.basis(i), _apply_derivation_finite(A, D, A.basis(j))))
-                if lhs != rhs:
-                    raise NotADerivationError(i, j)
-        return
+    """Check D(ab) = D(a)b + aD(b) on all basis pairs, skipping the pairs
+    where a product or an image of D leaves the window."""
     f = A.field
+    inside = lambda e: all(k in A.position for k in e)
     for i in A.indices:
         for j in A.indices:
+            a, b = A.basis(i), A.basis(j)
+            da, db = _apply(f, D, a), _apply(f, D, b)
+            if not (inside(da) and inside(db)):
+                continue
             try:
-                prod = A.mul(A.basis(i), A.basis(j))
-                lhs: dict = {}
-                for k, c in prod.items():
-                    for k2, c2 in D(k):
-                        lhs = el_add(f, lhs, {k2: f.mul(c, c2)})
-                rhs: dict = {}
-                for k, c in D(i):
-                    if k not in A.index_set:
-                        raise OutOfWindowError(k, i, j)
-                    rhs = el_add(f, rhs, el_scale(f, c, A.mul({k: f.one}, A.basis(j))))
-                for k, c in D(j):
-                    if k not in A.index_set:
-                        raise OutOfWindowError(k, i, j)
-                    rhs = el_add(f, rhs, el_scale(f, c, A.mul(A.basis(i), {k: f.one})))
+                lhs = _apply(f, D, A.mul(a, b))
+                rhs = el_add(f, A.mul(da, b), A.mul(a, db))
             except OutOfWindowError:
                 continue
             if lhs != rhs:
@@ -428,43 +451,19 @@ def validate_derivation(A: Algebra, D) -> None:
 
 
 def derivation_novikov(A: Algebra, D) -> Algebra:
-    """Novikov product a.b = D(a) b on an associative commutative algebra."""
+    """Novikov product a.b = D(a) b on an associative commutative algebra;
+    D must map the window into itself."""
     validate_derivation(A, D)
-    if isinstance(A, FiniteAlgebra):
-        table = [[A.mul(_apply_derivation_finite(A, D, A.basis(i)), A.basis(j))
-                  for j in range(A.dim)] for i in range(A.dim)]
-        return FiniteAlgebra(f"derivation_novikov({A.name})", A.field, A.dim,
-                             table, A.labels)
-
-    def rule(i, j):
-        out: dict = {}
-        for k, c in D(i):
-            for k2, c2 in A.raw(k, j):
-                out[k2] = A.field.add(out.get(k2, A.field.zero), A.field.mul(c, c2))
-        return tuple(out.items())
-
-    return GradedAlgebra(f"derivation_novikov({A.name})", A.field, A.indices,
-                         rule, A.label_fn, validate=False)
+    images = {i: A.element(D(i)) for i in A.indices}
+    return A.derived(f"derivation_novikov({A.name})", lambda i, j: [
+        (k2, c * c2) for k, c in images[i].items() for k2, c2 in A.product(k, j)])
 
 
 def derivation_symmetric(A: Algebra, D) -> Algebra:
     """Commutative product a*b = D(ab) on an associative commutative algebra."""
     validate_derivation(A, D)
-    if isinstance(A, FiniteAlgebra):
-        table = [[_apply_derivation_finite(A, D, A.mul(A.basis(i), A.basis(j)))
-                  for j in range(A.dim)] for i in range(A.dim)]
-        return FiniteAlgebra(f"derivation_symmetric({A.name})", A.field, A.dim,
-                             table, A.labels)
-
-    def rule(i, j):
-        out: dict = {}
-        for k, c in A.raw(i, j):
-            for k2, c2 in D(k):
-                out[k2] = A.field.add(out.get(k2, A.field.zero), A.field.mul(c, c2))
-        return tuple(out.items())
-
-    return GradedAlgebra(f"derivation_symmetric({A.name})", A.field, A.indices,
-                         rule, A.label_fn, validate=False)
+    return A.derived(f"derivation_symmetric({A.name})", lambda i, j: [
+        (k2, c * c2) for k, c in A.product(i, j) for k2, c2 in D(k).items()])
 
 
 # -- the parametric simple families ----------------------------------------
@@ -478,21 +477,16 @@ def osborn(alpha, beta, p: int, m: int) -> FiniteAlgebra:
     f = O.field
     alpha = f.coerce(alpha)
     beta = f.coerce(beta)
-    D = standard_derivation(O)
-    top = O.basis(p**m - 1)
-    sub = O.basis(p**m - 2)
-    table = []
-    for i in range(O.dim):
-        row = []
-        for j in range(O.dim):
-            prod = O.mul(O.basis(i), O.basis(j))
-            val = O.mul(_apply_derivation_finite(O, D, O.basis(i)), O.basis(j))
-            val = el_add(f, val, el_scale(f, alpha, O.mul(top, prod)))
-            val = el_add(f, val, el_scale(f, beta, O.mul(sub, prod)))
-            row.append(val)
-        table.append(row)
-    return FiniteAlgebra(f"osborn({f.fmt(alpha)},{f.fmt(beta)},{p},{m})",
-                         f, O.dim, table, O.labels)
+    top, sub = O.dim - 1, O.dim - 2
+
+    def rule(i, j):
+        out = list(O.product(i - 1, j)) if i else []  # D(x^(i)) x^(j)
+        for k, c in O.product(i, j):
+            out += [(t, alpha * c * x) for t, x in O.product(top, k)]
+            out += [(t, beta * c * x) for t, x in O.product(sub, k)]
+        return out
+
+    return O.derived(f"osborn({f.fmt(alpha)},{f.fmt(beta)},{p},{m})", rule)
 
 
 def osborn_plus_explicit(alpha, beta, p: int, m: int) -> FiniteAlgebra:
@@ -568,10 +562,10 @@ def osborn_bar_laurent(alpha, lo: int, hi: int) -> GradedAlgebra:
         raise ValueError(f"bad window [{lo},{hi}]")
     rule = lambda i, j: ((i + j - 1, i + j + 2 * alpha),)
     A = GradedAlgebra(f"osborn_bar_laurent({alpha})", Field.rationals(),
-                      indices, rule, validate=False)
+                      indices, rule)
     for i in indices:
         for j in indices:
-            if any(k == excluded for k, _ in A.raw(i, j)):
+            if any(k == excluded for k, _ in A.product(i, j)):
                 raise NotClosedError(
                     f"x^{i} * x^{j} reaches the excluded index {excluded}")
     return A
@@ -647,7 +641,7 @@ def osborn_bar_laurent_beta(beta, lo: int, hi: int) -> GradedAlgebra:
         return tuple(lam.items())
 
     return GradedAlgebra(f"osborn_bar_laurent_beta({beta})", f, indices, rule,
-                         label_fn=lambda i: f"y^{i}", validate=False)
+                         label_fn=lambda i: f"y^{i}")
 
 
 def osborn_bar(variant: str, **params) -> Algebra:
@@ -682,6 +676,14 @@ def integration_product(n: int) -> GradedAlgebra:
         drop_bounds=(-1, -1))
 
 
+def _shifted_product(O: Algebra, i: int, j: int, s: int, t: int,
+                     drop: int) -> list:
+    """D^drop(D^s(x^(i)) D^t(x^(j))) on divided powers, D the shift."""
+    if i < s or j < t:
+        return []
+    return [(k - drop, c) for k, c in O.product(i - s, j - t) if k >= drop]
+
+
 def square_product(p: int, k: int, l: int, m: int) -> FiniteAlgebra:
     """Commutative product on divided powers driven by iterated derivations:
 
@@ -691,23 +693,10 @@ def square_product(p: int, k: int, l: int, m: int) -> FiniteAlgebra:
     if not 0 <= k <= l:
         raise ValueError("need 0 <= k <= l")
     O = divided_power(p, m)
-    f = O.field
     s, t = p**k - 1, p**l - 1
-
-    def shifted(i: int, drop: int) -> dict:
-        return O.basis(i - drop) if i - drop >= 0 else {}
-
-    table = []
-    for i in range(O.dim):
-        row = []
-        for j in range(O.dim):
-            val = O.mul(shifted(i, s), shifted(j, t))
-            if k != l:
-                val = el_add(f, val, O.mul(shifted(i, t), shifted(j, s)))
-            row.append({kk - 1: c for kk, c in val.items() if kk >= 1})
-        table.append(row)
-    return FiniteAlgebra(f"square_product({p},{k},{l},{m})", f, O.dim, table,
-                         O.labels)
+    return O.derived(f"square_product({p},{k},{l},{m})", lambda i, j: (
+        _shifted_product(O, i, j, s, t, 1)
+        + (_shifted_product(O, i, j, t, s, 1) if k != l else [])))
 
 
 def p2_product(k: int, m: int) -> FiniteAlgebra:
@@ -716,65 +705,37 @@ def p2_product(k: int, m: int) -> FiniteAlgebra:
         raise ValueError("need k > 0")
     O = divided_power(2, m)
     s = 2**k - 1
-
-    def shifted(i: int, drop: int) -> dict:
-        return O.basis(i - drop) if i - drop >= 0 else {}
-
-    table = []
-    for i in range(O.dim):
-        row = []
-        for j in range(O.dim):
-            val = O.mul(shifted(i, s), shifted(j, s))
-            drop = 2**k + 1
-            row.append({kk - drop: c for kk, c in val.items() if kk >= drop})
-        table.append(row)
-    return FiniteAlgebra(f"p2_product({k},{m})", O.field, O.dim, table, O.labels)
+    return O.derived(f"p2_product({k},{m})",
+                     lambda i, j: _shifted_product(O, i, j, s, s, 2**k + 1))
 
 
 # -- functors ----------------------------------------------------------------
 
 def plus(A: Algebra) -> Algebra:
     """Symmetrized product {a, b} = ab + ba."""
-    if isinstance(A, FiniteAlgebra):
-        table = [[el_add(A.field, A.mul(A.basis(i), A.basis(j)),
-                         A.mul(A.basis(j), A.basis(i)))
-                  for j in range(A.dim)] for i in range(A.dim)]
-        return FiniteAlgebra(f"plus({A.name})", A.field, A.dim, table, A.labels)
-    return GradedAlgebra(f"plus({A.name})", A.field, A.indices,
-                         lambda i, j: A.raw(i, j) + A.raw(j, i),
-                         A.label_fn, validate=False)
+    return A.derived(f"plus({A.name})",
+                     lambda i, j: A.product(i, j) + A.product(j, i))
 
 
 def minus(A: Algebra) -> Algebra:
     """Commutator product [a, b] = ab - ba."""
     neg = A.field.neg
-    if isinstance(A, FiniteAlgebra):
-        table = [[el_sub(A.field, A.mul(A.basis(i), A.basis(j)),
-                         A.mul(A.basis(j), A.basis(i)))
-                  for j in range(A.dim)] for i in range(A.dim)]
-        return FiniteAlgebra(f"minus({A.name})", A.field, A.dim, table, A.labels)
-    return GradedAlgebra(
-        f"minus({A.name})", A.field, A.indices,
-        lambda i, j: A.raw(i, j) + tuple((k, neg(c)) for k, c in A.raw(j, i)),
-        A.label_fn, validate=False)
+    return A.derived(f"minus({A.name})", lambda i, j: A.product(i, j) + tuple(
+        (k, neg(c)) for k, c in A.product(j, i)))
 
 
 def opposite(A: Algebra) -> Algebra:
-    if isinstance(A, FiniteAlgebra):
-        table = [[A.table[j][i] for j in range(A.dim)] for i in range(A.dim)]
-        return FiniteAlgebra(f"opposite({A.name})", A.field, A.dim, table, A.labels)
-    return GradedAlgebra(f"opposite({A.name})", A.field, A.indices,
-                         lambda i, j: A.raw(j, i), A.label_fn, validate=False)
+    return A.derived(f"opposite({A.name})", lambda i, j: A.product(j, i))
 
 
-def twist(A: FiniteAlgebra, images: Sequence[dict]) -> FiniteAlgebra:
-    """Twisted product a . b = a (f b) for an arbitrary endomorphism f."""
+def twist(A: Algebra, images: Sequence[dict]) -> Algebra:
+    """Twisted product a . b = a (f b) for an arbitrary endomorphism f, given
+    by the images of the basis elements in index order."""
     if len(images) != A.dim:
         raise ValueError(f"endomorphism has {len(images)} images, need {A.dim}")
-    imgs = [A.element(e) for e in images]
-    table = [[A.mul(A.basis(i), imgs[j]) for j in range(A.dim)]
-             for i in range(A.dim)]
-    return FiniteAlgebra(f"twist({A.name})", A.field, A.dim, table, A.labels)
+    imgs = dict(zip(A.indices, (A.element(e) for e in images)))
+    return A.derived(f"twist({A.name})",
+                     lambda i, j: A.mul(A.basis(i), imgs[j]).items())
 
 
 def _check_triple_identity(A: Algebra, combo, indices) -> tuple | None:
@@ -791,9 +752,10 @@ def _check_triple_identity(A: Algebra, combo, indices) -> tuple | None:
     return None
 
 
-def tensor_leibniz(g: FiniteAlgebra, R: Algebra) -> Algebra:
+def tensor_leibniz(g: Algebra, R: Algebra) -> Algebra:
     """Tensor product (x@r)(y@s) = [x,y] @ rs for a bracket algebra g
-    satisfying the right Leibniz law and a left Leibniz dual algebra R."""
+    satisfying the right Leibniz law and a left Leibniz dual algebra R, on
+    the basis indices (g index, R index); it has the class of R."""
     if g.field != R.field:
         raise ValueError("mismatched ground fields")
     f = g.field
@@ -802,7 +764,7 @@ def tensor_leibniz(g: FiniteAlgebra, R: Algebra) -> Algebra:
         return el_sub(f, el_add(f, g.mul(a, g.mul(b, c)), g.mul(g.mul(a, c), b)),
                       g.mul(g.mul(a, b), c))
 
-    w = _check_triple_identity(g, leib_right, range(g.dim))
+    w = _check_triple_identity(g, leib_right, g.indices)
     if w is not None:
         raise PrereqIdentityFailsError("leibniz_right", w)
 
@@ -810,43 +772,18 @@ def tensor_leibniz(g: FiniteAlgebra, R: Algebra) -> Algebra:
         rhs = el_add(f, R.mul(a, R.mul(b, c)), R.mul(a, R.mul(c, b)))
         return el_sub(f, R.mul(R.mul(a, b), c), rhs)
 
-    r_indices = range(R.dim) if isinstance(R, FiniteAlgebra) else R.indices
-    w = _check_triple_identity(R, dual_left, r_indices)
+    w = _check_triple_identity(R, dual_left, R.indices)
     if w is not None:
         raise PrereqIdentityFailsError("leibniz_dual_left", w)
 
-    if isinstance(R, FiniteAlgebra):
-        n = g.dim * R.dim
-        flat = lambda gi, ri: gi * R.dim + ri
-        table = [[{} for _ in range(n)] for _ in range(n)]
-        for gi in range(g.dim):
-            for ri in range(R.dim):
-                for gj in range(g.dim):
-                    for rj in range(R.dim):
-                        ent: dict = {}
-                        for gk, cb in g.table[gi][gj]:
-                            for rk, cr in R.table[ri][rj]:
-                                kk = flat(gk, rk)
-                                ent[kk] = f.add(ent.get(kk, f.zero), f.mul(cb, cr))
-                        table[flat(gi, ri)][flat(gj, rj)] = ent
-        labels = [f"{g.labels[gi]}(x){R.labels[ri]}"
-                  for gi in range(g.dim) for ri in range(R.dim)]
-        return FiniteAlgebra(f"tensor({g.name},{R.name})", f, n, table, labels)
-
-    indices = [(gi, ri) for gi in range(g.dim) for ri in R.indices]
-
     def rule(a, b):
         (gi, ri), (gj, rj) = a, b
-        out = []
-        for gk, cb in g.table[gi][gj]:
-            for rk, cr in R.raw(ri, rj):
-                out.append(((gk, rk), f.mul(cb, cr)))
-        return out
+        return [((gk, rk), cb * cr) for gk, cb in g.product(gi, gj)
+                for rk, cr in R.product(ri, rj)]
 
-    return GradedAlgebra(
-        f"tensor({g.name},{R.name})", f, indices, rule,
-        label_fn=lambda idx: f"{g.labels[idx[0]]}(x){R.label_fn(idx[1])}",
-        validate=False)
+    return _of_class(R, f"tensor({g.name},{R.name})", f,
+                     [(gi, ri) for gi in g.indices for ri in R.indices], rule,
+                     lambda idx: f"{g.label(idx[0])}(x){R.label(idx[1])}")
 
 
 def random_commutative(dim: int, field: Field, seed: int) -> FiniteAlgebra:
@@ -867,7 +804,7 @@ def random_commutative(dim: int, field: Field, seed: int) -> FiniteAlgebra:
                          table)
 
 
-def subalgebra_on_basis(A: FiniteAlgebra, elements: Sequence[dict], name: str,
+def subalgebra_on_basis(A: Algebra, elements: Sequence[dict], name: str,
                         labels: Sequence[str] | None = None) -> FiniteAlgebra:
     """The span of the given independent elements, with its product re-expressed
     in that basis; raises NotClosedError if some product leaves the span."""
@@ -895,10 +832,14 @@ def subalgebra_on_basis(A: FiniteAlgebra, elements: Sequence[dict], name: str,
 
 def algebra_from_spec(spec: dict) -> Algebra:
     """Build an algebra from a JSON spec: structure constants or a builtin."""
+    if not isinstance(spec, dict):
+        raise ValueError("a spec is a JSON object")
     kind = spec.get("kind")
     if kind == "structure_constants":
         return FiniteAlgebra.from_spec(spec)
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("params must be a JSON object")
     return builtin_algebra(kind, **params)
 
 

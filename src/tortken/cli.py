@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import algebras, idealtool
-from .algebras import (Algebra, FiniteAlgebra, GradedAlgebra, builtin_algebra,
-                       algebra_from_spec)
+from .algebras import Algebra, builtin_algebra, algebra_from_spec
 from .freepoly import DegreeOutOfRangeError, catalog_entry, parse
 from .identcheck import (FAILS, HOLDS, INCONCLUSIVE, check_identity,
                          check_identity_windowed, degree3_system, evaluate,
@@ -35,6 +34,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad range {text!r}, expected lo..hi") from exc
 
 
+# what building an algebra raises on parameters it cannot use (ZeroDivisionError
+# for "1/0" or a denominator divisible by p is an ArithmeticError)
+_BAD_PARAMETERS = (KeyError, ValueError, TypeError, ArithmeticError)
+
 _BUILTIN_PARAM_KEYS = ("p", "m", "N", "alpha", "beta", "dim", "char", "k", "l",
                        "seed", "variant", "lo", "hi")
 
@@ -48,7 +51,7 @@ def _build_algebra(args) -> Algebra:
             raise UsageError(f"cannot read algebra spec {args.spec}: {exc}")
         try:
             A = algebra_from_spec(spec)
-        except (KeyError, ValueError, TypeError) as exc:
+        except _BAD_PARAMETERS as exc:
             raise UsageError(f"bad algebra spec {args.spec}: {exc}")
     else:
         if not getattr(args, "builtin", None):
@@ -64,7 +67,7 @@ def _build_algebra(args) -> Algebra:
             A = builtin_algebra(args.builtin, **params)
         except KeyError as exc:
             raise UsageError(f"builtin {args.builtin!r} needs parameter {exc}")
-        except ValueError as exc:
+        except _BAD_PARAMETERS as exc:
             raise UsageError(str(exc))
     transform = getattr(args, "transform", None)
     if transform:
@@ -121,7 +124,7 @@ def _emit(args, text_fn, json_obj) -> None:
 def cmd_algebra(args) -> int:
     A = _build_algebra(args)
     if args.action == "show":
-        if isinstance(A, FiniteAlgebra):
+        if A.closed:
             preds = A.predicates()
             fmt = lambda e: "-" if e is None else A.fmt_element(e)
 
@@ -148,8 +151,8 @@ def cmd_algebra(args) -> int:
                 if len(A.indices) <= 16:
                     for i in A.indices:
                         for j in A.indices:
-                            prod = {k: c for k, c in A.raw(i, j)}
-                            lines.append(f"{A.label_fn(i)} * {A.label_fn(j)} = "
+                            prod = dict(A.product(i, j))
+                            lines.append(f"{A.label(i)} * {A.label(j)} = "
                                          f"{A.fmt_element(prod)}")
                 return "\n".join(lines)
 
@@ -192,7 +195,7 @@ def _validate_algebra(args, A: Algebra) -> int:
         failures = []
         for name in idents:
             poly = catalog_entry(name).poly
-            if isinstance(A, FiniteAlgebra):
+            if A.closed:
                 out = check_identity(poly, A)
             else:
                 out = check_identity_windowed(poly, A, A.indices)
@@ -215,7 +218,7 @@ def cmd_check(args) -> int:
         print(f"identity {name} is not applicable in characteristic "
               f"{A.field.char}")
         return 2
-    if isinstance(A, GradedAlgebra):
+    if not A.closed:
         rng = (_parse_range(args.range) if args.range
                else (A.indices[0], A.indices[-1]))
         idx = [i for i in A.indices if rng[0] <= i <= rng[1]]
@@ -262,13 +265,13 @@ def cmd_idspace(args) -> int:
     if not 1 <= args.degree <= 5:
         raise UsageError(f"identity spaces support degree 1..5, got {args.degree}")
     A = _build_algebra(args)
-    if isinstance(A, GradedAlgebra):
+    if not A.closed:
         if not args.range:
             raise UsageError("graded identity space needs --range lo..hi")
         lo, hi = _parse_range(args.range)
         idx = [i for i in A.indices if lo <= i <= hi]
     else:
-        idx = list(range(A.dim))
+        idx = list(A.indices)
     subs = [tuple(A.basis(i) for i in tup)
             for tup in itertools.product(idx, repeat=args.degree)]
     report = identity_space(args.degree, A, subs, order=args.basis)
@@ -278,7 +281,7 @@ def cmd_idspace(args) -> int:
 
 def cmd_simplicity(args) -> int:
     A = _build_algebra(args)
-    if not isinstance(A, FiniteAlgebra):
+    if not A.closed:
         raise UsageError("simplicity certification needs a finite algebra")
     cert = idealtool.certify_simplicity(A)
 

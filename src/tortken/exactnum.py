@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,6 +40,9 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class Field:
@@ -114,8 +118,16 @@ class Field:
     def fmt(self, a) -> str:
         return str(a)
 
-    def parse(self, text: str):
-        return self.coerce(text)
+    def parse(self, text):
+        """A scalar from an int or an "a/b" string, the forms `fmt` writes;
+        anything else, a zero denominator included, raises ValueError."""
+        if type(text) is not int and not (isinstance(text, str)
+                                          and _SCALAR.fullmatch(text)):
+            raise ValueError(f"bad scalar {text!r}: need an int or an 'a/b' string")
+        try:
+            return self.coerce(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad scalar {text!r}: {exc}") from exc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.char == other.char

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import Field, Matrix, OutOfRangeError, binom_p_quotient, is_prime
-from .algebras import FiniteAlgebra
+from .algebras import Algebra
 
 
 class CannotCertifyError(RuntimeError):
@@ -32,7 +32,7 @@ class UnsoundWitnessError(RuntimeError):
 
 
 class Subspace:
-    """A subspace of a FiniteAlgebra, kept as an incremental echelon basis.
+    """A subspace of a closed algebra, kept as an incremental echelon basis.
 
     The basis is the reduced row echelon form of the span.  An RREF row is 1
     in its pivot column and 0 in every other pivot column, so only its entries
@@ -47,7 +47,7 @@ class Subspace:
 
     __slots__ = ("algebra", "_p", "_zero", "_free", "_free_pos", "_pivots")
 
-    def __init__(self, algebra: FiniteAlgebra, rows: Sequence[Sequence]):
+    def __init__(self, algebra: Algebra, rows: Sequence[Sequence]):
         self.algebra = algebra
         self._p = algebra.field.char
         self._zero = algebra.field.zero
@@ -58,7 +58,7 @@ class Subspace:
             self.add(row)
 
     @classmethod
-    def from_elements(cls, algebra: FiniteAlgebra,
+    def from_elements(cls, algebra: Algebra,
                       elements: Sequence[dict]) -> "Subspace":
         return cls(algebra, [algebra.dense(e) for e in elements])
 
@@ -158,8 +158,8 @@ class Subspace:
             self._sparse(self.algebra.dense(element))))
 
     def basis_elements(self) -> list[dict]:
-        return [{i: c for i, c in enumerate(row) if not self.algebra.field.is_zero(c)}
-                for row in self.rows]
+        return [{i: c for i, c in zip(self.algebra.indices, row)
+                 if not self.algebra.field.is_zero(c)} for row in self.rows]
 
     def to_json_dict(self) -> dict:
         f = self.algebra.field
@@ -181,7 +181,7 @@ def _sparse_columns(operators: Sequence) -> list:
             for op in operators]
 
 
-def _spin(A: FiniteAlgebra, seeds: Sequence[Sequence],
+def _spin(A: Algebra, seeds: Sequence[Sequence],
           operators: Sequence) -> Subspace:
     """Smallest subspace containing `seeds` and invariant under the operators.
 
@@ -215,21 +215,21 @@ def _spin(A: FiniteAlgebra, seeds: Sequence[Sequence],
     return space
 
 
-def _mult_operators(A: FiniteAlgebra) -> list:
+def _mult_operators(A: Algebra) -> list:
     """Left and right multiplication operators by basis elements, stored
     column-major: op[j] is the image of basis vector j.  For commutative
     algebras the two coincide and only one family is kept."""
     commutative = A.is_commutative()
     ops = []
-    for i in range(A.dim):
+    for i in A.indices:
         bi = A.basis(i)
-        ops.append([A.dense(A.mul(bi, A.basis(j))) for j in range(A.dim)])
+        ops.append([A.dense(A.mul(bi, A.basis(j))) for j in A.indices])
         if not commutative:
-            ops.append([A.dense(A.mul(A.basis(j), bi)) for j in range(A.dim)])
+            ops.append([A.dense(A.mul(A.basis(j), bi)) for j in A.indices])
     return ops
 
 
-def ideal_closure(A: FiniteAlgebra, generators: Sequence[dict]) -> Subspace:
+def ideal_closure(A: Algebra, generators: Sequence[dict]) -> Subspace:
     """Smallest ideal containing the generators: closure under left and right
     multiplication by every basis element, spun on one echelon basis."""
     if not generators:
@@ -239,9 +239,9 @@ def ideal_closure(A: FiniteAlgebra, generators: Sequence[dict]) -> Subspace:
     return _spin(A, seeds, ops)
 
 
-def is_ideal(A: FiniteAlgebra, S: Subspace) -> bool:
+def is_ideal(A: Algebra, S: Subspace) -> bool:
     for s in S.basis_elements():
-        for i in range(A.dim):
+        for i in A.indices:
             if not S.contains(A.mul(A.basis(i), s)):
                 return False
             if not S.contains(A.mul(s, A.basis(i))):
@@ -293,7 +293,7 @@ def _projective_points(field: Field, vectors: Sequence[Sequence]):
         yield [a % p for a in v]
 
 
-def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
+def certify_simplicity(A: Algebra) -> SimplicityCertificate:
     """Sound simplicity certificate.
 
     Order of attack: the product span A*A (always an ideal), single-generator
@@ -304,7 +304,7 @@ def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
     f = A.field
     audit = []
     products = [A.dense(A.mul(A.basis(i), A.basis(j)))
-                for i in range(A.dim) for j in range(A.dim)]
+                for i in A.indices for j in A.indices]
     aa = Subspace(A, products)
     if aa.dim == 0:
         return SimplicityCertificate(A.name, "degenerate", None,
@@ -316,15 +316,15 @@ def certify_simplicity(A: FiniteAlgebra) -> SimplicityCertificate:
 
     ops = _mult_operators(A)
     spin_ops = _sparse_columns(ops)
-    for g in range(A.dim):
-        closure = _spin(A, [A.dense(A.basis(g))], spin_ops)
+    for g, i in enumerate(A.indices):
+        closure = _spin(A, [A.dense(A.basis(i))], spin_ops)
         if closure.dim < A.dim:
             audit.append(f"closure of basis element {A.labels[g]} is proper "
                          f"({closure.dim}-dimensional)")
             return SimplicityCertificate(A.name, "not_simple", closure, audit)
     audit.append(f"all {A.dim} basis closures are full")
     for g, h in itertools.combinations(range(A.dim), 2):
-        seed = A.dense({g: f.one, h: f.neg(f.one)})
+        seed = A.dense({A.indices[g]: f.one, A.indices[h]: f.neg(f.one)})
         closure = _spin(A, [seed], spin_ops)
         if closure.dim < A.dim:
             audit.append(f"closure of {A.labels[g]} - {A.labels[h]} is proper "

@@ -19,8 +19,8 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .exactnum import Field, Matrix
-from .algebras import (Algebra, FiniteAlgebra, GradedAlgebra, OutOfWindowError,
-                       divided_power, derivation_symmetric, standard_derivation)
+from .algebras import (Algebra, OutOfWindowError, divided_power,
+                       derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog, catalog_entry, multilinear_monomials,
                        mu_vector, polarize, tree_format, tree_leaves)
 
@@ -230,7 +230,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_parallel(poly: FreePoly, A: FiniteAlgebra, indices: Sequence,
+def _sweep_parallel(poly: FreePoly, A: Algebra, indices: Sequence,
                     threads: int) -> CheckOutcome:
     """Chunk the first variable across processes; merge = first failing chunk,
     which preserves the lexicographically-least-witness contract.
@@ -266,16 +266,16 @@ def _sweep_parallel(poly: FreePoly, A: FiniteAlgebra, indices: Sequence,
     return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, 0)
 
 
-def _random_element(A: FiniteAlgebra, rng: random.Random) -> dict:
+def _random_element(A: Algebra, rng: random.Random) -> dict:
     f = A.field
     if f.char:
-        e = {i: rng.randrange(f.char) for i in range(A.dim)}
+        e = {i: rng.randrange(f.char) for i in A.indices}
     else:
-        e = {i: Fraction(rng.randint(-9, 9)) for i in range(A.dim)}
+        e = {i: Fraction(rng.randint(-9, 9)) for i in A.indices}
     return {k: v for k, v in e.items() if v}
 
 
-def check_identity(poly: FreePoly, A: FiniteAlgebra, seed: int = 0,
+def check_identity(poly: FreePoly, A: Algebra, seed: int = 0,
                    trials: int = 64) -> CheckOutcome:
     """Decide whether poly vanishes identically on A.
 
@@ -286,15 +286,15 @@ def check_identity(poly: FreePoly, A: FiniteAlgebra, seed: int = 0,
     """
     if poly.is_multilinear():
         threads = sweep_threads()
-        if (threads > 1 and isinstance(A, FiniteAlgebra)
+        if (threads > 1 and A.closed
                 and A.dim ** len(poly.variables) >= 4096):
-            return _sweep_parallel(poly, A, range(A.dim), threads)
-        return _sweep(poly, A, range(A.dim))
+            return _sweep_parallel(poly, A, A.indices, threads)
+        return _sweep(poly, A, A.indices)
     caveat = None
     if 0 < A.field.char <= poly.degree():
         caveat = (f"char {A.field.char} <= degree {poly.degree()}: "
                   "polarization may not capture the original identity")
-    out = _sweep_parts(poly, A, range(A.dim))
+    out = _sweep_parts(poly, A, A.indices)
     if out.verdict == FAILS:
         out.caveat = caveat
         return out
@@ -311,7 +311,7 @@ def check_identity(poly: FreePoly, A: FiniteAlgebra, seed: int = 0,
     return CheckOutcome(HOLDS, checked, skipped, caveat=caveat)
 
 
-def check_identity_windowed(poly: FreePoly, A: GradedAlgebra,
+def check_identity_windowed(poly: FreePoly, A: Algebra,
                             index_range: Iterable) -> CheckOutcome:
     """Window-relative exhaustive check over basis assignments from index_range.
 
@@ -319,7 +319,7 @@ def check_identity_windowed(poly: FreePoly, A: GradedAlgebra,
     the verdict is Inconclusive when nothing was evaluable.
     """
     idx = list(index_range)
-    bad = [i for i in idx if i not in A.index_set]
+    bad = [i for i in idx if i not in A.position]
     if bad:
         raise ValueError(f"indices {bad} outside the window")
     return _sweep_parts(poly, A, idx)  # a multilinear poly is its own part
@@ -472,7 +472,7 @@ REFERENCE_DEG4_SUBSTITUTIONS = (
 )
 
 
-def reference_deg4_algebra() -> GradedAlgebra:
+def reference_deg4_algebra() -> Algebra:
     """Char-0 divided powers (window 5) under the derivation product D(ab)."""
     base = divided_power(0, 5)
     return derivation_symmetric(base, standard_derivation(base))

@@ -114,7 +114,7 @@ def test_criterion_5_simplicity_certificates():
         excluded = int(-2 * alpha - 1)
         for i in L.indices:
             for j in L.indices:
-                assert all(k != excluded for k, _ in L.raw(i, j))
+                assert all(k != excluded for k, _ in L.product(i, j))
     ok(5, "(simple/not-simple grid with dim-2 witness; step-1 coefficient fact)")
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tortken.exactnum import Field, binomial
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotADerivationError,
@@ -8,6 +9,7 @@ from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotADerivationError,
                               PrereqIdentityFailsError, algebra_from_spec,
                               builtin_algebra, derivation_novikov,
                               derivation_symmetric, divided_power, el_add,
+                              el_sub,
                               gametic, integration_product, minus, opposite,
                               osborn, osborn_bar, osborn_bar_finite,
                               osborn_bar_laurent, osborn_bar_laurent_beta,
@@ -59,8 +61,7 @@ def test_standard_derivation_validates():
     A = derivation_novikov(O, D)
     assert A.mul(A.basis(1), A.basis(0)) == {0: 1}
     # broken map: D(x^(2)) = x^(2) is not a derivation
-    bad = [dict(img) for img in D]
-    bad[2] = {2: 1}
+    bad = lambda i: {2: 1} if i == 2 else D(i)
     with pytest.raises(NotADerivationError) as err:
         derivation_novikov(O, bad)
     assert err.value.witness in {(i, j) for i in range(3) for j in range(3)}
@@ -68,7 +69,7 @@ def test_standard_derivation_validates():
 
 def test_derivation_novikov_zero_map():
     O = divided_power(3, 1)
-    A = derivation_novikov(O, [{} for _ in range(O.dim)])
+    A = derivation_novikov(O, lambda i: {})
     assert all(A.mul(A.basis(i), A.basis(j)) == {}
                for i in range(3) for j in range(3))
 
@@ -148,12 +149,12 @@ def test_osborn_laurent_excluded_coefficient_vanishes():
         excluded = int(-2 * alpha - 1)
         for i in L.indices:
             for j in L.indices:
-                assert all(k != excluded for k, _ in L.raw(i, j))
+                assert all(k != excluded for k, _ in L.product(i, j))
 
 
 def test_osborn_bar_laurent():
     A = osborn_bar_laurent(Fraction(1, 2), -6, 6)
-    assert -2 not in A.index_set
+    assert -2 not in A.indices
     assert A.mul(A.basis(1), A.basis(2)) == {2: 4}
     with pytest.raises(ValueError):
         osborn_bar_laurent(Fraction(1, 3), -6, 6)
@@ -162,7 +163,7 @@ def test_osborn_bar_laurent():
 def test_osborn_bar_laurent_checks_closure(monkeypatch):
     # a product that reaches the excluded index -2a-1 must raise, even under
     # `python -O`; fake one by routing every product there
-    monkeypatch.setattr(GradedAlgebra, "raw",
+    monkeypatch.setattr(GradedAlgebra, "product",
                         lambda self, i, j: ((-2, Fraction(1)),))
     with pytest.raises(NotClosedError):
         osborn_bar_laurent(Fraction(1, 2), -6, 6)
@@ -187,7 +188,7 @@ def test_osborn_bar_laurent_beta_closure():
         for j in range(-3, 4):
             if j == -1:
                 continue
-            A.raw(i, j)
+            A.product(i, j)
     # y^0 * y^0 = -2b y^-2 + 8b^3 y^-4 at beta=1
     assert A.mul(A.basis(0), A.basis(0)) == {-2: -2, -4: 8}
     # beta = 0 collapses to the plain Laurent span without x^-1
@@ -196,14 +197,14 @@ def test_osborn_bar_laurent_beta_closure():
     for i in Z.indices:
         for j in Z.indices:
             if abs(i + j - 1) <= 5 and i + j - 1 != -1:
-                assert dict(Z.raw(i, j)) == dict(L.raw(i, j))
+                assert dict(Z.product(i, j)) == dict(L.product(i, j))
 
 
 def test_osborn_bar_dispatcher():
     assert osborn_bar("finite_beta", beta=1, p=3, m=1).dim == 2
     assert -2 not in osborn_bar("laurent_alpha", alpha=Fraction(1, 2),
-                                lo=-4, hi=4).index_set
-    assert -1 not in osborn_bar("laurent_beta", beta=1, lo=-6, hi=4).index_set
+                                lo=-4, hi=4).indices
+    assert -1 not in osborn_bar("laurent_beta", beta=1, lo=-6, hi=4).indices
     with pytest.raises(ValueError):
         osborn_bar("nope")
 
@@ -343,3 +344,101 @@ def test_subalgebra_on_basis_not_closed():
         subalgebra_on_basis(O, [O.basis(1)], "bad")
     with pytest.raises(ValueError):
         subalgebra_on_basis(O, [O.basis(1), O.basis(1)], "dependent")
+
+
+# -- functors against their definitions -----------------------------------------
+#
+# A window algebra W built by the same constructor on a wider window holds every
+# product of two basis elements of A's window, so ab + ba, ab - ba and ba come
+# from W.mul alone; a functor of A must agree with them where they stay in A's
+# window and raise OutOfWindowError exactly where they leave it.
+
+FIELDS = (Field.prime(2), F3, Q)
+
+
+@st.composite
+def closed_tables(draw):
+    f = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(1, 4))
+    coef = st.integers(0, f.char - 1) if f.char else st.integers(-2, 2)
+    # cells as pair lists, repeated indices included
+    cell = st.lists(st.tuples(st.integers(0, dim - 1), coef), max_size=3)
+    table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    A = FiniteAlgebra("random", f, dim, table)
+    return A, A
+
+
+@st.composite
+def windows(draw):
+    """(A, W): a window algebra and the same construction on a window that
+    holds every product of two basis elements of A."""
+    kind = draw(st.sampled_from(["laurent", "integration", "divided"]))
+    if kind == "laurent":
+        alpha = draw(st.sampled_from([0, Fraction(1, 2), 1]))
+        beta = draw(st.sampled_from([0, 1]))
+        variant = draw(st.sampled_from(["jordan", "novikov"]))
+        lo, hi = draw(st.integers(-3, 0)), draw(st.integers(0, 3))
+        return (osborn_laurent(alpha, beta, lo, hi, variant),
+                osborn_laurent(alpha, beta, 2 * lo - 2, max(hi, 2 * hi - 1),
+                               variant))
+    n = draw(st.integers(0, 4))
+    if kind == "integration":
+        return integration_product(n), integration_product(2 * n + 1)
+    return divided_power(0, n), divided_power(0, 2 * n)
+
+
+def _assert_agrees(B, A, want_fn):
+    """B's product of every basis pair of A is want_fn(i, j), or raises
+    OutOfWindowError exactly when that leaves A's window."""
+    assert type(B) is type(A) and B.indices == A.indices
+    for i in A.indices:
+        for j in A.indices:
+            want = want_fn(i, j)
+            if all(k in A.position for k in want):
+                assert B.mul(B.basis(i), B.basis(j)) == want, (i, j)
+            else:
+                with pytest.raises(OutOfWindowError):
+                    B.mul(B.basis(i), B.basis(j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(closed_tables(), windows()))
+def test_functors_match_their_definitions(pair):
+    A, W = pair
+    f = A.field
+    ab = lambda i, j: W.mul(W.basis(i), W.basis(j))
+    _assert_agrees(plus(A), A, lambda i, j: el_add(f, ab(i, j), ab(j, i)))
+    _assert_agrees(minus(A), A, lambda i, j: el_sub(f, ab(i, j), ab(j, i)))
+    _assert_agrees(opposite(A), A, lambda i, j: ab(j, i))
+    assert plus(A).labels == A.labels
+    assert A.closed == all(all(k in A.position for k in ab(i, j))
+                           for i in A.indices for j in A.indices)
+
+
+def _truncated_integration(n: int) -> FiniteAlgebra:
+    """x^i x^j = x^(i+j+1)/(j+1) modulo span{x^k : k >= n}: a finite left
+    Leibniz dual algebra."""
+    return FiniteAlgebra(f"integration_mod({n})", Q, n, [
+        [{i + j + 1: Fraction(1, j + 1)} if i + j + 1 < n else {}
+         for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.booleans())
+def test_tensor_leibniz_matches_its_definition(n, finite):
+    g = _lie2()
+    R, W = ((_truncated_integration(n),) * 2 if finite
+            else (integration_product(n), integration_product(2 * n + 1)))
+    T = tensor_leibniz(g, R)
+    assert type(T) is type(R) and T.closed == finite
+    for gi, ri in T.indices:
+        for gj, rj in T.indices:
+            want = {(gk, rk): cb * cr
+                    for gk, cb in g.mul(g.basis(gi), g.basis(gj)).items()
+                    for rk, cr in W.mul(W.basis(ri), W.basis(rj)).items()}
+            a, b = T.basis((gi, ri)), T.basis((gj, rj))
+            if all(rk in R.position for _, rk in want):
+                assert T.mul(a, b) == want
+            else:
+                with pytest.raises(OutOfWindowError):
+                    T.mul(a, b)

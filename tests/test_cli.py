@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tortken.algebras import FiniteAlgebra
 from tortken.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMAS = Path(__file__).parent / "schemas"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -213,3 +220,129 @@ def test_threads_env_equivalence():
         assert proc.returncode == 1
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def _spec_file(tmp_path, spec) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _dim2(table, char=0):
+    return {"kind": "structure_constants", "field": {"char": char}, "dim": 2,
+            "table": table}
+
+
+@pytest.mark.parametrize("spec", [
+    _dim2([[5, 0, 0, "1"]]),              # row index out of range
+    _dim2([[0, 5, 0, "1"]]),              # column index out of range
+    _dim2([[0, 0, 2, "1"]]),              # product index out of range
+    _dim2([[-1, 0, 0, "1"]]),             # negative row index
+    _dim2([[0, 0, 0, "1/0"]]),            # zero denominator
+    _dim2([[0, 0, 0, "1/3"]], char=3),    # denominator not invertible mod p
+    [_dim2([[0, 0, 0, "1"]])],            # top-level list
+    _dim2([[0, 0, 0, 0.1]]),              # float coefficient over Q
+    _dim2([[0, 0, 0, 0.1]], char=5),      # float coefficient over F_p
+    _dim2([[0, 0, 0, "0.1"]]),            # decimal string
+    _dim2([[0, 0, "1"]]),                 # short entry
+    {"kind": "osborn", "params": [3, 1]},  # builtin params not an object
+    {"kind": "osborn", "params": {"p": 3, "m": 1, "alpha": "1/0"}},
+], ids=["row-range", "column-range", "index-range", "negative-row",
+        "zero-denominator", "denominator-mod-p", "top-level-list", "float-q",
+        "float-fp", "decimal-string", "short-entry", "params-list",
+        "builtin-zero-denominator"])
+def test_bad_spec_exits_two(tmp_path, capsys, spec):
+    path = _spec_file(tmp_path, spec)
+    code, _, err = run_cli(capsys, "algebra", "show", "--spec", path)
+    assert code == 2
+    assert path in err
+
+
+def test_repeated_spec_entries_are_merged(tmp_path, capsys):
+    # b0*b1 = 1 + 1 = 2*b0 = b1*b0 over F_3: the two entries are one product
+    spec = _dim2([[0, 1, 0, "1"], [0, 1, 0, "1"], [1, 0, 0, "2"]], char=3)
+    code, out, _ = run_cli(capsys, "algebra", "show", "--spec",
+                           _spec_file(tmp_path, spec))
+    assert code == 0 and "commutative: True" in out
+    A = FiniteAlgebra.from_spec(spec)
+    assert A.is_commutative()
+    assert A == FiniteAlgebra.from_spec(
+        dict(spec, table=[[0, 1, 0, "2"], [1, 0, 0, "2"]]))
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                  st.text(max_size=4), st.lists(st.integers(0, 2), max_size=2))
+_SMALL = st.integers(-2, 4)
+_SCALARS = st.one_of(st.integers(-3, 3),
+                     st.sampled_from(["1", "-2", "1/2", "1/0", "0.1", "x", ""]),
+                     _JUNK)
+_ENTRY = st.one_of(st.lists(st.one_of(_SMALL, _JUNK), min_size=3, max_size=3)
+                   .flatmap(lambda ijk: _SCALARS.map(lambda c: ijk + [c])),
+                   st.lists(_SMALL, max_size=5), _JUNK)
+_STRUCTURE_SPECS = st.fixed_dictionaries(
+    {"kind": st.just("structure_constants"),
+     "field": st.one_of(st.fixed_dictionaries(
+         {"char": st.one_of(st.sampled_from([0, 2, 3, 4, 5]), _JUNK)}), _JUNK),
+     "dim": st.one_of(_SMALL, _JUNK),
+     "table": st.one_of(st.lists(_ENTRY, max_size=6), _JUNK)},
+    optional={"labels": st.one_of(st.lists(st.text(max_size=3), max_size=4),
+                                  _JUNK),
+              "name": st.one_of(st.text(max_size=5), _JUNK)})
+_PARAMS = {"p": st.sampled_from([-1, 0, 1, 2, 3, 4]), "m": st.integers(-1, 1),
+           "N": _SMALL, "dim": _SMALL, "char": st.sampled_from([0, 2, 3, 4]),
+           "k": st.integers(-1, 2), "l": st.integers(-1, 2),
+           "lo": st.integers(-3, 3), "hi": st.integers(-3, 3),
+           "alpha": _SCALARS, "beta": _SCALARS, "seed": _SMALL,
+           "variant": st.sampled_from(["jordan", "novikov", "laurent_alpha",
+                                       "finite_beta", "laurent_beta", "x"])}
+_BUILTIN_SPECS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["divided-power", "derivation-novikov",
+                              "derivation-symmetric", "osborn", "osborn-plus",
+                              "osborn-laurent", "osborn-bar", "gametic",
+                              "integration", "square-product", "p2-product",
+                              "random-commutative", "no-such-kind"])},
+    optional={"params": st.one_of(
+        st.fixed_dictionaries({}, optional={
+            k: st.one_of(v, _JUNK) for k, v in _PARAMS.items()}), _JUNK)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_STRUCTURE_SPECS, _BUILTIN_SPECS, _JUNK))
+def test_spec_loader_fuzz(spec):
+    # a malformed spec exits 2 with a message; nothing raises
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["algebra", "show", "--spec", path])
+    assert code in (0, 2)
+    if code == 2:
+        assert path in err.getvalue()
+
+
+def _readme_cli_commands() -> list:
+    """The `tortken ...` lines of the README's ## CLI code block."""
+    text = README.read_text().split("## CLI", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("tortken ")]
+
+
+_README_EXIT_CODES = {  # documented non-zero exits; every other line exits 0
+    "check --identity sokolov": 1,   # sokolov fails on the osborn jordan product
+    "simplicity --builtin osborn-plus --p 3 --m 1 --alpha 0": 1,  # not simple
+}
+
+
+def test_readme_cli_examples(capsys):
+    commands = _readme_cli_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        line = " ".join(argv)
+        want = next((code for prefix, code in _README_EXIT_CODES.items()
+                     if line.startswith(prefix)), 0)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want, (line, err)
+        assert out

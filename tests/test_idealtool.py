@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from tortken import idealtool
 from tortken.exactnum import Field, Matrix, OutOfRangeError
-from tortken.algebras import (FiniteAlgebra, divided_power, gametic, osborn,
-                              osborn_bar_finite, plus, random_commutative)
+from tortken.algebras import (FiniteAlgebra, GradedAlgebra, divided_power,
+                              gametic, osborn, osborn_bar_finite, plus,
+                              random_commutative)
 from tortken.idealtool import (Subspace, UnsoundWitnessError,
                                certify_simplicity, ideal_closure, is_ideal,
                                psi_char0, psi_charp, psi_cyclic_char0,
@@ -135,6 +136,22 @@ def test_gametic_ideal_structure():
     both = ideal_closure(G, [{0: 1, 1: -1}, {1: 1, 2: -1}])
     assert both.dim == 2 and is_ideal(G, both)
     assert certify_simplicity(G).verdict == "not_simple"
+
+
+@pytest.mark.parametrize("A", [plus(osborn(1, 0, 3, 1)), plus(osborn(0, 1, 3, 1)),
+                               gametic(3, F3)], ids=lambda A: A.name)
+def test_certificate_on_other_indices(A):
+    # a closed algebra on indices other than 0..dim-1 certifies like its copy
+    B = GradedAlgebra("shifted", A.field, [i + 10 for i in A.indices],
+                      lambda i, j: [(k + 10, c) for k, c in A.product(i - 10, j - 10)],
+                      lambda i: A.label(i - 10))
+    assert B.closed
+    want, got = certify_simplicity(A), certify_simplicity(B)
+    assert (got.verdict, got.audit) == (want.verdict, want.audit)
+    if want.witness is not None:
+        assert got.witness.rows == want.witness.rows
+        assert is_ideal(B, got.witness)
+        assert all(k in B.position for e in got.witness.basis_elements() for k in e)
 
 
 def test_certificate_json():
