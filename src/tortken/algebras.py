@@ -844,7 +844,7 @@ def algebra_from_spec(spec: dict) -> Algebra:
 
 
 def builtin_algebra(kind: str, **kw) -> Algebra:
-    frac = lambda v: Fraction(str(v))
+    frac = Field.rationals().parse  # an int or an "a/b" string, no floats
     if kind == "divided-power":
         return divided_power(kw.get("p", 0), kw["m"] if kw.get("p") else kw["N"])
     if kind == "derivation-novikov":

@@ -225,6 +225,9 @@ def cmd_check(args) -> int:
         out = check_identity_windowed(poly, A, idx)
         scope = f"range {rng[0]}..{rng[1]} (window-relative)"
     else:
+        if args.range:
+            raise UsageError(f"--range applies to graded windows; {A.name} "
+                             "is closed and is checked exhaustively")
         out = check_identity(poly, A, seed=seed, trials=trials)
         scope = "exhaustive"
     def text():

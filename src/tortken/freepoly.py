@@ -435,6 +435,41 @@ def mu_vector(poly: FreePoly, monomials: Sequence[Tree]) -> list[Fraction]:
     return vec
 
 
+def symmetry_blocks(poly: FreePoly, commutative: bool = False) -> list[tuple]:
+    """Blocks of variable positions whose values may be permuted freely.
+
+    Positions i and j share a block when swapping their variables maps poly
+    to plus or minus itself, with terms compared in `canonical_commutative`
+    form when `commutative`.  Such transpositions lie in a group, which is
+    closed under conjugation: (i j) and (j k) give (i k).  So sharing a block
+    is an equivalence, and each block's full symmetric group maps poly to
+    plus or minus itself.  Blocks are sorted, singletons included.
+    """
+    norm = canonical_commutative if commutative else (lambda t: t)
+    form: dict = {}
+    for t, c in poly.terms.items():
+        form[norm(t)] = form.get(norm(t), 0) + c
+
+    def swap(t: Tree, a: str, b: str) -> Tree:
+        if isinstance(t, str):
+            return b if t == a else a if t == b else t
+        return (swap(t[0], a, b), swap(t[1], a, b))
+
+    def signed_fixed(a: str, b: str) -> bool:
+        return any(all(form.get(norm(swap(t, a, b))) == sign * c
+                       for t, c in form.items() if c) for sign in (1, -1))
+
+    names = poly.variables
+    leader = list(range(len(names)))  # the least position of each block
+    for i, j in itertools.combinations(range(len(names)), 2):
+        if leader[j] == j and signed_fixed(names[i], names[j]):
+            leader[j] = leader[i]
+    blocks: dict = {}
+    for pos, lead in enumerate(leader):
+        blocks.setdefault(lead, []).append(pos)
+    return [tuple(b) for b in blocks.values()]
+
+
 def polarize(poly: FreePoly) -> list[FreePoly]:
     """Full multilinearization, one output per multihomogeneous component.
 
@@ -604,7 +639,8 @@ def catalog() -> list[CatalogEntry]:
                                         parse(expr, variables), notes,
                                         frozenset(bad)))
         names = [e.name for e in entries]
-        assert len(names) == len(set(names))
+        if len(names) != len(set(names)):
+            raise ValueError("catalog identity names repeat")
         _CATALOG = entries
     return list(_CATALOG)
 

@@ -10,8 +10,6 @@ all variables (`_Program.run`) or binding them one at a time (`_sweep`).
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 import random
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
@@ -22,7 +20,8 @@ from .exactnum import Field, Matrix
 from .algebras import (Algebra, OutOfWindowError, divided_power,
                        derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog, catalog_entry, multilinear_monomials,
-                       mu_vector, polarize, tree_format, tree_leaves)
+                       mu_vector, polarize, symmetry_blocks, tree_format,
+                       tree_leaves)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -58,16 +57,6 @@ class CheckOutcome:
             out["witness"] = {v: fmt(e) for v, e in self.witness.items()}
             out["value"] = fmt(self.value)
         return out
-
-
-def sweep_threads() -> int:
-    """Sweep parallelism cap from TORTKEN_THREADS (default 1)."""
-    raw = os.environ.get("TORTKEN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TORTKEN_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 class _Program:
@@ -131,8 +120,7 @@ def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
     return _Program([poly], A.field).run(A, [els.get(v) for v in poly.variables])[0]
 
 
-def _sweep(poly: FreePoly, A: Algebra, indices: Sequence,
-           first_slice: Sequence[int] | None = None) -> CheckOutcome:
+def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     """Exhaustive multilinear check over all basis assignments from `indices`.
 
     Variables are bound depth first in the given index order, the first
@@ -142,8 +130,12 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence,
     through a memo keyed by their indices and shared by its tree shape.  An
     out-of-window product at level k skips and counts every completion of
     the prefix: the node lies in some term, so each of them escapes.
-    `first_slice` restricts the first variable to the given index-list
-    positions (parallel chunking hook).
+
+    On a closed algebra, permuting the values within a `symmetry_blocks`
+    block changes the value at most by its sign, so each block is bound in
+    non-decreasing index-list order: one assignment per orbit, the
+    lex-least, and the least failing assignment is still met first.  The
+    counters stay in assignment units, as if every assignment were visited.
     """
     prog = _Program([poly], A.field)
     n = prog.n
@@ -152,7 +144,11 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence,
     basis_el = [A.basis(i) for i in indices]
     dim = len(basis_el)
     mul = A.mul
-    first = range(dim) if first_slice is None else first_slice
+    after: list = [None] * n  # each position's predecessor in its block
+    if A.closed:
+        for block in symmetry_blocks(poly, A.is_commutative()):
+            for prev, pos in zip(block, block[1:]):
+                after[pos] = prev
     levels: list[list] = [[] for _ in range(n)]  # products by last leaf
     shape: list = [None] * n  # each node's tree shape, leaves as None
     memos: dict = {}
@@ -165,7 +161,7 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence,
     val: list = [None] * (n + len(prog.products))
     assign = [0] * n
     checked = skipped = 0
-    todo = [iter(first)]  # the indices left to bind, one iterator per level
+    todo = [iter(range(dim))]  # indices left to bind, one iterator per level
     while todo:
         k = len(todo) - 1
         x = next(todo[k], None)
@@ -186,13 +182,19 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence,
             skipped += dim ** (n - 1 - k)
             continue
         if k < n - 1:
-            todo.append(iter(range(dim)))
+            j = after[k + 1]
+            todo.append(iter(range(0 if j is None else assign[j], dim)))
             continue
         checked += 1
         value = _combine(prog.terms[0], val, A.field.char)
         if value:
             witness = {v: basis_el[a] for v, a in zip(poly.variables, assign)}
+            if A.closed:  # its 1-based rank among all assignments
+                checked = 1 + sum(a * dim ** (n - 1 - t)
+                                  for t, a in enumerate(assign))
             return CheckOutcome(FAILS, checked, skipped, witness, value, poly)
+    if A.closed:
+        checked = dim ** n
     return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped)
 
 
@@ -207,63 +209,6 @@ def _sweep_parts(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
             out.checked, out.skipped = checked, skipped
             return out
     return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped)
-
-
-_FORK_STATE: dict = {}
-
-
-def _fork_init(poly, A, indices):
-    _FORK_STATE["args"] = (poly, A, indices)
-
-
-def _fork_run(chunk):
-    poly, A, indices = _FORK_STATE["args"]
-    return _sweep(poly, A, indices, first_slice=chunk)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _sweep_parallel(poly: FreePoly, A: Algebra, indices: Sequence,
-                    threads: int) -> CheckOutcome:
-    """Chunk the first variable across processes; merge = first failing chunk,
-    which preserves the lexicographically-least-witness contract.
-
-    The pool has at most one worker per usable CPU.  Where that leaves one
-    worker, or the platform cannot fork, the sweep runs sequentially."""
-    idx = list(indices)
-    threads = min(threads, _usable_cpus())
-    if threads < 2:
-        return _sweep(poly, A, idx)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # the platform cannot fork
-        return _sweep(poly, A, idx)
-    # contiguous chunks keep chunk order aligned with lexicographic order
-    per = (len(idx) + threads - 1) // threads
-    chunks = [list(range(i, min(i + per, len(idx))))
-              for i in range(0, len(idx), per)]
-    with ctx.Pool(len(chunks), initializer=_fork_init,
-                  initargs=(poly, A, idx)) as pool:
-        results = pool.map(_fork_run, chunks)
-    for r in results:
-        if r.verdict == FAILS:
-            # report the sequential counters: the witness is the lex-least
-            # failure, so `checked` is its 1-based rank in the enumeration
-            pos = [next(iter(r.witness[v])) for v in poly.variables]
-            rank = 0
-            for x in pos:
-                rank = rank * len(idx) + idx.index(x)
-            return CheckOutcome(FAILS, rank + 1, 0, r.witness, r.value,
-                                r.witness_poly)
-    checked = sum(r.checked for r in results)
-    return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, 0)
 
 
 def _random_element(A: Algebra, rng: random.Random) -> dict:
@@ -285,10 +230,6 @@ def check_identity(poly: FreePoly, A: Algebra, seed: int = 0,
     caveat is recorded when char <= degree (polarization can be lossy there).
     """
     if poly.is_multilinear():
-        threads = sweep_threads()
-        if (threads > 1 and A.closed
-                and A.dim ** len(poly.variables) >= 4096):
-            return _sweep_parallel(poly, A, A.indices, threads)
         return _sweep(poly, A, A.indices)
     caveat = None
     if 0 < A.field.char <= poly.degree():

@@ -247,15 +247,35 @@ def _dim2(table, char=0):
     _dim2([[0, 0, "1"]]),                 # short entry
     {"kind": "osborn", "params": [3, 1]},  # builtin params not an object
     {"kind": "osborn", "params": {"p": 3, "m": 1, "alpha": "1/0"}},
+    {"kind": "osborn", "params": {"p": 3, "m": 1, "alpha": 0.1}},
+    {"kind": "osborn", "params": {"p": 3, "m": 1, "beta": "0.1"}},
 ], ids=["row-range", "column-range", "index-range", "negative-row",
         "zero-denominator", "denominator-mod-p", "top-level-list", "float-q",
         "float-fp", "decimal-string", "short-entry", "params-list",
-        "builtin-zero-denominator"])
+        "builtin-zero-denominator", "builtin-float-alpha",
+        "builtin-decimal-beta"])
 def test_bad_spec_exits_two(tmp_path, capsys, spec):
     path = _spec_file(tmp_path, spec)
     code, _, err = run_cli(capsys, "algebra", "show", "--spec", path)
     assert code == 2
     assert path in err
+
+
+@pytest.mark.parametrize("value, code", [("0.1", 2), ("1e3", 2), ("1/2", 0)])
+def test_alpha_flag_takes_only_rational_forms(capsys, value, code):
+    # 0.1 must not load as alpha = 1/10; "a/b" strings are the rational form
+    got, out, err = run_cli(capsys, "algebra", "show", "--builtin", "osborn",
+                            "--p", "3", "--m", "1", "--alpha", value)
+    assert got == code
+    assert ("bad scalar" in err) == (code == 2)
+
+
+def test_check_range_on_closed_algebra_exits_two(capsys):
+    code, out, err = run_cli(capsys, "check", "--identity", "commutativity",
+                             "--builtin", "gametic", "--dim", "3",
+                             "--range", "0..0")
+    assert code == 2 and not out
+    assert "--range applies to graded windows" in err
 
 
 def test_repeated_spec_entries_are_merged(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from tortken.freepoly import (AmbiguousProductError, DegreeOutOfRangeError,
                               FreePoly, ParseError, UnknownVariableError,
                               canonical_commutative, catalog, catalog_entry,
                               mu_vector, multilinear_monomials, parse,
-                              polarize, tree_degree, tree_format,
-                              BALANCED_FIRST_DEG4)
+                              polarize, symmetry_blocks, tree_degree,
+                              tree_format, BALANCED_FIRST_DEG4)
 
 ABC = ("a", "b", "c")
 ABCD = ("a", "b", "c", "d")
@@ -191,3 +192,49 @@ def test_rename_variables():
     t = catalog_entry("tortken").poly
     renamed = t.rename_variables({"a": "t1", "b": "t3", "c": "t2", "d": "t4"})
     assert renamed.terms == catalog_entry("deg4_basis_2").poly.terms
+
+
+@pytest.mark.parametrize("name, commutative, blocks", [
+    ("tortken", True, [(0, 2), (1, 3)]),         # a<->c and b<->d
+    ("tortken", False, [(0,), (1, 3), (2,)]),    # b<->d only
+    ("deg5_iv", False, [(0, 1, 2), (3,), (4,)]),  # alternating in a, b, c
+    ("deg5_iv", True, [(0, 1, 2), (3,), (4,)]),
+    ("cyclic_assoc_nested", True, [(0, 1, 2), (3, 4)]),
+    ("cyclic_assoc_nested", False, [(0,), (1,), (2,), (3, 4)]),
+    ("alt_right_mult", False, [(0,), (1, 2, 3)]),
+    ("alt_right_mult", True, [(0,), (1, 2, 3)]),
+])
+def test_symmetry_blocks(name, commutative, blocks):
+    assert symmetry_blocks(catalog_entry(name).poly, commutative) == blocks
+
+
+def _reduced_form(poly, commutative):
+    out = {}
+    for t, c in poly.terms.items():
+        key = canonical_commutative(t) if commutative else t
+        out[key] = out.get(key, 0) + c
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("commutative", [False, True])
+def test_symmetry_blocks_are_the_signed_transpositions(commutative):
+    # positions share a block exactly when swapping them maps the law to
+    # plus or minus itself, on every multilinear catalog law
+    for entry in catalog():
+        poly = entry.poly
+        if not poly.is_multilinear():
+            continue
+        base = _reduced_form(poly, commutative)
+        signed = (base, {t: -c for t, c in base.items()})
+        block = {p: b for b in symmetry_blocks(poly, commutative) for p in b}
+        assert sorted(block) == list(range(len(poly.variables)))
+        for i, j in itertools.combinations(range(len(poly.variables)), 2):
+            a, b = poly.variables[i], poly.variables[j]
+            swapped = _reduced_form(poly.rename_variables({a: b, b: a}),
+                                    commutative)
+            assert (swapped in signed) == (block[i] == block[j]), \
+                (entry.name, a, b)
+
+
+def test_symmetry_blocks_of_zero_poly():
+    assert symmetry_blocks(FreePoly.zero(ABC)) == [(0, 1, 2)]

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from tortken import identcheck
 from tortken.exactnum import Field
-from tortken.algebras import (FiniteAlgebra, OutOfWindowError,
-                              derivation_novikov, derivation_symmetric,
+from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
+                              OutOfWindowError, derivation_novikov,
+                              derivation_symmetric,
                               divided_power, gametic, integration_product,
                               minus, opposite, osborn, osborn_laurent,
                               p2_product, plus, random_commutative,
@@ -350,89 +351,6 @@ def test_outcome_json():
     assert d["verdict"] == FAILS and "witness" in d
 
 
-# -- the fork pool of the multilinear sweep -------------------------------------
-
-class _InlinePool:
-    """Stands in for a process pool: records its size, runs map in-process."""
-
-    def __init__(self, sizes, processes, initializer, initargs):
-        sizes.append(processes)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(x) for x in items]
-
-
-class _InlineContext:
-    def __init__(self):
-        self.sizes = []
-
-    def Pool(self, processes, initializer, initargs):
-        return _InlinePool(self.sizes, processes, initializer, initargs)
-
-
-def _same_outcome(a, b):
-    return (a.verdict, a.checked, a.skipped, a.witness, a.value) == \
-        (b.verdict, b.checked, b.skipped, b.witness, b.value)
-
-
-@pytest.mark.parametrize("name", ["tortken", "sokolov"])
-def test_sweep_parallel_without_fork_runs_sequentially(monkeypatch, name):
-    A = plus(osborn(1, 1, 3, 2))
-    poly = catalog_entry(name).poly
-
-    def no_fork(method):
-        raise ValueError(f"cannot find context for {method!r}")
-
-    monkeypatch.setattr(identcheck, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(identcheck.multiprocessing, "get_context", no_fork)
-    out = identcheck._sweep_parallel(poly, A, range(A.dim), 2)
-    assert _same_outcome(out, identcheck._sweep(poly, A, range(A.dim)))
-
-
-@pytest.mark.parametrize("name", ["tortken", "sokolov"])
-def test_sweep_parallel_pool_capped_at_usable_cpus(monkeypatch, name):
-    A = plus(osborn(1, 1, 3, 2))
-    poly = catalog_entry(name).poly
-    ctx = _InlineContext()
-    monkeypatch.setattr(identcheck.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(identcheck.multiprocessing, "get_context",
-                        lambda method: ctx)
-    out = identcheck._sweep_parallel(poly, A, range(A.dim), 1000)
-    assert ctx.sizes == [2]
-    assert _same_outcome(out, identcheck._sweep(poly, A, range(A.dim)))
-
-
-def test_check_identity_pools_threads_above_the_dimension(monkeypatch):
-    # TORTKEN_THREADS above the dimension still takes the pool, capped at the
-    # usable CPUs
-    A = plus(osborn(1, 1, 3, 2))
-    ctx = _InlineContext()
-    monkeypatch.setenv("TORTKEN_THREADS", "10")
-    monkeypatch.setattr(identcheck.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(identcheck.multiprocessing, "get_context",
-                        lambda method: ctx)
-    out = check_identity(TORTKEN, A)
-    assert ctx.sizes == [2]
-    assert _same_outcome(out, identcheck._sweep(TORTKEN, A, range(A.dim)))
-
-
-def test_usable_cpus_without_affinity(monkeypatch):
-    monkeypatch.delattr(identcheck.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(identcheck.os, "cpu_count", lambda: 2)
-    assert identcheck._usable_cpus() == 2
-    monkeypatch.setattr(identcheck.os, "cpu_count", lambda: None)
-    assert identcheck._usable_cpus() == 1
-
-
 # -- the compiled evaluator against a naive one ----------------------------------
 #
 # The oracle evaluates every term tree recursively on each full assignment, in
@@ -539,6 +457,51 @@ def test_windowed_sweep_matches_naive_oracle(laurent, start, width, law):
     assert _outcome_tuple(out) == _oracle_sweep(poly, A, idx)
 
 
+def _random_window(f, dim, commutative, escapes, rng):
+    """A random table on the indices 10..10+dim-1; with `escapes`, some
+    products also name index 99, outside the window."""
+    T = _random_table(f, dim, commutative, rng)
+    out = {(i, j) for i in range(dim) for j in range(dim)
+           if escapes and rng.random() < 0.2}
+    if commutative:
+        out |= {(j, i) for i, j in out}
+
+    def rule(i, j):
+        return ([(k + 10, c) for k, c in T.product(i - 10, j - 10)]
+                + ([(99, 1)] if (i - 10, j - 10) in out else []))
+    return GradedAlgebra("random", f, range(10, 10 + dim), rule)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_FIELDS), st.integers(1, 4), st.booleans(),
+       st.booleans(), st.sampled_from(SWEEP_LAWS + ["commutativity"]),
+       st.integers(0, 2**32))
+def test_reduced_sweep_matches_naive_oracle(f, dim, commutative, escapes, law,
+                                            seed):
+    # The index list is a shuffled subset of 10..: lex order, the orbit
+    # representatives and the witness rank all go by list position.  A
+    # window with escapes is swept in full; a closed one by orbits.
+    rng = random.Random(seed)
+    A = _random_window(f, dim, commutative, escapes, rng)
+    idx = rng.sample(A.indices, rng.randint(1, dim))
+    poly = catalog_entry(law).poly
+    out = identcheck._sweep(poly, A, idx)
+    assert _outcome_tuple(out) == _oracle_sweep(poly, A, idx)
+
+
+def test_sweep_visits_one_assignment_per_orbit(monkeypatch):
+    # tortken on a commutative algebra: blocks {a, c} and {b, d}, so a dim-3
+    # sweep evaluates one assignment per pair of 2-multisets, 6 * 6 of 81
+    A = plus(osborn(1, 1, 3, 1))
+    calls = []
+    combine = identcheck._combine
+    monkeypatch.setattr(identcheck, "_combine",
+                        lambda *a: calls.append(1) or combine(*a))
+    out = check_identity(TORTKEN, A)
+    assert (out.verdict, out.checked, out.skipped) == (HOLDS, 81, 0)
+    assert len(calls) == 36
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(SMALL_FIELDS), st.integers(1, 3), st.booleans(),
        st.integers(3, 4), st.booleans(), st.integers(0, 2**32))
@@ -583,7 +546,7 @@ def test_evaluate_reports_missing_variables():
 @pytest.mark.parametrize("target", ["counterexample", "tortken-prime"])
 def test_reproduce_without_asserts_matches_golden(target):
     # python -O strips asserts: the evaluator paths must not rely on them
-    env = dict(os.environ, TORTKEN_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-O", "-m", "tortken", "reproduce",
                            target], capture_output=True, text=True, env=env)
