@@ -274,12 +274,15 @@ def cmd_idspace(args) -> int:
         lo, hi = _parse_range(args.range)
         idx = [i for i in A.indices if lo <= i <= hi]
     else:
+        if args.range:
+            raise UsageError(f"--range applies to graded windows; {A.name} "
+                             "is closed and uses every substitution")
         idx = list(A.indices)
     subs = [tuple(A.basis(i) for i in tup)
             for tup in itertools.product(idx, repeat=args.degree)]
     report = identity_space(args.degree, A, subs, order=args.basis)
     _emit(args, lambda: report.to_text(), report.to_json_dict())
-    return 0
+    return 0 if report.substitution_count else 3
 
 
 def cmd_simplicity(args) -> int:

@@ -1,9 +1,11 @@
-"""Exact scalars over Q and F_p, combinatorial coefficients, dense exact linear algebra.
+"""Exact scalars over Q and F_p, combinatorial coefficients, exact linear algebra.
 
 No floating point anywhere: rationals are arbitrary-precision `fractions.Fraction`
 (always in lowest terms with positive denominator), prime-field residues are plain
-ints kept reduced in [0, p).  Matrices are dense and row-major; elimination is
-deterministic (leftmost pivot, topmost row).
+ints kept reduced in [0, p).  Matrices are dense and row-major.  `Echelon`, an
+incremental reduced row echelon basis, is the one elimination kernel: `Matrix`
+RREF, rank, nullspace and solve, the spans of `idealtool.Subspace` and identity
+spaces all run through it.  Only `Matrix.det` eliminates on its own (Bareiss).
 """
 
 from __future__ import annotations
@@ -184,6 +186,137 @@ def binom_p_quotient(p: int, m: int, i: int) -> int:
     return q % p
 
 
+class Echelon:
+    """An incremental reduced row echelon basis of a row space in F^cols.
+
+    An RREF row is 1 in its pivot column and 0 in every other pivot column,
+    so only its entries on the free (non-pivot) columns are stored, in a map
+    from pivot column to that free part.  `insert` reduces a new vector
+    against the stored rows; a nonzero residue is normalised, cleared from
+    the stored rows in its pivot column, and stored.  The RREF of a row space
+    is unique, so `rows` does not depend on the insertion order.  Over F_p
+    the inner loops run on plain ints with one reduction mod p per entry.
+    """
+
+    __slots__ = ("field", "cols", "_p", "_zero", "_free", "_free_pos",
+                 "_pivots")
+
+    def __init__(self, field: Field, cols: int):
+        self.field = field
+        self.cols = cols
+        self._p = field.char
+        self._zero = field.zero
+        self._free = list(range(cols))               # non-pivot columns, ascending
+        self._free_pos = {j: j for j in self._free}  # column -> index in _free
+        self._pivots: dict[int, list] = {}           # pivot column -> free part
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the span: the rank of any matrix of its rows."""
+        return len(self._pivots)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._pivots))
+
+    @property
+    def rows(self) -> tuple:
+        """The RREF rows, ordered by pivot column."""
+        one = self.field.one
+        return tuple(tuple(self._dense([(c, one), *zip(self._free, fr)]))
+                     for c, fr in sorted(self._pivots.items()))
+
+    def _dense(self, pairs) -> list:
+        out = [self._zero] * self.cols
+        for j, x in pairs:
+            out[j] = x
+        return out
+
+    def sparse(self, vec: Sequence) -> dict:
+        """A dense vector of coercible scalars as {column: nonzero entry}."""
+        if len(vec) != self.cols:
+            raise ValueError(f"vector of length {len(vec)} in a space of "
+                             f"dimension {self.cols}")
+        return {j: x for j, x in enumerate(map(self.field.coerce, vec)) if x}
+
+    def _residue(self, v: dict) -> list:
+        """The canonical residue of the sparse v on the free columns (it is 0
+        on every pivot column).  Over F_p, v may hold any ints."""
+        p = self._p
+        r = [self._zero] * len(self._free)
+        free_pos = self._free_pos
+        for c, x in v.items():
+            t = free_pos.get(c)
+            if t is not None:
+                r[t] += x
+                continue
+            if p:
+                x %= p
+            if x:
+                r = [a - x * b for a, b in zip(r, self._pivots[c])]
+        return [a % p for a in r] if p else r
+
+    def insert(self, v: dict) -> list | None:
+        """Extend the span by the sparse v ({column: entry}).  Returns the
+        normalised residue that became a new row, as (column, entry) pairs of
+        its nonzero entries, or None if v already lies in the span."""
+        r = self._residue(v)
+        k = next((t for t, x in enumerate(r) if x), None)
+        if k is None:
+            return None
+        p = self._p
+        inv = pow(r[k], -1, p) if p else 1 / r[k]
+        r = [x * inv % p for x in r] if p else [x * inv for x in r]
+        free = self._free
+        residue = [(j, x) for j, x in zip(free, r) if x]
+        pivots = self._pivots
+        for c, fr in pivots.items():
+            x = fr[k]
+            if x:
+                fr = ([(a - x * b) % p for a, b in zip(fr, r)] if p
+                      else [a - x * b for a, b in zip(fr, r)])
+                pivots[c] = fr
+            del fr[k]
+        del r[k]
+        pivots[free.pop(k)] = r
+        self._free_pos = {j: t for t, j in enumerate(free)}
+        return residue
+
+    def add(self, vec: Sequence) -> tuple | None:
+        """`insert` for a dense vec: the new row's residue as a dense tuple,
+        or None when vec already lies in the span."""
+        residue = self.insert(self.sparse(vec))
+        return None if residue is None else tuple(self._dense(residue))
+
+    def reduce(self, vec: Sequence) -> list:
+        """Residue of the dense vec after elimination against the RREF rows."""
+        return self._dense(zip(self._free, self._residue(self.sparse(vec))))
+
+    def nullspace(self) -> list[list]:
+        """Canonical basis of the vectors orthogonal to every row: one per
+        free column (set to one, the other free columns zero), by column."""
+        p = self._p
+        out = []
+        for t, j in enumerate(self._free):
+            v = [self._zero] * self.cols
+            v[j] = self.field.one
+            for c, fr in self._pivots.items():
+                v[c] = -fr[t] % p if p else -fr[t]
+            out.append(v)
+        return out
+
+    def annihilates(self, vec: Sequence) -> bool:
+        """Whether M vec = 0 for the canonical dense vec and any matrix M
+        whose rows span this space (checked on the RREF rows)."""
+        p = self._p
+        on_free = [vec[j] for j in self._free]
+        for c, fr in self._pivots.items():
+            s = vec[c] + sum(a * b for a, b in zip(fr, on_free))
+            if s % p if p else s:
+                return False
+        return True
+
+
 class Matrix:
     """Dense matrix over one Field, row-major, entries stored raw."""
 
@@ -205,9 +338,6 @@ class Matrix:
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, [[0] * cols for _ in range(rows)])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.data])
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
                                    for j in range(self.cols)])
@@ -225,52 +355,25 @@ class Matrix:
             out.append(acc)
         return out
 
+    def _echelon(self) -> Echelon:
+        ech = Echelon(self.field, self.cols)
+        for row in self.data:
+            ech.insert({j: x for j, x in enumerate(row) if x})
+        return ech
+
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form; returns (R, rank, pivot column indices).
-
-        Deterministic: scan columns left to right, pick the topmost nonzero row.
-        """
-        f = self.field
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, self.rows) if not f.is_zero(m[i][c])), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not f.is_zero(m[i][c]):
-                    q = m[i][c]
-                    m[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(f, m), r, tuple(pivots)
+        R holds the pivot rows in pivot-column order, then the zero rows."""
+        ech = self._echelon()
+        zero_rows = [[self.field.zero] * self.cols] * (self.rows - ech.dim)
+        return Matrix(self.field, ech.rows + tuple(zero_rows)), ech.dim, ech.pivots
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return self._echelon().dim
 
     def nullspace(self) -> list[list]:
-        """Canonical basis of the right kernel: one vector per RREF free column
-        (that free variable set to one, the others zero), ordered by column index.
-        """
-        f = self.field
-        R, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [f.zero] * self.cols
-            v[free] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[r][free])
-            basis.append(v)
-        return basis
+        """Canonical basis of the right kernel (see `Echelon.nullspace`)."""
+        return self._echelon().nullspace()
 
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination with row swaps."""
@@ -299,14 +402,16 @@ class Matrix:
 
     def solve(self, rhs: Sequence):
         """One exact solution of M x = rhs (free variables zero), or None."""
-        f = self.field
-        aug = Matrix(f, [row + [f.coerce(b)] for row, b in zip(self.data, rhs)])
-        R, rank, pivots = aug.rref()
-        if self.cols in pivots:
+        if len(rhs) != self.rows:
+            raise ValueError("dimension mismatch")
+        ech = Echelon(self.field, self.cols + 1)
+        for row, b in zip(self.data, rhs):
+            ech.add(row + [b])
+        if self.cols in ech.pivots:
             return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.cols]
+        x = [self.field.zero] * self.cols
+        for pc, row in zip(ech.pivots, ech.rows):
+            x[pc] = row[self.cols]
         return x
 
     def to_json(self) -> str:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Field, Matrix, OutOfRangeError, binom_p_quotient, is_prime
+from .exactnum import (Echelon, Field, Matrix, OutOfRangeError,
+                       binom_p_quotient, is_prime)
 from .algebras import Algebra
 
 
@@ -31,29 +32,17 @@ class UnsoundWitnessError(RuntimeError):
     """A not-simple witness failed its explicit re-check as an ideal."""
 
 
-class Subspace:
-    """A subspace of a closed algebra, kept as an incremental echelon basis.
+class Subspace(Echelon):
+    """A subspace of a closed algebra: the `exactnum.Echelon` basis of its
+    coordinate vectors over `algebra.indices`, tied to the algebra so that
+    its RREF rows can be read back as elements.  `add`, `reduce`, `rows` and
+    `dim` are the kernel's own."""
 
-    The basis is the reduced row echelon form of the span.  An RREF row is 1
-    in its pivot column and 0 in every other pivot column, so only its entries
-    on the free (non-pivot) columns are stored, in a map from pivot column to
-    that free part.  `add` extends the basis in place: the new vector is
-    reduced against the stored pivots, and a nonzero residue is normalised,
-    cleared from the existing rows in its pivot column, and inserted.  Since
-    the RREF of a row space is unique, `rows` does not depend on the order in
-    which vectors were added.  Over F_p the inner loops run on plain ints with
-    one reduction mod p per entry; over Q they run on `Fraction`s.
-    """
-
-    __slots__ = ("algebra", "_p", "_zero", "_free", "_free_pos", "_pivots")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: Algebra, rows: Sequence[Sequence]):
+        super().__init__(algebra.field, algebra.dim)
         self.algebra = algebra
-        self._p = algebra.field.char
-        self._zero = algebra.field.zero
-        self._free = list(range(algebra.dim))  # non-pivot columns, ascending
-        self._free_pos = {j: j for j in self._free}  # column -> index in _free
-        self._pivots: dict[int, list] = {}     # pivot column -> free part
         for row in rows:
             self.add(row)
 
@@ -62,100 +51,8 @@ class Subspace:
                       elements: Sequence[dict]) -> "Subspace":
         return cls(algebra, [algebra.dense(e) for e in elements])
 
-    @property
-    def rows(self) -> tuple:
-        """The RREF rows, ordered by pivot column."""
-        one = self.algebra.field.one
-        out = []
-        for c in sorted(self._pivots):
-            row = [self._zero] * self.algebra.dim
-            row[c] = one
-            for j, x in zip(self._free, self._pivots[c]):
-                row[j] = x
-            out.append(tuple(row))
-        return tuple(out)
-
-    @property
-    def dim(self) -> int:
-        return len(self._pivots)
-
-    def _sparse(self, vec: Sequence) -> dict:
-        if len(vec) != self.algebra.dim:
-            raise ValueError(f"vector of length {len(vec)} in a space of "
-                             f"dimension {self.algebra.dim}")
-        f = self.algebra.field
-        return {j: x for j, x in enumerate(map(f.coerce, vec)) if x}
-
-    def _free_residue(self, v: dict) -> list:
-        """The residue of the sparse vector v ({column: entry}) on the free
-        columns, canonical; it is 0 on every pivot column.  Over F_p, v may
-        hold any ints: reduction mod p is deferred to the end."""
-        p = self._p
-        r = [self._zero] * len(self._free)
-        free_pos = self._free_pos
-        for c, x in v.items():
-            t = free_pos.get(c)
-            if t is not None:
-                r[t] += x
-                continue
-            if p:
-                x %= p
-            if x:
-                r = [a - x * b for a, b in zip(r, self._pivots[c])]
-        return [a % p for a in r] if p else r
-
-    def _insert(self, v: dict) -> list | None:
-        """Add a sparse vector ({column: entry}, uncanonical ints allowed over
-        F_p).  Returns the normalised residue as (column, entry) pairs of its
-        nonzero entries, or None if v lies in the span."""
-        r = self._free_residue(v)
-        if not any(r):
-            return None
-        p = self._p
-        k = next(t for t, x in enumerate(r) if x)
-        if p:
-            inv = pow(r[k], -1, p)
-            r = [x * inv % p for x in r]
-        else:
-            inv = 1 / r[k]
-            r = [x * inv for x in r]
-        free = self._free
-        residue = [(j, x) for j, x in zip(free, r) if x]
-        pivots = self._pivots
-        for c, fr in pivots.items():
-            x = fr[k]
-            if x:
-                fr = ([(a - x * b) % p for a, b in zip(fr, r)] if p
-                      else [a - x * b for a, b in zip(fr, r)])
-                pivots[c] = fr
-            del fr[k]
-        del r[k]
-        pivots[free.pop(k)] = r
-        self._free_pos = {j: t for t, j in enumerate(free)}
-        return residue
-
-    def add(self, vec: Sequence) -> tuple | None:
-        """Extend the span by vec.  Returns the normalised residue that became
-        a new basis vector, as a dense tuple, or None when vec already lies in
-        the span."""
-        residue = self._insert(self._sparse(vec))
-        if residue is None:
-            return None
-        out = [self._zero] * self.algebra.dim
-        for j, x in residue:
-            out[j] = x
-        return tuple(out)
-
-    def reduce(self, vec: Sequence) -> list:
-        """Residue of vec after elimination against the RREF rows."""
-        out = [self._zero] * self.algebra.dim
-        for j, x in zip(self._free, self._free_residue(self._sparse(vec))):
-            out[j] = x
-        return out
-
     def contains(self, element: dict) -> bool:
-        return not any(self._free_residue(
-            self._sparse(self.algebra.dense(element))))
+        return not any(self.reduce(self.algebra.dense(element)))
 
     def basis_elements(self) -> list[dict]:
         return [{i: c for i, c in zip(self.algebra.indices, row)
@@ -195,7 +92,7 @@ def _spin(A: Algebra, seeds: Sequence[Sequence],
     space = Subspace(A, [])
     frontier = collections.deque()
     for s in seeds:
-        res = space._insert(space._sparse(s))
+        res = space.insert(space.sparse(s))
         if res is not None:
             frontier.append(res)
     while frontier and space.dim < n:
@@ -207,7 +104,7 @@ def _spin(A: Algebra, seeds: Sequence[Sequence],
                     w[i] = w.get(i, 0) + c * x
             if not w:
                 continue
-            res = space._insert(w)
+            res = space.insert(w)
             if res is not None:
                 if space.dim == n:
                     break
@@ -269,11 +166,7 @@ class SimplicityCertificate:
 
 
 def _transpose_ops(ops: list) -> list:
-    out = []
-    for op in ops:
-        n = len(op)
-        out.append([[op[j][i] for j in range(n)] for i in range(n)])
-    return out
+    return [list(zip(*op)) for op in ops]
 
 
 def _projective_points(field: Field, vectors: Sequence[Sequence]):
@@ -355,13 +248,9 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
             comp.append(w)
         candidates.append(comp)
 
-    def as_matrix(op):  # column-major storage -> Matrix rows
-        n = len(op)
-        return Matrix(f, [[op[j][i] for j in range(n)] for i in range(n)])
-
     best = None
     for op in candidates:
-        null = as_matrix(op).nullspace()
+        null = Matrix(f, list(zip(*op))).nullspace()  # op holds T's columns
         if not null:
             continue
         if f.char == 0 and len(null) > 1:
@@ -382,14 +271,12 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
                 audit.append("kernel point spans a proper ideal")
                 return SimplicityCertificate(A.name, "not_simple", sp, audit)
         tops = _sparse_columns(_transpose_ops(ops))
-        tnull = Matrix(f, [[op[j][i] for i in range(A.dim)]  # transpose of op
-                           for j in range(A.dim)]).nullspace()
+        tnull = Matrix(f, op).nullspace()  # T's columns are the rows of T^t
         u = tnull[0]
         tsp = _spin(A, [u], tops)
         if tsp.dim < A.dim:
             # annihilator of the dual spin is a proper ideal of A
-            ann = Matrix(f, [list(r) for r in tsp.rows]).nullspace()
-            witness = Subspace(A, ann)
+            witness = Subspace(A, tsp.nullspace())
             if not is_ideal(A, witness):
                 raise UnsoundWitnessError(
                     f"{A.name}: annihilator of the dual spin is not an ideal")

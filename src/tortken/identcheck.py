@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .exactnum import Field, Matrix
+from .exactnum import Echelon, Field, Matrix
 from .algebras import (Algebra, OutOfWindowError, divided_power,
                        derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog, catalog_entry, multilinear_monomials,
@@ -329,12 +329,16 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     element of monomial c under substitution r; a substitution whose monomial
     evaluations are supported on several basis elements contributes one row
     per support index.  Substitutions that escape a graded window are skipped
-    and counted.
+    and counted.  Each row streams into one echelon basis as it is made, and
+    rank, kernel and the catalog flags come from that basis: M v = 0 exactly
+    when R v = 0 for the RREF R of M.  With no substitution evaluated nothing
+    constrains the kernel, so every flag is None.
     """
     monomials = multilinear_monomials(degree, True, order)
     f = A.field
     variables = [f"t{i + 1}" for i in range(degree)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
+    echelon = Echelon(f, len(monomials))
     rows = []
     skipped = 0
     used = 0
@@ -350,9 +354,8 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         # one row per supported basis index; a zero row when there is none
         for k in sorted(set().union(*evals)) or [None]:
             rows.append([e.get(k, f.zero) for e in evals])
+            echelon.insert({c: e[k] for c, e in enumerate(evals) if k in e})
     matrix = Matrix(f, rows) if rows else Matrix(f, [[f.zero] * len(monomials)])
-    nullspace = matrix.nullspace()
-    rank = matrix.cols - len(nullspace)
     flags = {}
     for entry in catalog():
         if (entry.degree != degree or len(entry.variables) != degree
@@ -363,9 +366,10 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         except ZeroDivisionError:
             flags[entry.name] = None
             continue
-        flags[entry.name] = all(f.is_zero(x) for x in matrix.mul_vec(vec))
+        flags[entry.name] = echelon.annihilates(vec) if used else None
     return IdentitySpaceReport(degree, order, monomials, getattr(A, "name", "?"),
-                               used, skipped, matrix, rank, nullspace, flags)
+                               used, skipped, matrix, echelon.dim,
+                               echelon.nullspace(), flags)
 
 
 # -- reference degree-4 data --------------------------------------------------

@@ -1,0 +1,70 @@
+"""Reference elimination for the tests: the dense, Field-call RREF that
+`Matrix.rref` used before it ran on `exactnum.Echelon`, kept here so the
+kernel is checked against an independent implementation."""
+
+from tortken.exactnum import Field
+
+
+def dense_rref(f: Field, data) -> tuple[list, int, tuple]:
+    """(R rows, rank, pivot columns) of the matrix with the given rows.
+
+    Deterministic: scan columns left to right, pick the topmost nonzero row.
+    """
+    m = [[f.coerce(x) for x in row] for row in data]
+    rows, cols = len(m), (len(m[0]) if m else 0)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if not f.is_zero(m[i][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        m[r] = [f.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and not f.is_zero(m[i][c]):
+                q = m[i][c]
+                m[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, r, tuple(pivots)
+
+
+def dense_nullspace(f: Field, data, cols: int) -> list:
+    """Canonical right-kernel basis: one vector per free column of the RREF
+    (that free variable one, the others zero), ordered by column index."""
+    R, _, pivots = dense_rref(f, data)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        v = [f.zero] * cols
+        v[free] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(R[r][free])
+        basis.append(v)
+    return basis
+
+
+def dense_solve(f: Field, data, rhs, cols: int):
+    """One solution of M x = rhs with the free variables zero, or None."""
+    R, _, pivots = dense_rref(f, [list(row) + [b] for row, b in zip(data, rhs)])
+    if cols in pivots:
+        return None
+    x = [f.zero] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][cols]
+    return x
+
+
+def dense_mul_vec(f: Field, data, v) -> list:
+    """M v with plain Field calls."""
+    out = []
+    for row in data:
+        acc = f.zero
+        for a, b in zip(row, v):
+            acc = f.add(acc, f.mul(f.coerce(a), f.coerce(b)))
+        out.append(acc)
+    return out

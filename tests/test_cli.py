@@ -206,12 +206,12 @@ def test_console_entry_point():
     assert "verdict: holds" in proc.stdout
 
 
-def test_threads_env_equivalence():
+def test_check_output_is_deterministic():
+    # two fresh interpreters print the same failing verdict and witness
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
     outs = []
-    for threads in ("1", "2"):
-        env["TORTKEN_THREADS"] = threads
+    for _ in range(2):
         proc = subprocess.run(
             [sys.executable, "-m", "tortken", "check", "--identity", "tortken",
              "--builtin", "square-product", "--p", "2", "--k", "0", "--l", "2",
@@ -271,11 +271,28 @@ def test_alpha_flag_takes_only_rational_forms(capsys, value, code):
 
 
 def test_check_range_on_closed_algebra_exits_two(capsys):
-    code, out, err = run_cli(capsys, "check", "--identity", "commutativity",
-                             "--builtin", "gametic", "--dim", "3",
-                             "--range", "0..0")
-    assert code == 2 and not out
-    assert "--range applies to graded windows" in err
+    for command in (("check", "--identity", "commutativity"),
+                    ("idspace", "--degree", "2")):
+        code, out, err = run_cli(capsys, *command, "--builtin", "gametic",
+                                 "--dim", "3", "--range", "0..0")
+        assert code == 2 and not out
+        assert "--range applies to graded windows" in err
+
+
+@pytest.mark.parametrize("window", [("4", "3..3"), ("12", "20..30")])
+def test_nothing_evaluable_is_inconclusive(capsys, window):
+    # no substitution evaluates inside the window: no law is claimed
+    n, rng = window
+    algebra = ("--builtin", "integration", "--N", n, "--range", rng)
+    code, _, _ = run_cli(capsys, "check", "--identity", "sokolov", *algebra)
+    assert code == 3
+    code, out, _ = run_cli(capsys, "idspace", "--degree", "4", *algebra,
+                           "--format", "json")
+    payload = json.loads(out)
+    assert code == 3 and payload["substitutions"] == 0
+    assert payload["flags"] and set(payload["flags"].values()) == {None}
+    code, out, _ = run_cli(capsys, "idspace", "--degree", "4", *algebra)
+    assert "sokolov: n/a" in out and ": yes" not in out
 
 
 def test_repeated_spec_entries_are_merged(tmp_path, capsys):

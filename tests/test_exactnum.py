@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tortken.exactnum import (Field, Matrix, NotDivisibleError,
+from dense_rref import dense_mul_vec, dense_nullspace, dense_rref, dense_solve
+from tortken.exactnum import (Echelon, Field, Matrix, NotDivisibleError,
                               NotSquareError, OutOfRangeError,
                               binom_p_quotient, binomial, lucas_binomial)
 
@@ -127,6 +128,55 @@ def test_rref_idempotent_and_nullspace(rows, cols, data):
             assert all(field.is_zero(x) for x in m.mul_vec(v))
 
 
+F2 = Field.prime(2)
+
+
+@st.composite
+def _row_spaces(draw):
+    """(field, cols, rows, rhs): rows drawn from a few base rows, zero rows
+    and unit rows, so that zero rows, duplicates, rank 0 and rank `cols`
+    all occur."""
+    f = draw(st.sampled_from((F2, F3, F5, Q)))
+    cols = draw(st.integers(1, 5))
+    entry = (st.fractions(-3, 3, max_denominator=3) if f.char == 0
+             else st.integers(-4, 4))
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         max_size=3))
+    base += [[0] * cols] + [[int(i == j) for j in range(cols)]
+                            for i in range(cols)]
+    rows = draw(st.lists(st.sampled_from(base), min_size=1, max_size=7))
+    rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return f, cols, rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_spaces())
+@example((F3, 3, [[0, 0, 0], [0, 0, 0]], [0, 1]))                # rank 0
+@example((F5, 2, [[1, 2], [1, 2], [0, 0], [3, 1]], [1, 1, 0, 2]))  # rank cols
+@example((Q, 3, [[1, 2, 3], [2, 4, 6], [0, 0, 0]], [1, 2, 0]))     # duplicates
+def test_kernel_matches_dense_reference(case):
+    f, cols, rows, rhs = case
+    m = Matrix(f, rows)
+    R0, rank0, pivots0 = dense_rref(f, rows)
+    R, rank, pivots = m.rref()
+    assert (R.data, rank, pivots) == (R0, rank0, pivots0)
+    assert m.rank() == rank0
+    null = m.nullspace()
+    assert null == dense_nullspace(f, rows, cols)
+    assert m.solve(rhs) == dense_solve(f, rows, rhs, cols)
+    consistent = dense_mul_vec(f, rows, rows[0])  # always solvable
+    assert m.solve(consistent) == dense_solve(f, rows, consistent, cols)
+    # the kernel on its own: any insertion order gives the same echelon rows
+    ech = Echelon(f, cols)
+    for row in reversed(rows):
+        ech.add(row)
+    assert (ech.rows, ech.dim) == (tuple(map(tuple, R0[:rank0])), rank0)
+    units = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    for v in null + [[f.coerce(x) for x in u] for u in units]:
+        want = all(f.is_zero(x) for x in dense_mul_vec(f, rows, v))
+        assert ech.annihilates(v) is want
+
+
 def test_det_examples():
     assert Matrix.identity(Q, 4).det() == 1
     rep = Matrix(Q, [[1, 2], [1, 2]])
@@ -157,3 +207,5 @@ def test_solve():
     m = Matrix(Q, [[1, 1], [0, 1]])
     assert m.solve([3, 2]) == [1, 2]
     assert Matrix(Q, [[1, 0], [1, 0]]).solve([1, 2]) is None
+    with pytest.raises(ValueError):  # one right-hand side per row
+        Matrix(Q, [[1, 0], [0, 1]]).solve([1])

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_rref import dense_mul_vec, dense_nullspace, dense_rref
 from tortken import identcheck
 from tortken.exactnum import Field
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
@@ -19,7 +20,7 @@ from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
                               p2_product, plus, random_commutative,
                               square_product, standard_derivation, twist)
 from tortken.freepoly import (FreePoly, catalog, catalog_entry,
-                              multilinear_monomials)
+                              multilinear_monomials, mu_vector)
 from tortken.identcheck import (FAILS, HOLDS, INCONCLUSIVE,
                                 REFERENCE_DEG4_MATRIX, check_identity,
                                 check_identity_windowed, degree3_system,
@@ -520,8 +521,22 @@ def test_identity_space_rows_match_naive_oracle(f, dim, commutative, degree,
     rep = identity_space(degree, A, subs)
     rows, used, skipped = _oracle_rows(degree, A, subs)
     assert (rep.substitution_count, rep.skipped) == (used, skipped)
-    assert rep.matrix.data == (rows or [[A.field.zero] * rep.matrix.cols])
-    assert rep.rank == rep.matrix.rank()
+    f = A.field
+    M = rows or [[f.zero] * rep.matrix.cols]
+    assert rep.matrix.data == M
+    assert rep.rank == dense_rref(f, M)[1]
+    assert rep.nullspace == dense_nullspace(f, M, len(M[0]))
+    for name, flag in rep.flags.items():
+        try:
+            vec = [f.coerce(c) for c in
+                   mu_vector(catalog_entry(name).poly, rep.monomials)]
+        except ZeroDivisionError:
+            assert flag is None
+            continue
+        # with nothing evaluated, nothing constrains the kernel
+        want = (all(f.is_zero(x) for x in dense_mul_vec(f, M, vec))
+                if used else None)
+        assert flag is want, name
 
 
 def test_alt_right_mult_agrees_with_operator_oracle():
@@ -543,9 +558,11 @@ def test_evaluate_reports_missing_variables():
         G.mul(G.basis(0), G.basis(1))
 
 
-@pytest.mark.parametrize("target", ["counterexample", "tortken-prime"])
+@pytest.mark.parametrize("target", ["counterexample", "tortken-prime",
+                                    "deg4-matrix", "simplicity-table"])
 def test_reproduce_without_asserts_matches_golden(target):
-    # python -O strips asserts: the evaluator paths must not rely on them
+    # python -O strips asserts: the evaluator, elimination and certifier
+    # paths must not rely on them
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-O", "-m", "tortken", "reproduce",
