@@ -81,6 +81,8 @@ class Field:
 
     def coerce(self, x):
         """Coerce an int, Fraction, or "a/b" string into a canonical scalar."""
+        if type(x) is (int if self.char else Fraction):  # the common case
+            return x % self.char if self.char else x
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:
@@ -232,20 +234,22 @@ class Echelon:
             out[j] = x
         return out
 
-    def sparse(self, vec: Sequence) -> dict:
-        """A dense vector of coercible scalars as {column: nonzero entry}."""
+    def sparse(self, vec: Sequence) -> list:
+        """A dense vector of coercible scalars as (column, nonzero entry)
+        pairs."""
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} in a space of "
                              f"dimension {self.cols}")
-        return {j: x for j, x in enumerate(map(self.field.coerce, vec)) if x}
+        return [(j, x) for j, x in enumerate(map(self.field.coerce, vec)) if x]
 
-    def _residue(self, v: dict) -> list:
+    def _residue(self, v) -> list:
         """The canonical residue of the sparse v on the free columns (it is 0
-        on every pivot column).  Over F_p, v may hold any ints."""
+        on every pivot column).  v is (column, entry) pairs; entries on a
+        repeated column add up, and over F_p they may be any ints."""
         p = self._p
         r = [self._zero] * len(self._free)
         free_pos = self._free_pos
-        for c, x in v.items():
+        for c, x in v:
             t = free_pos.get(c)
             if t is not None:
                 r[t] += x
@@ -256,8 +260,8 @@ class Echelon:
                 r = [a - x * b for a, b in zip(r, self._pivots[c])]
         return [a % p for a in r] if p else r
 
-    def insert(self, v: dict) -> list | None:
-        """Extend the span by the sparse v ({column: entry}).  Returns the
+    def insert(self, v) -> list | None:
+        """Extend the span by the sparse v (see `_residue`).  Returns the
         normalised residue that became a new row, as (column, entry) pairs of
         its nonzero entries, or None if v already lies in the span."""
         r = self._residue(v)
@@ -358,7 +362,7 @@ class Matrix:
     def _echelon(self) -> Echelon:
         ech = Echelon(self.field, self.cols)
         for row in self.data:
-            ech.insert({j: x for j, x in enumerate(row) if x})
+            ech.insert(enumerate(row))
         return ech
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:

@@ -76,6 +76,8 @@ class FreePoly:
 
     def __init__(self, variables: Sequence[str], terms: dict | None = None):
         self.variables = tuple(variables)
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"repeated variable name in {self.variables}")
         self.terms: dict[Tree, Fraction] = {}
         if terms:
             for t, c in terms.items():
@@ -306,7 +308,11 @@ class _Parser:
                 dstart = self.pos
                 while self.pos < len(self.text) and self.text[self.pos].isdigit():
                     self.pos += 1
-                return Fraction(num, int(self.text[dstart:self.pos]))
+                den = int(self.text[dstart:self.pos])
+                if not den:
+                    self.pos = dstart
+                    self.error("zero denominator")
+                return Fraction(num, den)
             self.pos = save
         return Fraction(num)
 

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import (Echelon, Field, Matrix, OutOfRangeError,
-                       binom_p_quotient, is_prime)
-from .algebras import Algebra
+from .exactnum import Echelon, Field, OutOfRangeError, binom_p_quotient, is_prime
+from .algebras import Algebra, NotClosedError
 
 
 class CannotCertifyError(RuntimeError):
@@ -71,22 +69,42 @@ class Subspace(Echelon):
         return f"Subspace(dim={self.dim} of {self.algebra.name!r})"
 
 
-def _sparse_columns(operators: Sequence) -> list:
-    """Column-major dense operators as sparse columns: op[j] becomes the
-    tuple of (i, x) with x the nonzero entry in row i of column j."""
-    return [[tuple((i, x) for i, x in enumerate(col) if x) for col in op]
-            for op in operators]
+def _operators(A: Algebra) -> list:
+    """Left and right multiplication by each basis element, read off the
+    product table as sparse columns: op[j] lists the (position, coefficient)
+    pairs of the image of basis vector j.  For commutative algebras the two
+    coincide and only one family is kept."""
+    if not A.closed:
+        raise NotClosedError(f"{A.name}: basis products leave the window")
+    pos = A.position
+    sides = (False,) if A.is_commutative() else (False, True)
+    return [[[(pos[k], c) for k, c in (A.product(j, i) if right
+                                        else A.product(i, j))]
+             for j in A.indices] for i in A.indices for right in sides]
+
+
+def _transpose(op: Sequence) -> list:
+    """The sparse columns of the transpose, i.e. the rows of op."""
+    rows = [[] for _ in op]
+    for j, col in enumerate(op):
+        for i, x in col:
+            rows[i].append((j, x))
+    return rows
+
+
+def _dual_operators(ops: list) -> list:
+    """The transposed operators, which act on the dual space."""
+    return [_transpose(op) for op in ops]
 
 
 def _spin(A: Algebra, seeds: Sequence[Sequence],
           operators: Sequence) -> Subspace:
     """Smallest subspace containing `seeds` and invariant under the operators.
 
-    The operators are given as sparse columns (`_sparse_columns`), converted
-    once by the caller.  One Subspace is extended in place, breadth first:
-    every new basis vector is pushed through every operator, and each nonzero
-    image that leaves the span adds its residue.  The spin stops as soon as
-    the span is the whole algebra.
+    The operators are lists of sparse columns (`_operators`).  One Subspace
+    is extended in place, breadth first: every new basis vector is pushed
+    through every operator, and each nonzero image that leaves the span adds
+    its residue.  The spin stops as soon as the span is the whole algebra.
     """
     n = A.dim
     space = Subspace(A, [])
@@ -104,7 +122,7 @@ def _spin(A: Algebra, seeds: Sequence[Sequence],
                     w[i] = w.get(i, 0) + c * x
             if not w:
                 continue
-            res = space.insert(w)
+            res = space.insert(w.items())
             if res is not None:
                 if space.dim == n:
                     break
@@ -112,18 +130,12 @@ def _spin(A: Algebra, seeds: Sequence[Sequence],
     return space
 
 
-def _mult_operators(A: Algebra) -> list:
-    """Left and right multiplication operators by basis elements, stored
-    column-major: op[j] is the image of basis vector j.  For commutative
-    algebras the two coincide and only one family is kept."""
-    commutative = A.is_commutative()
-    ops = []
-    for i in A.indices:
-        bi = A.basis(i)
-        ops.append([A.dense(A.mul(bi, A.basis(j))) for j in A.indices])
-        if not commutative:
-            ops.append([A.dense(A.mul(A.basis(j), bi)) for j in A.indices])
-    return ops
+def _kernel(A: Algebra, vectors: Sequence) -> list[list]:
+    """Canonical basis of the vectors orthogonal to each sparse vector."""
+    ech = Echelon(A.field, A.dim)
+    for vec in vectors:
+        ech.insert(vec)
+    return ech.nullspace()
 
 
 def ideal_closure(A: Algebra, generators: Sequence[dict]) -> Subspace:
@@ -131,9 +143,8 @@ def ideal_closure(A: Algebra, generators: Sequence[dict]) -> Subspace:
     multiplication by every basis element, spun on one echelon basis."""
     if not generators:
         raise ValueError("need at least one generator")
-    ops = _sparse_columns(_mult_operators(A))
     seeds = [A.dense(A.element(g)) for g in generators]
-    return _spin(A, seeds, ops)
+    return _spin(A, seeds, _operators(A))
 
 
 def is_ideal(A: Algebra, S: Subspace) -> bool:
@@ -165,25 +176,31 @@ class SimplicityCertificate:
         return out
 
 
-def _transpose_ops(ops: list) -> list:
-    return [list(zip(*op)) for op in ops]
-
-
 def _projective_points(field: Field, vectors: Sequence[Sequence]):
     """All projective-point representatives of the span of the given
-    independent vectors (finite fields only)."""
+    independent vectors (finite fields only): the combinations whose first
+    nonzero coefficient is 1."""
     p = field.char
-    k = len(vectors)
-    n = len(vectors[0])
-    for coeffs in itertools.product(range(p), repeat=k):
-        first = next((c for c in coeffs if c), None)
-        if first != 1:  # normalize first nonzero coordinate to 1
-            continue
-        v = [0] * n
-        for c, vec in zip(coeffs, vectors):
-            if c:
-                v = [a + c * b for a, b in zip(v, vec)]
-        yield [a % p for a in v]
+    for coeffs in itertools.product(range(p), repeat=len(vectors)):
+        if next((c for c in coeffs if c), None) == 1:
+            yield [sum(c * x for c, x in zip(coeffs, col)) % p
+                   for col in zip(*vectors)]
+
+
+def _norton_candidates(ops: list):
+    """Operators of the multiplication envelope to try for Norton's
+    criterion, in a fixed order: the basis operators, the sums and
+    differences of pairs of them until there are more than 200 operators,
+    then 100 products of pairs.  A column may repeat a position; its entries
+    add up."""
+    yield from ops
+    pairs = max(1, (202 - len(ops)) // 2)  # the fewest that pass 200 operators
+    for x, y in itertools.islice(itertools.combinations(ops, 2), pairs):
+        yield [a + b for a, b in zip(x, y)]
+        yield [a + [(i, -c) for i, c in b] for a, b in zip(x, y)]
+    for x, y in itertools.islice(itertools.product(ops, repeat=2), 100):
+        # column j of the composite is y applied to column j of x
+        yield [[(i, c * d) for t, c in col for i, d in y[t]] for col in x]
 
 
 def certify_simplicity(A: Algebra) -> SimplicityCertificate:
@@ -191,74 +208,47 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
 
     Order of attack: the product span A*A (always an ideal), single-generator
     closures of basis elements (cheap NotSimple witnesses), then Norton's
-    criterion on a singular operator of the multiplication envelope, falling
-    back to an exhaustive projective sweep over small prime fields.
+    criterion on the first singular operator of the multiplication envelope
+    with nullity 1 (else the first of least nullity).  With no usable
+    operator: an exhaustive projective sweep over a small prime field, else
+    the closures of differences of basis elements.
     """
     f = A.field
+    n = A.dim
+    ops = _operators(A)
     audit = []
-    products = [A.dense(A.mul(A.basis(i), A.basis(j)))
-                for i in A.indices for j in A.indices]
-    aa = Subspace(A, products)
-    if aa.dim == 0:
-        return SimplicityCertificate(A.name, "degenerate", None,
-                                     ["A*A = 0"])
-    if aa.dim < A.dim:
-        # the product span is itself an ideal, hence a NotSimple witness
-        audit.append(f"A*A is a proper ideal of dimension {aa.dim}")
-        return SimplicityCertificate(A.name, "not_simple", aa, audit)
 
-    ops = _mult_operators(A)
-    spin_ops = _sparse_columns(ops)
+    def not_simple(witness: Subspace, line: str) -> SimplicityCertificate:
+        audit.append(line)
+        return SimplicityCertificate(A.name, "not_simple", witness, audit)
+
+    aa = Subspace(A, [])
+    for col in itertools.chain.from_iterable(ops):
+        aa.insert(col)
+    if aa.dim == 0:
+        return SimplicityCertificate(A.name, "degenerate", None, ["A*A = 0"])
+    if aa.dim < n:  # the product span is itself an ideal
+        return not_simple(aa, f"A*A is a proper ideal of dimension {aa.dim}")
+
     for g, i in enumerate(A.indices):
-        closure = _spin(A, [A.dense(A.basis(i))], spin_ops)
-        if closure.dim < A.dim:
-            audit.append(f"closure of basis element {A.labels[g]} is proper "
-                         f"({closure.dim}-dimensional)")
-            return SimplicityCertificate(A.name, "not_simple", closure, audit)
-    audit.append(f"all {A.dim} basis closures are full")
-    for g, h in itertools.combinations(range(A.dim), 2):
-        seed = A.dense({A.indices[g]: f.one, A.indices[h]: f.neg(f.one)})
-        closure = _spin(A, [seed], spin_ops)
-        if closure.dim < A.dim:
-            audit.append(f"closure of {A.labels[g]} - {A.labels[h]} is proper "
-                         f"({closure.dim}-dimensional)")
-            return SimplicityCertificate(A.name, "not_simple", closure, audit)
+        closure = _spin(A, [A.dense(A.basis(i))], ops)
+        if closure.dim < n:
+            return not_simple(closure, f"closure of basis element {A.labels[g]} "
+                              f"is proper ({closure.dim}-dimensional)")
+    audit.append(f"all {n} basis closures are full")
 
     # Norton's criterion: for a singular operator T of the envelope, the
     # module is irreducible iff every kernel point of T spins to the whole
     # space and one kernel point of T^t spins to the whole dual space.
-    n = A.dim
-    candidates = list(ops)
-    for x, y in itertools.combinations(ops, 2):
-        candidates.append([[f.add(x[j][i], y[j][i]) for i in range(n)]
-                           for j in range(n)])
-        candidates.append([[f.sub(x[j][i], y[j][i]) for i in range(n)]
-                           for j in range(n)])
-        if len(candidates) > 200:
-            break
-    for x, y in itertools.islice(itertools.product(ops, repeat=2), 100):
-        # column j of the composite is y applied to column j of x
-        comp = []
-        for j in range(n):
-            w = [f.zero] * n
-            for t, c in enumerate(x[j]):
-                if not f.is_zero(c):
-                    for i in range(n):
-                        w[i] = f.add(w[i], f.mul(c, y[t][i]))
-            comp.append(w)
-        candidates.append(comp)
-
     best = None
-    for op in candidates:
-        null = Matrix(f, list(zip(*op))).nullspace()  # op holds T's columns
-        if not null:
-            continue
-        if f.char == 0 and len(null) > 1:
+    for op in _norton_candidates(ops):
+        null = _kernel(A, _transpose(op))  # the rows of T
+        if not null or (f.char == 0 and len(null) > 1):
             continue
         if best is None or len(null) < len(best[1]):
             best = (op, null)
-        if len(best[1]) == 1:
-            break
+            if len(null) == 1:
+                break
     if best is not None:
         op, null = best
         points = ([null[0]] if f.char == 0
@@ -266,35 +256,39 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
         audit.append(f"norton: singular operator with nullity {len(null)}, "
                      f"{len(points)} kernel points")
         for v in points:
-            sp = _spin(A, [v], spin_ops)
-            if sp.dim < A.dim:
-                audit.append("kernel point spans a proper ideal")
-                return SimplicityCertificate(A.name, "not_simple", sp, audit)
-        tops = _sparse_columns(_transpose_ops(ops))
-        tnull = Matrix(f, op).nullspace()  # T's columns are the rows of T^t
-        u = tnull[0]
-        tsp = _spin(A, [u], tops)
-        if tsp.dim < A.dim:
+            sp = _spin(A, [v], ops)
+            if sp.dim < n:
+                return not_simple(sp, "kernel point spans a proper ideal")
+        u = _kernel(A, op)[0]  # T's columns are the rows of T^t
+        tsp = _spin(A, [u], _dual_operators(ops))
+        if tsp.dim < n:
             # annihilator of the dual spin is a proper ideal of A
             witness = Subspace(A, tsp.nullspace())
             if not is_ideal(A, witness):
                 raise UnsoundWitnessError(
                     f"{A.name}: annihilator of the dual spin is not an ideal")
-            audit.append("dual kernel point spans a proper invariant subspace")
-            return SimplicityCertificate(A.name, "not_simple", witness, audit)
+            return not_simple(
+                witness, "dual kernel point spans a proper invariant subspace")
         audit.append("norton criterion passed")
         return SimplicityCertificate(A.name, "simple", None, audit)
 
-    if f.char and (f.char ** A.dim - 1) // (f.char - 1) <= 20000:
-        full = Matrix.identity(f, A.dim).data
+    if f.char and (f.char ** n - 1) // (f.char - 1) <= 20000:
         audit.append("no singular envelope operator found; projective sweep")
-        for v in _projective_points(f, full):
-            sp = _spin(A, [v], spin_ops)
-            if sp.dim < A.dim:
-                audit.append("projective point spans a proper ideal")
-                return SimplicityCertificate(A.name, "not_simple", sp, audit)
+        unit_vectors = [[int(i == j) for j in range(n)] for i in range(n)]
+        for v in _projective_points(f, unit_vectors):
+            sp = _spin(A, [v], ops)
+            if sp.dim < n:
+                return not_simple(sp, "projective point spans a proper ideal")
         return SimplicityCertificate(A.name, "simple", None, audit)
-    raise CannotCertifyError(A.name)
+    # the closures of basis differences can only find an ideal, not rule one out
+    for g, h in itertools.combinations(range(n), 2):
+        seed = A.dense({A.indices[g]: f.one, A.indices[h]: f.neg(f.one)})
+        closure = _spin(A, [seed], ops)
+        if closure.dim < n:
+            return not_simple(closure, f"closure of {A.labels[g]} - {A.labels[h]} "
+                              f"is proper ({closure.dim}-dimensional)")
+    raise CannotCertifyError(f"{A.name}: no usable singular operator, no proper "
+                             f"difference closure, no projective sweep over {f!r}")
 
 
 # -- the central-extension bilinear form --------------------------------------

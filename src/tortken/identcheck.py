@@ -354,7 +354,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         # one row per supported basis index; a zero row when there is none
         for k in sorted(set().union(*evals)) or [None]:
             rows.append([e.get(k, f.zero) for e in evals])
-            echelon.insert({c: e[k] for c, e in enumerate(evals) if k in e})
+            echelon.insert([(c, e[k]) for c, e in enumerate(evals) if k in e])
     matrix = Matrix(f, rows) if rows else Matrix(f, [[f.zero] * len(monomials)])
     flags = {}
     for entry in catalog():

@@ -172,6 +172,33 @@ def test_simplicity_exit_codes(capsys):
     assert code == 1 and "witness ideal dimension: 2" in out
 
 
+def test_simplicity_cannot_certify_exits_three(capsys):
+    # over Q this algebra has no singular operator of nullity 1, no proper
+    # difference closure, and no projective sweep: inconclusive, one line
+    code, out, err = run_cli(capsys, "simplicity", "--builtin",
+                             "random-commutative", "--dim", "4", "--seed", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("inconclusive: ") and err.count("\n") == 1
+
+
+def test_repeated_variable_names_exit_two(tmp_path, capsys):
+    # with one name a*a is a square and fails here; a repeated name must not
+    # make it look multilinear (it used to report an unsound holds)
+    spec = _spec_file(tmp_path, _dim2([[0, 1, 0, 1], [1, 0, 0, 1]]))
+    code, out, _ = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a",
+                           "--spec", spec)
+    assert code == 1 and "verdict: fails" in out
+    code, _, err = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a,a",
+                           "--spec", spec)
+    assert code == 2 and "repeated variable" in err
+
+
+def test_zero_denominator_exits_two(capsys):
+    code, _, err = run_cli(capsys, "check", "--expr", "1/0*a", "--vars", "a",
+                           "--builtin", "gametic", "--dim", "2")
+    assert code == 2 and "zero denominator" in err
+
+
 def test_simplicity_json(capsys):
     code, out, _ = run_cli(capsys, "simplicity", "--builtin", "osborn-plus",
                            "--p", "3", "--m", "1", "--alpha", "0", "--beta", "1",
@@ -357,6 +384,41 @@ def test_spec_loader_fuzz(spec):
     assert code in (0, 2)
     if code == 2:
         assert path in err.getvalue()
+
+
+_FUZZ_PRODUCTS = st.recursive(
+    st.sampled_from(["a", "b", "c", "2", "1/0"]),
+    lambda t: st.builds("({}*{})".format, t, t), max_leaves=4)
+_FUZZ_EXPRS = st.one_of(
+    st.text(max_size=10),
+    st.lists(st.sampled_from(["a", "b", "*", "+", "-", "/", "(", ")", "0",
+                              "1", "assoc(", "comm(", ","]),
+             max_size=8).map("".join),
+    st.lists(_FUZZ_PRODUCTS, min_size=1, max_size=3).map(" - ".join))
+_FUZZ_VARS = st.one_of(st.sampled_from(["a,b,c", "a,b", "a", "a,a", "c, b,a"]),
+                       st.text(max_size=6))
+_FUZZ_RANGES = st.one_of(st.none(), st.text(max_size=6),
+                         st.builds("{}..{}".format, st.integers(-3, 3),
+                                   st.integers(-3, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([["--builtin", "gametic", "--dim", "2"],
+                        ["--builtin", "osborn-laurent", "--alpha", "1"]]),
+       _FUZZ_EXPRS, _FUZZ_VARS, _FUZZ_RANGES, _FUZZ_RANGES)
+def test_check_text_fuzz(algebra, expr, variables, rng, window):
+    # any text for --expr, --vars, --range and --window exits 0..3 and never
+    # escapes main with an exception
+    argv = ["check", f"--expr={expr}", f"--vars={variables}", *algebra]
+    argv += [f"--range={rng}"] if rng is not None else []
+    argv += [f"--window={window}"] if window is not None else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3)
 
 
 def _readme_cli_commands() -> list:

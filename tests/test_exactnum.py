@@ -171,6 +171,12 @@ def test_kernel_matches_dense_reference(case):
     for row in reversed(rows):
         ech.add(row)
     assert (ech.rows, ech.dim) == (tuple(map(tuple, R0[:rank0])), rank0)
+    # a sparse vector may repeat a column, and its entries add up
+    split = Echelon(f, cols)
+    for row in rows:
+        split.insert([(j, x - 1) for j, x in enumerate(row)]
+                     + [(j, 1) for j in reversed(range(cols))])
+    assert split.rows == ech.rows
     units = [[int(i == j) for j in range(cols)] for i in range(cols)]
     for v in null + [[f.coerce(x) for x in u] for u in units]:
         want = all(f.is_zero(x) for x in dense_mul_vec(f, rows, v))

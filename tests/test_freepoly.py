@@ -54,6 +54,11 @@ def test_parse_errors():
         parse("2 + a*b", ABC)  # bare constant term
     with pytest.raises(ParseError):
         parse("(a*b", ABC)
+    with pytest.raises(ParseError) as err:
+        parse("a*b + 1/0*c", ABC)  # zero denominator
+    assert err.value.pos == 8
+    with pytest.raises(ValueError, match="repeated variable"):
+        parse("a*a", ("a", "a"))
 
 
 def test_format_round_trip_catalog():

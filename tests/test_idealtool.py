@@ -10,17 +10,21 @@ from hypothesis import given, settings, strategies as st
 from dense_rref import dense_rref
 from tortken import idealtool
 from tortken.exactnum import Field, OutOfRangeError
-from tortken.algebras import (FiniteAlgebra, GradedAlgebra, divided_power,
-                              gametic, osborn, osborn_bar_finite, plus,
-                              random_commutative)
-from tortken.idealtool import (Subspace, UnsoundWitnessError,
-                               certify_simplicity, ideal_closure, is_ideal,
-                               psi_char0, psi_charp, psi_cyclic_char0,
-                               psi_form)
+from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotClosedError,
+                              divided_power, gametic, osborn, osborn_bar_finite,
+                              plus, random_commutative)
+from tortken.idealtool import (CannotCertifyError, Subspace,
+                               UnsoundWitnessError, certify_simplicity,
+                               ideal_closure, is_ideal, psi_char0, psi_charp,
+                               psi_cyclic_char0, psi_form)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 Q = Field.rationals()
+# K x K on the basis u = (1,1), v = (1,-1), and F_25 = F_5[w]/(w^2 - 2)
+KXK = FiniteAlgebra("kxk", F5, 2, [[{0: 1}, {1: 1}], [{1: 1}, {0: 1}]])
+F25 = FiniteAlgebra("f25", F5, 2, [[{0: 1}, {1: 1}], [{1: 1}, {0: 2}]],
+                    ["1", "w"])
 
 
 def test_closure_of_unit_is_everything():
@@ -103,7 +107,7 @@ def test_bar_algebra_simplicity():
 def test_certifier_soundness_rotated_basis():
     # K x K written on the basis u = (1,1), v = (1,-1): every single-basis
     # closure is full, yet the algebra has the ideal K(u+v)
-    A = FiniteAlgebra("kxk", F5, 2, [[{0: 1}, {1: 1}], [{1: 1}, {0: 1}]])
+    A = KXK
     for g in range(2):
         assert ideal_closure(A, [A.basis(g)]).dim == 2
     cert = certify_simplicity(A)
@@ -116,9 +120,7 @@ def test_certifier_degenerate_and_field_extension():
     assert certify_simplicity(zero).verdict == "degenerate"
     # F_25 = F_5[w]/(w^2 - 2): simple, but the envelope is a field, so the
     # certificate must come from the projective sweep
-    f25 = FiniteAlgebra("f25", F5, 2,
-                        [[{0: 1}, {1: 1}], [{1: 1}, {0: 2}]], ["1", "w"])
-    cert = certify_simplicity(f25)
+    cert = certify_simplicity(F25)
     assert cert.simple
 
 
@@ -155,6 +157,51 @@ def test_certificate_on_other_indices(A):
         assert all(k in B.position for e in got.witness.basis_elements() for k in e)
 
 
+NORTON_1 = "norton: singular operator with nullity 1, 1 kernel points"
+
+
+@pytest.mark.parametrize("A, verdict, audit, rows", [
+    (osborn_bar_finite(0, 3, 1), "not_simple",
+     ["closure of basis element x^(0) is proper (1-dimensional)"], ((1, 0),)),
+    # no candidate has nullity 1: the first of least nullity is used
+    (plus(osborn(1, 1, 3, 2)), "simple",
+     ["all 9 basis closures are full",
+      "norton: singular operator with nullity 3, 13 kernel points",
+      "norton criterion passed"], None),
+    (KXK, "not_simple", ["all 2 basis closures are full", NORTON_1,
+                         "kernel point spans a proper ideal"], ((1, 4),)),
+    (gametic(3, F3), "not_simple",
+     ["all 3 basis closures are full", NORTON_1,
+      "dual kernel point spans a proper invariant subspace"],
+     ((1, 0, 2), (0, 1, 2))),
+    (F25, "simple", ["all 2 basis closures are full",
+                     "no singular envelope operator found; projective sweep"],
+     None),
+    # over Q with no candidate of nullity 1 the basis differences decide
+    (plus(gametic(3)), "not_simple",
+     ["all 3 basis closures are full",
+      "closure of e1 - e2 is proper (1-dimensional)"], ((1, -1, 0),)),
+], ids=["bar-0-3-1", "plus-osborn-1-1-3-2", "kxk", "gametic3-F3", "f25",
+        "plus-gametic3-Q"])
+def test_certificate_routes(A, verdict, audit, rows):
+    cert = certify_simplicity(A)
+    assert (cert.verdict, cert.audit) == (verdict, audit)
+    if rows is None:
+        assert cert.witness is None
+    else:
+        assert cert.witness.rows == rows and is_ideal(A, cert.witness)
+
+
+def test_uncertifiable_and_windowed_algebras_raise():
+    with pytest.raises(CannotCertifyError):
+        certify_simplicity(random_commutative(4, Q, 3))
+    W = GradedAlgebra("window", Q, range(3), lambda i, j: [(i + j, 1)], str)
+    assert not W.closed
+    for run in (certify_simplicity, lambda A: ideal_closure(A, [A.basis(0)])):
+        with pytest.raises(NotClosedError):
+            run(W)
+
+
 def test_certificate_json():
     cert = certify_simplicity(plus(osborn(0, 1, 3, 1)))
     payload = json.loads(json.dumps(cert.to_json_dict()))
@@ -168,8 +215,8 @@ def test_dual_spin_witness_is_rechecked(monkeypatch):
     # invariant) yields an annihilator that is not an ideal; the explicit
     # check must refuse it, also under `python -O`
     A = plus(osborn(1, 1, 3, 1))
-    monkeypatch.setattr(idealtool, "_transpose_ops",
-                        lambda ops: [[[0] * A.dim for _ in op] for op in ops])
+    monkeypatch.setattr(idealtool, "_dual_operators",
+                        lambda ops: [[[] for _ in op] for op in ops])
     with pytest.raises(UnsoundWitnessError):
         certify_simplicity(A)
 
