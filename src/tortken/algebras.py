@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exactnum import Field, Matrix, binomial, is_prime
+from .freepoly import catalog_entry
 
 
 class OutOfWindowError(RuntimeError):
@@ -38,8 +39,12 @@ class NotClosedError(ValueError):
 
 
 class PrereqIdentityFailsError(ValueError):
-    def __init__(self, identity: str, witness):
-        super().__init__(f"prerequisite identity {identity!r} fails at {witness}")
+    """A prerequisite law fails on A; `witness` maps its variables to
+    elements of A."""
+
+    def __init__(self, identity: str, witness: dict, A: "Algebra"):
+        at = ", ".join(f"{v} = {A.fmt_element(e)}" for v, e in witness.items())
+        super().__init__(f"prerequisite identity {identity!r} fails at {at}")
         self.identity = identity
         self.witness = witness
 
@@ -194,16 +199,7 @@ class Algebra:
                    for t, i in enumerate(ix) for j in ix[t + 1:])
 
     def is_associative(self) -> bool:
-        for i in self.indices:
-            for j in self.indices:
-                ij = self.mul(self.basis(i), self.basis(j))
-                for k in self.indices:
-                    left = self.mul(ij, self.basis(k))
-                    right = self.mul(self.basis(i),
-                                     self.mul(self.basis(j), self.basis(k)))
-                    if left != right:
-                        return False
-        return True
+        return _check_law(self, "associativity").holds
 
     def _unit_system(self, side: str) -> list | None:
         """Solve e*b_i = b_i (side='left') or b_i*e = b_i (side='right')."""
@@ -738,18 +734,11 @@ def twist(A: Algebra, images: Sequence[dict]) -> Algebra:
                      lambda i, j: A.mul(A.basis(i), imgs[j]).items())
 
 
-def _check_triple_identity(A: Algebra, combo, indices) -> tuple | None:
-    """Return a witness basis triple where combo(a,b,c) != 0, skipping
-    out-of-window evaluations; None when no witness is found."""
-    for i in indices:
-        for j in indices:
-            for k in indices:
-                try:
-                    if combo(A.basis(i), A.basis(j), A.basis(k)):
-                        return (i, j, k)
-                except OutOfWindowError:
-                    continue
-    return None
+def _check_law(A: Algebra, name: str):
+    """check_identity on the catalog law `name` (identcheck imports this
+    module, so it is imported on first use)."""
+    from .identcheck import check_identity
+    return check_identity(catalog_entry(name).poly, A)
 
 
 def tensor_leibniz(g: Algebra, R: Algebra) -> Algebra:
@@ -759,22 +748,10 @@ def tensor_leibniz(g: Algebra, R: Algebra) -> Algebra:
     if g.field != R.field:
         raise ValueError("mismatched ground fields")
     f = g.field
-
-    def leib_right(a, b, c):
-        return el_sub(f, el_add(f, g.mul(a, g.mul(b, c)), g.mul(g.mul(a, c), b)),
-                      g.mul(g.mul(a, b), c))
-
-    w = _check_triple_identity(g, leib_right, g.indices)
-    if w is not None:
-        raise PrereqIdentityFailsError("leibniz_right", w)
-
-    def dual_left(a, b, c):
-        rhs = el_add(f, R.mul(a, R.mul(b, c)), R.mul(a, R.mul(c, b)))
-        return el_sub(f, R.mul(R.mul(a, b), c), rhs)
-
-    w = _check_triple_identity(R, dual_left, R.indices)
-    if w is not None:
-        raise PrereqIdentityFailsError("leibniz_dual_left", w)
+    for alg, law in ((g, "leibniz_right"), (R, "leibniz_dual_left")):
+        out = _check_law(alg, law)
+        if out.witness is not None:
+            raise PrereqIdentityFailsError(law, out.witness, alg)
 
     def rule(a, b):
         (gi, ri), (gj, rj) = a, b

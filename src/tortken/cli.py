@@ -42,15 +42,18 @@ _BUILTIN_PARAM_KEYS = ("p", "m", "N", "alpha", "beta", "dim", "char", "k", "l",
                        "seed", "variant", "lo", "hi")
 
 
+def _read_spec(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read algebra spec {path}: {exc}")
+
+
 def _build_algebra(args) -> Algebra:
     if getattr(args, "spec", None):
         try:
-            with open(args.spec) as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read algebra spec {args.spec}: {exc}")
-        try:
-            A = algebra_from_spec(spec)
+            A = algebra_from_spec(_read_spec(args.spec))
         except _BAD_PARAMETERS as exc:
             raise UsageError(f"bad algebra spec {args.spec}: {exc}")
     else:
@@ -110,6 +113,16 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", type=str)
     p.add_argument("--window", type=str, help="graded window lo..hi")
     p.add_argument("--transform", choices=("plus", "minus", "opposite"))
+
+
+def _range_indices(args, A: Algebra, closed_use: str) -> tuple[tuple, list]:
+    """--range lo..hi and the window indices inside it; on a closed algebra a
+    usage error that ends with how the algebra is used instead."""
+    if A.closed:
+        raise UsageError(f"--range applies to graded windows; {A.name} "
+                         f"is closed and {closed_use}")
+    lo, hi = _parse_range(args.range)
+    return (lo, hi), [i for i in A.indices if lo <= i <= hi]
 
 
 def _emit(args, text_fn, json_obj) -> None:
@@ -182,25 +195,21 @@ _VALIDATION_TAGS = {
 
 
 def _validate_algebra(args, A: Algebra) -> int:
-    kind = args.builtin or "structure_constants"
+    kind, params = args.builtin, vars(args)
+    if args.spec:  # the laws of the spec's own kind
+        spec = _read_spec(args.spec)
+        kind, params = spec.get("kind"), spec.get("params", {})
     tags = list(_VALIDATION_TAGS.get(kind, [("commutative", ("commutativity",))]))
     if kind == "square-product":
-        p, k, l = args.p, args.k, args.l
+        p, k, l = params["p"], params["k"], params["l"]
         if k == l or (p == 2 and l == k + 1):
             tags.append(("tortken", ("tortken",)))
-    if kind == "osborn-laurent" and args.variant == "novikov":
+    if kind == "osborn-laurent" and params.get("variant") == "novikov":
         tags = [("novikov", ("right_symmetric", "left_commutative"))]
     ok = True
     for tag, idents in tags:
-        failures = []
-        for name in idents:
-            poly = catalog_entry(name).poly
-            if A.closed:
-                out = check_identity(poly, A)
-            else:
-                out = check_identity_windowed(poly, A, A.indices)
-            if out.verdict == FAILS:
-                failures.append(name)
+        failures = [name for name in idents
+                    if check_identity(catalog_entry(name).poly, A).verdict == FAILS]
         if failures:
             ok = False
             print(f"{tag}: FAIL ({', '.join(failures)})")
@@ -218,18 +227,17 @@ def cmd_check(args) -> int:
         print(f"identity {name} is not applicable in characteristic "
               f"{A.field.char}")
         return 2
-    if not A.closed:
-        rng = (_parse_range(args.range) if args.range
-               else (A.indices[0], A.indices[-1]))
-        idx = [i for i in A.indices if rng[0] <= i <= rng[1]]
+    if args.range:
+        rng, idx = _range_indices(args, A, "is checked exhaustively")
         out = check_identity_windowed(poly, A, idx)
-        scope = f"range {rng[0]}..{rng[1]} (window-relative)"
     else:
-        if args.range:
-            raise UsageError(f"--range applies to graded windows; {A.name} "
-                             "is closed and is checked exhaustively")
+        rng = (A.indices[0], A.indices[-1])
         out = check_identity(poly, A, seed=seed, trials=trials)
-        scope = "exhaustive"
+    scope = ("exhaustive" if A.closed
+             else f"range {rng[0]}..{rng[1]} (window-relative)")
+    law = (out.witness_poly.format()
+           if out.witness_poly not in (None, poly) else None)
+
     def text():
         lines = [f"identity: {name} | algebra: {A.name} | seed={seed} "
                  f"trials={trials}",
@@ -238,6 +246,8 @@ def cmd_check(args) -> int:
                  f"skipped {out.skipped})"]
         if out.caveat:
             lines.append(f"caveat: {out.caveat}")
+        if law:
+            lines.append(f"law: {law}")
         if out.witness is not None:
             for v in sorted(out.witness):
                 lines.append(f"  {v} = {A.fmt_element(out.witness[v])}")
@@ -247,6 +257,8 @@ def cmd_check(args) -> int:
     payload = {"identity": name, "algebra": A.name, "seed": seed,
                "trials": trials, "scope": scope}
     payload.update(out.to_json_dict(A))
+    if law:
+        payload["witness_law"] = law
     _emit(args, text, payload)
     return {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 3}[out.verdict]
 
@@ -268,16 +280,12 @@ def cmd_idspace(args) -> int:
     if not 1 <= args.degree <= 5:
         raise UsageError(f"identity spaces support degree 1..5, got {args.degree}")
     A = _build_algebra(args)
-    if not A.closed:
-        if not args.range:
-            raise UsageError("graded identity space needs --range lo..hi")
-        lo, hi = _parse_range(args.range)
-        idx = [i for i in A.indices if lo <= i <= hi]
+    if args.range:
+        _, idx = _range_indices(args, A, "uses every substitution")
+    elif not A.closed:
+        raise UsageError("graded identity space needs --range lo..hi")
     else:
-        if args.range:
-            raise UsageError(f"--range applies to graded windows; {A.name} "
-                             "is closed and uses every substitution")
-        idx = list(A.indices)
+        idx = A.indices
     subs = [tuple(A.basis(i) for i in tup)
             for tup in itertools.product(idx, repeat=args.degree)]
     report = identity_space(args.degree, A, subs, order=args.basis)
@@ -292,7 +300,11 @@ def cmd_simplicity(args) -> int:
     try:
         cert = idealtool.certify_simplicity(A)
     except idealtool.CannotCertifyError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
+        if args.format == "json":
+            _emit(args, None, {"algebra": A.name, "verdict": INCONCLUSIVE,
+                               "audit": [str(exc)]})
+        else:
+            print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
 
     def text():

@@ -1,8 +1,10 @@
 """Identity checking: evaluation, exhaustive sweeps, identity spaces.
 
-Multilinear identities are decided exhaustively on basis tuples (sufficient by
-multilinearity); non-multilinear ones go through full polarization plus seeded
-random dense trials.  Windowed (graded) verdicts are always window-relative.
+Every polynomial law is decided by `check_identity` (or, on part of a window,
+`check_identity_windowed`): each full polarization is swept exhaustively on
+basis tuples (sufficient by multilinearity; a multilinear law is its own
+polarization), plus seeded random dense trials for a non-multilinear law on a
+closed algebra.  Verdicts on graded windows are always window-relative.
 Every evaluation runs one compiled form, `_Program`, either on one binding of
 all variables (`_Program.run`) or binding them one at a time (`_sweep`).
 """
@@ -198,19 +200,6 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped)
 
 
-def _sweep_parts(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
-    """`_sweep` on each polarization to the first failure, counters summed."""
-    checked = skipped = 0
-    for part in polarize(poly):
-        out = _sweep(part, A, indices)
-        checked += out.checked
-        skipped += out.skipped
-        if out.verdict == FAILS:
-            out.checked, out.skipped = checked, skipped
-            return out
-    return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped)
-
-
 def _random_element(A: Algebra, rng: random.Random) -> dict:
     f = A.field
     if f.char:
@@ -220,36 +209,50 @@ def _random_element(A: Algebra, rng: random.Random) -> dict:
     return {k: v for k, v in e.items() if v}
 
 
-def check_identity(poly: FreePoly, A: Algebra, seed: int = 0,
-                   trials: int = 64) -> CheckOutcome:
-    """Decide whether poly vanishes identically on A.
-
-    Multilinear polynomials are decided by the exhaustive basis sweep.
-    Otherwise every full polarization is swept and the original polynomial is
-    additionally evaluated on `trials` seeded dense elements; a characteristic
-    caveat is recorded when char <= degree (polarization can be lossy there).
-    """
-    if poly.is_multilinear():
-        return _sweep(poly, A, A.indices)
+def _check(poly: FreePoly, A: Algebra, indices: Sequence, seed: int,
+           trials: int) -> CheckOutcome:
+    """`_sweep` on each polarization over `indices` to the first failure,
+    counters summed.  A non-multilinear law on a closed algebra that passes
+    is also evaluated on `trials` seeded dense elements, and carries a
+    caveat when char <= degree (polarization can be lossy there)."""
+    checked = skipped = 0
+    for part in polarize(poly):  # a multilinear law is its own part
+        out = _sweep(part, A, indices)
+        checked += out.checked
+        skipped += out.skipped
+        if out.verdict == FAILS:
+            break
+    dense = A.closed and not poly.is_multilinear()
     caveat = None
-    if 0 < A.field.char <= poly.degree():
+    if dense and 0 < A.field.char <= poly.degree():
         caveat = (f"char {A.field.char} <= degree {poly.degree()}: "
                   "polarization may not capture the original identity")
-    out = _sweep_parts(poly, A, A.indices)
     if out.verdict == FAILS:
-        out.caveat = caveat
+        out.checked, out.skipped, out.caveat = checked, skipped, caveat
         return out
-    checked, skipped = out.checked, out.skipped
-    prog = _Program([poly], A.field)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        assignment = {v: _random_element(A, rng) for v in poly.variables}
-        val = prog.run(A, list(assignment.values()))[0]
-        checked += 1
-        if val:
-            return CheckOutcome(FAILS, checked, skipped, assignment, val, poly,
-                                caveat)
-    return CheckOutcome(HOLDS, checked, skipped, caveat=caveat)
+    if dense:
+        prog = _Program([poly], A.field)
+        rng = random.Random(seed)
+        for _ in range(trials):
+            assignment = {v: _random_element(A, rng) for v in poly.variables}
+            val = prog.run(A, list(assignment.values()))[0]
+            checked += 1
+            if val:
+                return CheckOutcome(FAILS, checked, skipped, assignment, val,
+                                    poly, caveat)
+    return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped,
+                        caveat=caveat)
+
+
+def check_identity(poly: FreePoly, A: Algebra, seed: int = 0,
+                   trials: int = 64) -> CheckOutcome:
+    """Decide whether poly vanishes identically on A, exhaustively on basis
+    assignments, window-relatively when A is a graded window.
+
+    A non-multilinear law is decided through its full polarizations; on a
+    closed algebra it is also evaluated on `trials` seeded dense elements.
+    """
+    return _check(poly, A, A.indices, seed, trials)
 
 
 def check_identity_windowed(poly: FreePoly, A: Algebra,
@@ -257,13 +260,14 @@ def check_identity_windowed(poly: FreePoly, A: Algebra,
     """Window-relative exhaustive check over basis assignments from index_range.
 
     Assignments whose evaluation escapes the window are skipped and counted;
-    the verdict is Inconclusive when nothing was evaluable.
+    the verdict is Inconclusive when nothing was evaluable.  No dense trials
+    are run: they would leave index_range.
     """
     idx = list(index_range)
     bad = [i for i in idx if i not in A.position]
     if bad:
         raise ValueError(f"indices {bad} outside the window")
-    return _sweep_parts(poly, A, idx)  # a multilinear poly is its own part
+    return _check(poly, A, idx, 0, 0)
 
 
 # -- identity spaces ----------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tortken.exactnum import Field, binomial
+from tortken.freepoly import catalog_entry
+from tortken.identcheck import evaluate
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotADerivationError,
                               NotClosedError, OutOfWindowError,
                               PrereqIdentityFailsError, algebra_from_spec,
@@ -289,12 +291,16 @@ def test_tensor_leibniz():
 
 def test_tensor_leibniz_prereq_failure():
     not_leibniz = gametic(2)  # e_i e_j = e_j is not a right Leibniz bracket
-    with pytest.raises(PrereqIdentityFailsError) as err:
-        tensor_leibniz(not_leibniz, integration_product(4))
-    assert err.value.identity == "leibniz_right"
-    with pytest.raises(PrereqIdentityFailsError) as err:
-        tensor_leibniz(_lie2(), opposite(integration_product(4)))
-    assert err.value.identity == "leibniz_dual_left"
+    dual = opposite(integration_product(4))
+    for g, R, law, failing in ((not_leibniz, integration_product(4),
+                                "leibniz_right", not_leibniz),
+                               (_lie2(), dual, "leibniz_dual_left", dual)):
+        with pytest.raises(PrereqIdentityFailsError) as err:
+            tensor_leibniz(g, R)
+        assert err.value.identity == law
+        # the witness is an assignment that re-evaluates to a nonzero value
+        poly = catalog_entry(law).poly
+        assert evaluate(poly, failing, err.value.witness)
 
 
 def test_predicates_osborn_plus():

@@ -181,6 +181,56 @@ def test_simplicity_cannot_certify_exits_three(capsys):
     assert err.startswith("inconclusive: ") and err.count("\n") == 1
 
 
+def test_simplicity_inconclusive_json(capsys):
+    code, out, err = run_cli(capsys, "simplicity", "--builtin",
+                             "random-commutative", "--dim", "4", "--seed", "3",
+                             "--format", "json")
+    payload = json.loads(out)
+    assert code == 3 and err == ""
+    assert payload["algebra"] == "random_commutative(4,seed=3)"
+    assert payload["verdict"] == "inconclusive"
+    assert len(payload["audit"]) == 1
+    assert "no usable singular operator" in payload["audit"][0]
+
+
+def test_check_names_the_polarized_law(tmp_path, capsys):
+    # a*a fails through its polarization t1*t2 + t2*t1, whose variables the
+    # witness binds; a multilinear law is its own witness law
+    spec = _spec_file(tmp_path, _dim2([[0, 1, 0, 1], [1, 0, 0, 1]]))
+    code, out, _ = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a",
+                           "--spec", spec)
+    assert code == 1
+    assert "law: t1*t2 + t2*t1\n  t1 = b0\n  t2 = b1\n" in out
+    code, out, _ = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a",
+                           "--spec", spec, "--format", "json")
+    payload = json.loads(out)
+    check_schema(json.loads((SCHEMAS / "check.schema.json").read_text()),
+                 payload)
+    assert payload["witness_law"] == "t1*t2 + t2*t1"
+    assert payload["witness"] == {"t1": "b0", "t2": "b1"}
+    code, out, _ = run_cli(capsys, "check", "--identity", "commutativity",
+                           "--spec", spec, "--format", "json")
+    assert code == 0 and "witness_law" not in json.loads(out)
+    code, out, _ = run_cli(capsys, "check", "--identity", "commutativity",
+                           "--builtin", "gametic", "--dim", "2")
+    assert code == 1 and "law:" not in out
+
+
+def test_algebra_validate_spec_uses_its_kind(tmp_path, capsys):
+    spec = _spec_file(tmp_path, {"kind": "osborn", "params": {
+        "alpha": 1, "beta": 0, "p": 3, "m": 1}})
+    code, out, _ = run_cli(capsys, "algebra", "validate", "--spec", spec)
+    assert (code, out) == (0, "novikov: OK\n")
+    spec = _spec_file(tmp_path, {"kind": "square-product", "params": {
+        "p": 3, "k": 1, "l": 1, "m": 1}})
+    code, out, _ = run_cli(capsys, "algebra", "validate", "--spec", spec)
+    assert (code, out) == (0, "commutative: OK\ntortken: OK\n")
+    spec = _spec_file(tmp_path, {"kind": "osborn-laurent", "params": {
+        "alpha": 1, "lo": -3, "hi": 3, "variant": "novikov"}})
+    code, out, _ = run_cli(capsys, "algebra", "validate", "--spec", spec)
+    assert (code, out) == (0, "novikov: OK\n")
+
+
 def test_repeated_variable_names_exit_two(tmp_path, capsys):
     # with one name a*a is a square and fails here; a repeated name must not
     # make it look multilinear (it used to report an unsound holds)

@@ -20,7 +20,7 @@ from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
                               p2_product, plus, random_commutative,
                               square_product, standard_derivation, twist)
 from tortken.freepoly import (FreePoly, catalog, catalog_entry,
-                              multilinear_monomials, mu_vector)
+                              multilinear_monomials, mu_vector, parse)
 from tortken.identcheck import (FAILS, HOLDS, INCONCLUSIVE,
                                 REFERENCE_DEG4_MATRIX, check_identity,
                                 check_identity_windowed, degree3_system,
@@ -79,6 +79,28 @@ def test_check_identity_windowed():
     assert out.verdict == INCONCLUSIVE and out.checked == 0 and out.skipped == 16
     with pytest.raises(ValueError):
         check_identity_windowed(TORTKEN, I, [40])
+
+
+def test_check_identity_on_a_window_is_window_relative():
+    # a non-multilinear law: its polarizations are swept window-relatively,
+    # and no dense trial draws elements whose products leave the window
+    poly = parse("(a*b)*a - (a*a)*b", ("a", "b"))
+    out = check_identity(poly, integration_product(6))
+    assert out.verdict == HOLDS and out.skipped > 0 and out.caveat is None
+
+
+_WINDOWS = {"integration": lambda: integration_product(6),
+            "laurent": lambda: osborn_laurent("1/2", 0, -3, 3, "jordan")}
+
+
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+@pytest.mark.parametrize("law", [e.name for e in catalog()])
+def test_check_identity_agrees_with_windowed_on_a_window(window, law):
+    W = _WINDOWS[window]()
+    poly = catalog_entry(law).poly
+    whole = check_identity(poly, W)
+    windowed = check_identity_windowed(poly, W, W.indices)
+    assert _outcome_tuple(whole) == _outcome_tuple(windowed)
 
 
 def test_windowed_rejects_only_escapes():
