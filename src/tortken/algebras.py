@@ -38,6 +38,10 @@ class NotClosedError(ValueError):
     """A claimed subspace is not closed under the ambient product."""
 
 
+class UnsoundWitnessError(RuntimeError):
+    """A witness (an ideal, a failing assignment) failed its re-check."""
+
+
 class PrereqIdentityFailsError(ValueError):
     """A prerequisite law fails on A; `witness` maps its variables to
     elements of A."""

@@ -109,7 +109,7 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--char", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, help="seed of random-commutative")
     p.add_argument("--variant", type=str)
     p.add_argument("--window", type=str, help="graded window lo..hi")
     p.add_argument("--transform", choices=("plus", "minus", "opposite"))
@@ -206,6 +206,13 @@ def _validate_algebra(args, A: Algebra) -> int:
             tags.append(("tortken", ("tortken",)))
     if kind == "osborn-laurent" and params.get("variant") == "novikov":
         tags = [("novikov", ("right_symmetric", "left_commutative"))]
+    # plus(Novikov) is tortken, the paper's theorem; a commutative A is A^op
+    if args.transform == "plus" and tags[0][0] == "novikov":
+        tags = _VALIDATION_TAGS["osborn-plus"]
+    elif args.transform and (args.transform, tags[0][0]) != ("opposite",
+                                                             "commutative"):
+        raise UsageError(f"algebra validate has no laws for {kind} under "
+                         f"--transform {args.transform}")
     ok = True
     for tag, idents in tags:
         failures = [name for name in idents
@@ -221,26 +228,22 @@ def _validate_algebra(args, A: Algebra) -> int:
 def cmd_check(args) -> int:
     name, poly, excluded = _get_identity(args)
     A = _build_algebra(args)
-    seed = args.seed if args.seed is not None else 0
-    trials = args.trials
     if A.field.char in excluded:
-        print(f"identity {name} is not applicable in characteristic "
-              f"{A.field.char}")
-        return 2
+        raise UsageError(f"identity {name} is not applicable in "
+                         f"characteristic {A.field.char}")
     if args.range:
         rng, idx = _range_indices(args, A, "is checked exhaustively")
         out = check_identity_windowed(poly, A, idx)
     else:
         rng = (A.indices[0], A.indices[-1])
-        out = check_identity(poly, A, seed=seed, trials=trials)
+        out = check_identity(poly, A)
     scope = ("exhaustive" if A.closed
              else f"range {rng[0]}..{rng[1]} (window-relative)")
     law = (out.witness_poly.format()
            if out.witness_poly not in (None, poly) else None)
 
     def text():
-        lines = [f"identity: {name} | algebra: {A.name} | seed={seed} "
-                 f"trials={trials}",
+        lines = [f"identity: {name} | algebra: {A.name}",
                  f"scope: {scope}",
                  f"verdict: {out.verdict} (checked {out.checked}, "
                  f"skipped {out.skipped})"]
@@ -254,8 +257,7 @@ def cmd_check(args) -> int:
             lines.append(f"  value = {A.fmt_element(out.value)}")
         return "\n".join(lines)
 
-    payload = {"identity": name, "algebra": A.name, "seed": seed,
-               "trials": trials, "scope": scope}
+    payload = {"identity": name, "algebra": A.name, "scope": scope}
     payload.update(out.to_json_dict(A))
     if law:
         payload["witness_law"] = law
@@ -441,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--vars", help="comma-separated variables for --expr")
     _add_algebra_flags(p_chk)
     p_chk.add_argument("--range", help="basis index range lo..hi (graded)")
-    p_chk.add_argument("--trials", type=int, default=64)
     p_chk.add_argument("--format", choices=("text", "json"), default="text")
     p_chk.set_defaults(fn=cmd_check)
 

@@ -18,16 +18,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import Echelon, Field, OutOfRangeError, binom_p_quotient, is_prime
-from .algebras import Algebra, NotClosedError
+from .algebras import Algebra, NotClosedError, UnsoundWitnessError
 
 
 class CannotCertifyError(RuntimeError):
     """No sound simplicity argument applies (expected only off the supported
     parameter ranges, e.g. large nullspaces over the rationals)."""
-
-
-class UnsoundWitnessError(RuntimeError):
-    """A not-simple witness failed its explicit re-check as an ideal."""
 
 
 class Subspace(Echelon):

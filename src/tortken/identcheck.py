@@ -1,10 +1,12 @@
 """Identity checking: evaluation, exhaustive sweeps, identity spaces.
 
 Every polynomial law is decided by `check_identity` (or, on part of a window,
-`check_identity_windowed`): each full polarization is swept exhaustively on
-basis tuples (sufficient by multilinearity; a multilinear law is its own
-polarization), plus seeded random dense trials for a non-multilinear law on a
-closed algebra.  Verdicts on graded windows are always window-relative.
+`check_identity_windowed`) with one deterministic sweep: where polarization is
+exact (multilinear law, char 0, char > degree) each full polarization is swept
+on basis tuples; otherwise the law itself is swept on every element of a small
+span, or on basis tuples with `inconclusive` where they do not decide.  Every
+failing witness is re-evaluated.  Verdicts on graded windows are always
+window-relative.
 Every evaluation runs one compiled form, `_Program`, either on one binding of
 all variables (`_Program.run`) or binding them one at a time (`_sweep`).
 """
@@ -12,15 +14,14 @@ all variables (`_Program.run`) or binding them one at a time (`_sweep`).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .exactnum import Echelon, Field, Matrix
-from .algebras import (Algebra, OutOfWindowError, divided_power,
-                       derivation_symmetric, standard_derivation)
+from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError,
+                       divided_power, derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog, catalog_entry, multilinear_monomials,
                        mu_vector, polarize, symmetry_blocks, tree_format,
                        tree_leaves)
@@ -122,20 +123,21 @@ def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
     return _Program([poly], A.field).run(A, [els.get(v) for v in poly.variables])[0]
 
 
-def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
-    """Exhaustive multilinear check over all basis assignments from `indices`.
+def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
+    """Exhaustive check over all assignments of `elements` to the variables.
 
-    Variables are bound depth first in the given index order, the first
+    Variables are bound depth first in the given element order, the first
     outermost: that is lexicographic order, so the first failure met ends
     the sweep with the least failing assignment.  A product node is computed
     once its last leaf is bound; if its leaves miss part of the bound prefix,
-    through a memo keyed by their indices and shared by its tree shape.  An
-    out-of-window product at level k skips and counts every completion of
-    the prefix: the node lies in some term, so each of them escapes.
+    through a memo keyed by their element positions and shared by its tree
+    shape.  An out-of-window product at level k skips and counts every
+    completion of the prefix: the node lies in some term, so each of them
+    escapes.
 
     On a closed algebra, permuting the values within a `symmetry_blocks`
     block changes the value at most by its sign, so each block is bound in
-    non-decreasing index-list order: one assignment per orbit, the
+    non-decreasing element-list order: one assignment per orbit, the
     lex-least, and the least failing assignment is still met first.  The
     counters stay in assignment units, as if every assignment were visited.
     """
@@ -143,8 +145,7 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     n = prog.n
     if n == 0:  # only the zero polynomial has no variables
         return CheckOutcome(HOLDS, 1, 0)
-    basis_el = [A.basis(i) for i in indices]
-    dim = len(basis_el)
+    dim = len(elements)
     mul = A.mul
     after: list = [None] * n  # each position's predecessor in its block
     if A.closed:
@@ -163,7 +164,7 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     val: list = [None] * (n + len(prog.products))
     assign = [0] * n
     checked = skipped = 0
-    todo = [iter(range(dim))]  # indices left to bind, one iterator per level
+    todo = [iter(range(dim))]  # positions left to bind, one iterator per level
     while todo:
         k = len(todo) - 1
         x = next(todo[k], None)
@@ -171,7 +172,7 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
             todo.pop()
             continue
         assign[k] = x
-        val[k] = basis_el[x]
+        val[k] = elements[x]
         try:
             for i, l, r, memo, key in levels[k]:
                 if memo is None:
@@ -190,7 +191,7 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
         checked += 1
         value = _combine(prog.terms[0], val, A.field.char)
         if value:
-            witness = {v: basis_el[a] for v, a in zip(poly.variables, assign)}
+            witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
             if A.closed:  # its 1-based rank among all assignments
                 checked = 1 + sum(a * dim ** (n - 1 - t)
                                   for t, a in enumerate(assign))
@@ -200,74 +201,71 @@ def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped)
 
 
-def _random_element(A: Algebra, rng: random.Random) -> dict:
-    f = A.field
-    if f.char:
-        e = {i: rng.randrange(f.char) for i in A.indices}
+# The most assignments of every element swept in small characteristic (the
+# size bound of idealtool's projective sweep).
+FULL_SWEEP_BOUND = 20000
+
+
+def _check(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
+    """Decide poly over span(indices), window-relatively on a window.
+
+    Where polarization is exact (a multilinear law, char 0, char > degree)
+    the law holds exactly when each polarization holds on basis elements.
+    Otherwise the law itself is swept over every element of the span if
+    that is at most FULL_SWEEP_BOUND assignments, else over basis elements
+    and then, for a multihomogeneous law, its one polarization: an integer
+    combination of substitutions of the law, so its failure is the law's,
+    but its pass decides nothing.  A failing witness is re-evaluated."""
+    p, d = A.field.char, poly.degree()
+    slots = len(indices) * len(poly.variables)
+    laws, els = [poly], [A.basis(i) for i in indices]
+    decides, caveat = True, f"char {p} <= degree {d}: the law"
+    if poly.is_multilinear() or not 0 < p <= d:
+        laws, caveat = polarize(poly), None
+    elif p ** slots <= FULL_SWEEP_BOUND:
+        els = [{i: c for i, c in zip(indices, cs) if c}
+               for cs in itertools.product(range(p), repeat=len(indices))]
+        caveat += " swept on every element, not its polarizations"
     else:
-        e = {i: Fraction(rng.randint(-9, 9)) for i in A.indices}
-    return {k: v for k, v in e.items() if v}
-
-
-def _check(poly: FreePoly, A: Algebra, indices: Sequence, seed: int,
-           trials: int) -> CheckOutcome:
-    """`_sweep` on each polarization over `indices` to the first failure,
-    counters summed.  A non-multilinear law on a closed algebra that passes
-    is also evaluated on `trials` seeded dense elements, and carries a
-    caveat when char <= degree (polarization can be lossy there)."""
+        parts = polarize(poly)
+        if len(parts) == 1:  # multihomogeneous
+            laws.append(parts[0])
+            caveat += " and its polarization"
+        decides = False
+        caveat += (f" swept on basis elements only ({p}^{slots} assignments "
+                   f"of every element exceed {FULL_SWEEP_BOUND})")
     checked = skipped = 0
-    for part in polarize(poly):  # a multilinear law is its own part
-        out = _sweep(part, A, indices)
-        checked += out.checked
-        skipped += out.skipped
+    for law in laws:  # to the first failure, counters summed
+        out = _sweep(law, A, els)
+        checked, skipped = checked + out.checked, skipped + out.skipped
         if out.verdict == FAILS:
             break
-    dense = A.closed and not poly.is_multilinear()
-    caveat = None
-    if dense and 0 < A.field.char <= poly.degree():
-        caveat = (f"char {A.field.char} <= degree {poly.degree()}: "
-                  "polarization may not capture the original identity")
-    if out.verdict == FAILS:
-        out.checked, out.skipped, out.caveat = checked, skipped, caveat
-        return out
-    if dense:
-        prog = _Program([poly], A.field)
-        rng = random.Random(seed)
-        for _ in range(trials):
-            assignment = {v: _random_element(A, rng) for v in poly.variables}
-            val = prog.run(A, list(assignment.values()))[0]
-            checked += 1
-            if val:
-                return CheckOutcome(FAILS, checked, skipped, assignment, val,
-                                    poly, caveat)
-    return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped,
-                        caveat=caveat)
+    else:
+        out.verdict = HOLDS if checked and decides else INCONCLUSIVE
+    out.checked, out.skipped, out.caveat = checked, skipped, caveat
+    if (out.verdict == FAILS
+            and evaluate(out.witness_poly, A, out.witness) != out.value):
+        raise UnsoundWitnessError(f"{A.name}: witness of "
+                                  f"{out.witness_poly.format()} is unsound")
+    return out
 
 
-def check_identity(poly: FreePoly, A: Algebra, seed: int = 0,
-                   trials: int = 64) -> CheckOutcome:
-    """Decide whether poly vanishes identically on A, exhaustively on basis
-    assignments, window-relatively when A is a graded window.
-
-    A non-multilinear law is decided through its full polarizations; on a
-    closed algebra it is also evaluated on `trials` seeded dense elements.
-    """
-    return _check(poly, A, A.indices, seed, trials)
+def check_identity(poly: FreePoly, A: Algebra) -> CheckOutcome:
+    """Decide whether poly vanishes identically on A by one deterministic
+    sweep, window-relatively when A is a graded window (see `_check`)."""
+    return _check(poly, A, A.indices)
 
 
 def check_identity_windowed(poly: FreePoly, A: Algebra,
                             index_range: Iterable) -> CheckOutcome:
-    """Window-relative exhaustive check over basis assignments from index_range.
-
-    Assignments whose evaluation escapes the window are skipped and counted;
-    the verdict is Inconclusive when nothing was evaluable.  No dense trials
-    are run: they would leave index_range.
-    """
+    """`check_identity` over the span of the window indices in index_range:
+    escaping assignments are skipped and counted, and the verdict is
+    Inconclusive when nothing was evaluable."""
     idx = list(index_range)
     bad = [i for i in idx if i not in A.position]
     if bad:
         raise ValueError(f"indices {bad} outside the window")
-    return _check(poly, A, idx, 0, 0)
+    return _check(poly, A, idx)
 
 
 # -- identity spaces ----------------------------------------------------------

@@ -45,7 +45,7 @@ def test_check_holds_exit_zero(capsys):
                            "--alpha", "1", "--beta", "1")
     assert code == 0
     assert "verdict: holds" in out
-    assert "seed=0 trials=64" in out
+    assert out.startswith("identity: tortken | algebra: osborn_plus(1,1,3,2)\n")
 
 
 def test_check_fails_exit_one(capsys):
@@ -134,11 +134,15 @@ def test_unknown_identity_exit_two(capsys):
 
 
 def test_identity_char_restriction_exit_two(capsys):
-    code, out, _ = run_cli(capsys, "check", "--identity", "deg5_ii",
-                           "--builtin", "osborn-plus", "--p", "3", "--m", "1",
-                           "--alpha", "0", "--beta", "0")
-    assert code == 2
-    assert "not applicable" in out
+    # a usage error: the message goes to stderr, so JSON stdout stays empty
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "check", "--identity", "deg5_ii",
+                                 "--builtin", "osborn-plus", "--p", "3",
+                                 "--m", "1", "--alpha", "0", "--beta", "0",
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("error: identity deg5_ii is not applicable in "
+                       "characteristic 3\n")
 
 
 def test_idspace_reference(capsys):
@@ -214,6 +218,52 @@ def test_check_names_the_polarized_law(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "--identity", "commutativity",
                            "--builtin", "gametic", "--dim", "2")
     assert code == 1 and "law:" not in out
+
+
+def test_check_small_char_is_sound(tmp_path, capsys):
+    # a*a = a holds on F_2 itself: the law is swept on every element, as
+    # its polarization -t1 would fail
+    spec = _spec_file(tmp_path, {"kind": "structure_constants",
+                                 "field": {"char": 2}, "dim": 1,
+                                 "table": [[0, 0, 0, 1]]})
+    code, out, _ = run_cli(capsys, "check", "--expr", "a*a - a", "--vars",
+                           "a", "--spec", spec)
+    assert code == 0 and "verdict: holds (checked 2," in out
+    assert "caveat: char 2 <= degree 2: the law swept on every element" in out
+    # 3^18 assignments are too many: the law fails on basis elements
+    code, out, _ = run_cli(capsys, "check", "--identity", "gametic_jordan",
+                           "--builtin", "osborn-plus", "--p", "3", "--m", "2",
+                           "--alpha", "1", "--beta", "1")
+    assert code == 1 and "basis elements only" in out and "law:" not in out
+
+
+def test_check_has_no_trials_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--trials", "5", "--identity", "tortken",
+              "--builtin", "gametic", "--dim", "2"])
+    assert exc.value.code == 2
+
+
+def test_algebra_validate_transform(capsys):
+    # plus of a Novikov algebra is commutative and tortken (the paper's
+    # theorem); the Novikov laws are not checked on it
+    for kind in (["osborn", "--p", "3", "--m", "1", "--alpha", "1"],
+                 ["gametic", "--dim", "3"],
+                 ["osborn-laurent", "--alpha", "1", "--variant", "novikov",
+                  "--window=-3..3"]):
+        code, out, _ = run_cli(capsys, "algebra", "validate", "--builtin",
+                               *kind, "--transform", "plus")
+        assert (code, out) == (0, "commutative: OK\ntortken: OK\n"), kind
+    for transform in ("minus", "opposite"):
+        code, out, err = run_cli(capsys, "algebra", "validate", "--builtin",
+                                 "osborn", "--p", "3", "--m", "1", "--alpha",
+                                 "1", "--transform", transform)
+        assert (code, out) == (2, "")
+        assert "osborn" in err and f"--transform {transform}" in err
+    code, _, err = run_cli(capsys, "algebra", "validate", "--builtin",
+                           "osborn-plus", "--p", "3", "--m", "1", "--alpha",
+                           "1", "--transform", "plus")
+    assert code == 2 and "osborn-plus" in err
 
 
 def test_algebra_validate_spec_uses_its_kind(tmp_path, capsys):
@@ -458,17 +508,22 @@ _FUZZ_RANGES = st.one_of(st.none(), st.text(max_size=6),
        _FUZZ_EXPRS, _FUZZ_VARS, _FUZZ_RANGES, _FUZZ_RANGES)
 def test_check_text_fuzz(algebra, expr, variables, rng, window):
     # any text for --expr, --vars, --range and --window exits 0..3 and never
-    # escapes main with an exception
+    # escapes main with an exception; a decided or inconclusive check prints
+    # JSON that meets the schema
     argv = ["check", f"--expr={expr}", f"--vars={variables}", *algebra]
     argv += [f"--range={rng}"] if rng is not None else []
     argv += [f"--window={window}"] if window is not None else []
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
-    assert code in (0, 1, 2, 3)
+    schema = json.loads((SCHEMAS / "check.schema.json").read_text())
+    for fmt in ("text", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + [f"--format={fmt}"])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        if fmt == "json" and code != 2:
+            check_schema(schema, json.loads(out.getvalue()))
 
 
 def _readme_cli_commands() -> list:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_rref import dense_mul_vec, dense_nullspace, dense_rref
-from tortken import identcheck
+from tortken import idealtool, identcheck
 from tortken.exactnum import Field
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
-                              OutOfWindowError, derivation_novikov,
+                              OutOfWindowError, UnsoundWitnessError,
+                              derivation_novikov,
                               derivation_symmetric,
                               divided_power, gametic, integration_product,
                               minus, opposite, osborn, osborn_laurent,
@@ -82,8 +83,8 @@ def test_check_identity_windowed():
 
 
 def test_check_identity_on_a_window_is_window_relative():
-    # a non-multilinear law: its polarizations are swept window-relatively,
-    # and no dense trial draws elements whose products leave the window
+    # a non-multilinear law over Q: its polarizations are swept
+    # window-relatively, on basis elements only
     poly = parse("(a*b)*a - (a*a)*b", ("a", "b"))
     out = check_identity(poly, integration_product(6))
     assert out.verdict == HOLDS and out.skipped > 0 and out.caveat is None
@@ -143,6 +144,87 @@ def test_polarization_path():
     # char <= degree records a caveat
     out = check_identity(gj.poly, plus(osborn(0, 0, 3, 1)))
     assert out.caveat is not None
+
+
+# Non-multilinear laws of degree <= 4 in <= 2 variables, where polarization
+# is exact only in char > degree.
+SMALL_CHAR_LAWS = [parse(e, v) for e, v in (
+    ("a*a - a", ("a",)), ("a*a", ("a",)), ("a*(a*a) - a", ("a",)),
+    ("(a*a)*a - a*(a*a)", ("a",)), ("(a*a)*(a*a) - a*a", ("a",)),
+    ("(a*a)*b - a*(a*b)", ("a", "b")), ("(a*b)*a - a*(b*a)", ("a", "b")),
+    ("a*b - b*a + a*a", ("a", "b")))] + [catalog_entry("gametic_jordan").poly]
+
+
+def _every_element(A):
+    p = A.field.char
+    return [{i: c for i, c in enumerate(cs) if c}
+            for cs in itertools.product(range(p), repeat=A.dim)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(((2, 3), (3, 2), (5, 2))), st.data())
+def test_check_identity_matches_brute_force_in_small_char(field, data):
+    # every decided verdict equals the law on every tuple of elements, and
+    # every failing witness re-evaluates to its value
+    p, max_dim = field
+    dim = data.draw(st.integers(1, max_dim))
+    poly = data.draw(st.sampled_from(SMALL_CHAR_LAWS))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    A = _random_table(Field.prime(p), dim, rng.random() < 0.5, rng)
+    out = check_identity(poly, A)
+    holds = all(not _oracle_value(poly, A, dict(zip(poly.variables, els)))
+                for els in itertools.product(_every_element(A),
+                                             repeat=len(poly.variables)))
+    assert out.verdict == (HOLDS if holds else FAILS)
+    if out.verdict == FAILS:
+        assert out.value
+        assert evaluate(out.witness_poly, A, out.witness) == out.value
+
+
+def _boolean_algebra(dim):
+    # F_2^dim with e_i e_i = e_i: every element is idempotent
+    return FiniteAlgebra("boolean", Field.prime(2), dim,
+                         [[{i: 1} if i == j else {} for j in range(dim)]
+                          for i in range(dim)])
+
+
+def test_small_char_routes():
+    idem = parse("a*a - a", ("a",))
+    # 2^14 elements are swept: the law holds
+    out = check_identity(idem, _boolean_algebra(14))
+    assert (out.verdict, out.checked) == (HOLDS, 2 ** 14)
+    assert "every element" in out.caveat
+    # 2^15 exceed the bound; basis elements pass, and a law with two
+    # homogeneous parts has no polarization that decides it
+    out = check_identity(idem, _boolean_algebra(15))
+    assert (out.verdict, out.checked) == (INCONCLUSIVE, 15)
+    assert "basis elements only" in out.caveat
+    assert "polarization" not in out.caveat
+    # a*a vanishes on every basis element, but its polarization does not:
+    # a failure of the law at a sum of basis elements
+    table = [[{} for _ in range(15)] for _ in range(15)]
+    table[0][1] = {0: 1}
+    A = FiniteAlgebra("square", Field.prime(2), 15, table)
+    square = parse("a*a", ("a",))
+    out = check_identity(square, A)
+    assert out.verdict == FAILS and out.witness_poly != square
+    assert "and its polarization" in out.caveat
+    assert out.witness == {"t1": A.basis(0), "t2": A.basis(1)}
+    assert evaluate(square, A, {"a": {0: 1, 1: 1}})
+
+
+def test_failing_witness_is_rechecked(monkeypatch):
+    assert idealtool.UnsoundWitnessError is UnsoundWitnessError
+    sweep = identcheck._sweep
+
+    def wrong_value(*args):
+        out = sweep(*args)
+        if out.verdict == FAILS:
+            out.value = {k: 2 * v for k, v in out.value.items()}
+        return out
+    monkeypatch.setattr(identcheck, "_sweep", wrong_value)
+    with pytest.raises(UnsoundWitnessError):
+        check_identity(COMM, gametic(2))
 
 
 def test_identity_space_reference():
@@ -460,7 +542,7 @@ SMALL_FIELDS = (Field.prime(2), F3, Field.rationals())
 def test_sweep_matches_naive_oracle(f, dim, commutative, law, seed):
     A = _random_table(f, dim, commutative, random.Random(seed))
     poly = catalog_entry(law).poly
-    out = identcheck._sweep(poly, A, range(dim))
+    out = identcheck._sweep(poly, A, [A.basis(i) for i in range(dim)])
     assert _outcome_tuple(out) == _oracle_sweep(poly, A, range(dim))
 
 
@@ -508,7 +590,7 @@ def test_reduced_sweep_matches_naive_oracle(f, dim, commutative, escapes, law,
     A = _random_window(f, dim, commutative, escapes, rng)
     idx = rng.sample(A.indices, rng.randint(1, dim))
     poly = catalog_entry(law).poly
-    out = identcheck._sweep(poly, A, idx)
+    out = identcheck._sweep(poly, A, [A.basis(i) for i in idx])
     assert _outcome_tuple(out) == _oracle_sweep(poly, A, idx)
 
 
