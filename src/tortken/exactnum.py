@@ -335,6 +335,14 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
+    def of_canonical(cls, field: Field, data: list[list]) -> "Matrix":
+        """The matrix on `data`, nonempty equal-length rows of canonical
+        scalars, adopted as they are: no coerce and no copy."""
+        m = cls.__new__(cls)
+        m.field, m.data, m.rows, m.cols = field, data, len(data), len(data[0])
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 

@@ -8,7 +8,8 @@ span, or on basis tuples with `inconclusive` where they do not decide.  Every
 failing witness is re-evaluated.  Verdicts on graded windows are always
 window-relative.
 Every evaluation runs one compiled form, `_Program`, either on one binding of
-all variables (`_Program.run`) or binding them one at a time (`_sweep`).
+all variables (`_Program.run`), on many bindings with each product memoized
+across them (`_Program.runs`), or binding them one at a time (`_sweep`).
 """
 
 from __future__ import annotations
@@ -67,16 +68,18 @@ class _Program:
 
     Nodes 0..n-1 are the variable positions; every distinct product subtree,
     shared across terms and polynomials, is one later node after its children.
-    `order[i]` lists the variable positions under node i from left to right;
-    `terms[q]` lists (field coefficient, node) of polynomial q."""
+    `order[i]` lists the variable positions under node i from left to right,
+    `shape[i]` its tree shape with the leaves as None; `terms[q]` lists
+    (field coefficient, node) of polynomial q."""
 
-    __slots__ = ("n", "products", "order", "terms")
+    __slots__ = ("n", "products", "order", "shape", "terms")
 
     def __init__(self, polys: Sequence[FreePoly], field: Field):
         variables = polys[0].variables
         self.n = len(variables)
         self.products: list[tuple[int, int]] = []
         self.order = [(i,) for i in range(self.n)]
+        self.shape: list = [None] * self.n
         pos = {v: i for i, v in enumerate(variables)}
         ids: dict = {}
         self.terms = [[(field.coerce(c), self._node(t, pos, ids))
@@ -91,7 +94,15 @@ class _Program:
             got = ids[tree] = self.n + len(self.products)
             self.products.append((l, r))
             self.order.append(self.order[l] + self.order[r])
+            self.shape.append((self.shape[l], self.shape[r]))
         return got
+
+    def memos(self) -> list[dict]:
+        """A fresh memo for each product node, keyed by the elements bound
+        to its leaves: nodes of one tree shape share one dict, since equal
+        leaf elements give them equal values."""
+        by_shape: dict = {}
+        return [by_shape.setdefault(s, {}) for s in self.shape[self.n:]]
 
     def run(self, A: Algebra, elements: Sequence) -> list[dict]:
         """Every polynomial's value in A with position i bound to elements[i]
@@ -100,6 +111,38 @@ class _Program:
         for l, r in self.products:
             val.append(A.mul(val[l], val[r]))
         return [_combine(terms, val, A.field.char) for terms in self.terms]
+
+    def runs(self, A: Algebra, substitutions: Iterable[Sequence]):
+        """For each substitution (canonical elements, one per position), the
+        list of all node values, or None when a product escapes the window.
+
+        Elements are interned by value, and each product is computed once
+        per tree shape and leaf elements across all substitutions; an
+        escape is memoized too."""
+        mul = A.mul
+        ids: dict = {}
+        nodes = [(memo, itemgetter(*order), l, r) for memo, order, (l, r)
+                 in zip(self.memos(), self.order[self.n:], self.products)]
+        for sub in substitutions:
+            at = [ids.setdefault(frozenset(e.items()), len(ids)) for e in sub]
+            val = list(sub)
+            for memo, key, l, r in nodes:
+                got = memo.get(k := key(at))
+                if got is None:
+                    try:
+                        got = mul(val[l], val[r])
+                    except OutOfWindowError:
+                        got = _ESCAPED
+                    memo[k] = got
+                if got is _ESCAPED:
+                    yield None
+                    break
+                val.append(got)
+            else:
+                yield val
+
+
+_ESCAPED = object()  # the memo entry of a product that leaves the window
 
 
 def _combine(terms: list, val: list, p: int) -> dict:
@@ -130,10 +173,9 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     outermost: that is lexicographic order, so the first failure met ends
     the sweep with the least failing assignment.  A product node is computed
     once its last leaf is bound; if its leaves miss part of the bound prefix,
-    through a memo keyed by their element positions and shared by its tree
-    shape.  An out-of-window product at level k skips and counts every
-    completion of the prefix: the node lies in some term, so each of them
-    escapes.
+    through its `_Program.memos` memo, keyed by their element positions.  An
+    out-of-window product at level k skips and counts every completion of
+    the prefix: the node lies in some term, so each of them escapes.
 
     On a closed algebra, permuting the values within a `symmetry_blocks`
     block changes the value at most by its sign, so each block is bound in
@@ -153,14 +195,11 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
             for prev, pos in zip(block, block[1:]):
                 after[pos] = prev
     levels: list[list] = [[] for _ in range(n)]  # products by last leaf
-    shape: list = [None] * n  # each node's tree shape, leaves as None
-    memos: dict = {}
-    for i, (l, r) in enumerate(prog.products, n):
-        shape.append((shape[l], shape[r]))
+    for i, (l, r), memo in zip(itertools.count(n), prog.products, prog.memos()):
         order = prog.order[i]
         k = max(order)  # the last leaf
-        memo = memos.setdefault(shape[i], {}) if len(order) <= k else None
-        levels[k].append((i, l, r, memo, itemgetter(*order)))
+        levels[k].append((i, l, r, memo if len(order) <= k else None,
+                          itemgetter(*order)))
     val: list = [None] * (n + len(prog.products))
     assign = [0] * n
     checked = skipped = 0
@@ -240,8 +279,9 @@ def _check(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
         checked, skipped = checked + out.checked, skipped + out.skipped
         if out.verdict == FAILS:
             break
+        decides = decides and out.verdict == HOLDS  # each part evaluated
     else:
-        out.verdict = HOLDS if checked and decides else INCONCLUSIVE
+        out.verdict = HOLDS if decides else INCONCLUSIVE
     out.checked, out.skipped, out.caveat = checked, skipped, caveat
     if (out.verdict == FAILS
             and evaluate(out.witness_poly, A, out.witness) != out.value):
@@ -331,33 +371,40 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     element of monomial c under substitution r; a substitution whose monomial
     evaluations are supported on several basis elements contributes one row
     per support index.  Substitutions that escape a graded window are skipped
-    and counted.  Each row streams into one echelon basis as it is made, and
-    rank, kernel and the catalog flags come from that basis: M v = 0 exactly
-    when R v = 0 for the RREF R of M.  With no substitution evaluated nothing
-    constrains the kernel, so every flag is None.
+    and counted.  Each product is computed once per tree shape and leaf
+    elements over all substitutions (`_Program.runs`).  Each row streams into
+    one echelon basis as it is made, and rank, kernel and the catalog flags
+    come from that basis: M v = 0 exactly when R v = 0 for the RREF R of M.
+    With no substitution evaluated nothing constrains the kernel, so every
+    flag is None.
     """
     monomials = multilinear_monomials(degree, True, order)
     f = A.field
     variables = [f"t{i + 1}" for i in range(degree)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
+    roots = [node for ((_, node),) in prog.terms]  # one term, coefficient 1
+
+    def elements(sub):
+        if len(sub) != degree:
+            raise ValueError(f"substitution needs {degree} elements, got {len(sub)}")
+        return [A.element(e) for e in sub]
+
     echelon = Echelon(f, len(monomials))
     rows = []
     skipped = 0
     used = 0
-    for sub in substitutions:
-        if len(sub) != degree:
-            raise ValueError(f"substitution needs {degree} elements, got {len(sub)}")
-        try:
-            evals = prog.run(A, [A.element(e) for e in sub])
-        except OutOfWindowError:
+    for val in prog.runs(A, map(elements, substitutions)):
+        if val is None:
             skipped += 1
             continue
         used += 1
+        evals = [val[i] for i in roots]
         # one row per supported basis index; a zero row when there is none
         for k in sorted(set().union(*evals)) or [None]:
             rows.append([e.get(k, f.zero) for e in evals])
             echelon.insert([(c, e[k]) for c, e in enumerate(evals) if k in e])
-    matrix = Matrix(f, rows) if rows else Matrix(f, [[f.zero] * len(monomials)])
+    # the finished runs dropped their memo; the rows are canonical already
+    matrix = Matrix.of_canonical(f, rows or [[f.zero] * len(monomials)])
     flags = {}
     for entry in catalog():
         if (entry.degree != degree or len(entry.variables) != degree
@@ -494,9 +541,10 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
     entry = catalog_entry("tortken_prime")
     prog = _Program([entry.poly], A.field)
     basis = [A.basis(i) for i in range(O.dim)]
-    for checked, assign in enumerate(
-            itertools.product(range(O.dim), repeat=4), 1):
-        diff = prog.run(A, [basis[i] for i in assign])[0]
+    assigns, subs = itertools.tee(itertools.product(range(O.dim), repeat=4))
+    vals = prog.runs(A, ([basis[i] for i in a] for a in subs))
+    for checked, (assign, val) in enumerate(zip(assigns, vals), 1):
+        diff = _combine(prog.terms[0], val, 3)
         i, j, k, l = assign
         quad = O.mul(O.mul(O.basis(i), O.basis(j)), O.mul(O.basis(k), O.basis(l)))
         for t, c in quad.items():  # minus 2 * D^3(quad)

@@ -90,6 +90,14 @@ def test_check_identity_on_a_window_is_window_relative():
     assert out.verdict == HOLDS and out.skipped > 0 and out.caveat is None
 
 
+def test_windowed_inconclusive_when_a_polarization_part_is_never_evaluable():
+    # on x^1 of the 0..6 window, (a*a)*(a*a) always escapes while the
+    # commutator part evaluates once: nothing decides the degree-4 part
+    poly = parse("(a*a)*(a*a) + a*b - b*a", ("a", "b"))
+    out = check_identity_windowed(poly, integration_product(6), [1])
+    assert (out.verdict, out.checked, out.skipped) == (INCONCLUSIVE, 1, 1)
+
+
 _WINDOWS = {"integration": lambda: integration_product(6),
             "laurent": lambda: osborn_laurent("1/2", 0, -3, 3, "jordan")}
 
@@ -641,6 +649,85 @@ def test_identity_space_rows_match_naive_oracle(f, dim, commutative, degree,
         want = (all(f.is_zero(x) for x in dense_mul_vec(f, M, vec))
                 if used else None)
         assert flag is want, name
+
+
+def _reference_space(degree, A, substitutions):
+    """Rows and skips of the identity space with every substitution run on
+    its own by `_Program.run`: no memo shared across substitutions."""
+    f = A.field
+    variables = [f"t{i + 1}" for i in range(degree)]
+    prog = identcheck._Program(
+        [FreePoly.monomial(m, variables)
+         for m in multilinear_monomials(degree, True)], f)
+    rows, skipped = [], 0
+    for sub in substitutions:
+        try:
+            evals = prog.run(A, [A.element(e) for e in sub])
+        except OutOfWindowError:
+            skipped += 1
+            continue
+        rows += ([[e.get(k, f.zero) for e in evals]
+                  for k in sorted(set().union(*evals))]
+                 or [[f.zero] * len(evals)])
+    return rows, skipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((Field.prime(2), F3, F5, None, "integration")),
+       st.integers(1, 3), st.booleans(), st.integers(3, 4),
+       st.integers(0, 2**32))
+def test_memoized_identity_space_matches_per_substitution_runs(
+        f, dim, commutative, degree, seed):
+    # A closed F_p table, or a Q window where some substitutions escape.
+    # The element pool holds basis elements, random combinations and, for
+    # each, an equal element as a distinct dict (over F_p with coefficients
+    # off by p); substitutions draw from it with repetition.
+    rng = random.Random(seed)
+    if f is None:
+        A = osborn_laurent(Fraction(1, 2), 0, -4, 4, "jordan")
+        idx = list(range(-2, 3))
+    elif f == "integration":
+        A = integration_product(8)
+        idx = list(range(3))
+    else:
+        A = _random_table(f, dim, commutative, rng)
+        idx = list(range(dim))
+    p = A.field.char
+
+    def scalar():
+        return (rng.randint(-3, 3) if p
+                else Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+
+    pool = [A.basis(i) for i in idx]
+    pool += [{i: c for i in rng.sample(idx, rng.randint(1, len(idx)))
+              if (c := scalar())} for _ in range(3)]
+    pool += [{k: c + p for k, c in e.items()} for e in pool]
+    subs = [tuple(rng.choice(pool) for _ in range(degree)) for _ in range(12)]
+    rep = identity_space(degree, A, subs)
+    rows, skipped = _reference_space(degree, A, subs)
+    assert (rep.substitution_count, rep.skipped) == (len(subs) - skipped,
+                                                     skipped)
+    f = A.field
+    M = rows or [[f.zero] * rep.matrix.cols]
+    assert rep.matrix.data == M
+    assert rep.rank == dense_rref(f, M)[1]
+    assert rep.nullspace == dense_nullspace(f, M, len(M[0]))
+
+
+def test_identity_space_computes_each_product_once(monkeypatch):
+    # every basis substitution on dim 5: a product is computed once per tree
+    # shape and leaf elements, not once per substitution (20625 and 687500)
+    A = plus(osborn(1, 1, 5, 1))
+    calls = []
+    mul = type(A).mul
+    monkeypatch.setattr(type(A), "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    for degree, want in ((4, 1400), (5, 10775)):
+        calls.clear()
+        subs = [tuple(A.basis(i) for i in t)
+                for t in itertools.product(range(A.dim), repeat=degree)]
+        identity_space(degree, A, subs)
+        assert len(calls) == want, degree
 
 
 def test_alt_right_mult_agrees_with_operator_oracle():
