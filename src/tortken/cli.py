@@ -362,10 +362,8 @@ def _reproduce_tortken_prime() -> str:
         rel = tortken_prime_relation(m)
         lines.append(f"tortken_prime - 2*D^3(abcd) on divided_power(3,{m}): "
                      f"{rel.verdict} (checked {rel.checked})")
-    O1 = algebras.divided_power(3, 1)
-    A1 = algebras.derivation_symmetric(O1, algebras.standard_derivation(O1))
-    O2 = algebras.divided_power(3, 2)
-    A2 = algebras.derivation_symmetric(O2, algebras.standard_derivation(O2))
+    A1, A2 = (algebras.derivation_symmetric(O, algebras.standard_derivation(O))
+              for O in (algebras.divided_power(3, m) for m in (1, 2)))
     tp = catalog_entry("tortken_prime").poly
     lines.append(f"tortken_prime alone on (3,1): "
                  f"{check_identity(tp, A1).verdict}")

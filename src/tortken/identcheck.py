@@ -8,8 +8,9 @@ span, or on basis tuples with `inconclusive` where they do not decide.  Every
 failing witness is re-evaluated.  Verdicts on graded windows are always
 window-relative.
 Every evaluation runs one compiled form, `_Program`, either on one binding of
-all variables (`_Program.run`), on many bindings with each product memoized
-across them (`_Program.runs`), or binding them one at a time (`_sweep`).
+all variables (`_Program.run`), or on the ids of a per-call cache of values
+and products (`_Products`): on many bindings (`_Program.runs`) or binding
+them one at a time (`_sweep`).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class CheckOutcome:
     value: dict | None = None            # the nonzero evaluation
     witness_poly: FreePoly | None = None  # what the witness falsifies
     caveat: str | None = None
+    orbits: int = 0  # assignments evaluated; `checked` counts whole orbits
 
     @property
     def holds(self) -> bool:
@@ -68,18 +70,15 @@ class _Program:
 
     Nodes 0..n-1 are the variable positions; every distinct product subtree,
     shared across terms and polynomials, is one later node after its children.
-    `order[i]` lists the variable positions under node i from left to right,
-    `shape[i]` its tree shape with the leaves as None; `terms[q]` lists
-    (field coefficient, node) of polynomial q."""
+    `products` lists them as (node, left child, right child) and `terms[q]`
+    lists (field coefficient, node) of polynomial q."""
 
-    __slots__ = ("n", "products", "order", "shape", "terms")
+    __slots__ = ("n", "products", "terms")
 
     def __init__(self, polys: Sequence[FreePoly], field: Field):
         variables = polys[0].variables
         self.n = len(variables)
-        self.products: list[tuple[int, int]] = []
-        self.order = [(i,) for i in range(self.n)]
-        self.shape: list = [None] * self.n
+        self.products: list[tuple[int, int, int]] = []
         pos = {v: i for i, v in enumerate(variables)}
         ids: dict = {}
         self.terms = [[(field.coerce(c), self._node(t, pos, ids))
@@ -92,57 +91,64 @@ class _Program:
         if got is None:
             l, r = (self._node(t, pos, ids) for t in tree)
             got = ids[tree] = self.n + len(self.products)
-            self.products.append((l, r))
-            self.order.append(self.order[l] + self.order[r])
-            self.shape.append((self.shape[l], self.shape[r]))
+            self.products.append((got, l, r))
         return got
-
-    def memos(self) -> list[dict]:
-        """A fresh memo for each product node, keyed by the elements bound
-        to its leaves: nodes of one tree shape share one dict, since equal
-        leaf elements give them equal values."""
-        by_shape: dict = {}
-        return [by_shape.setdefault(s, {}) for s in self.shape[self.n:]]
 
     def run(self, A: Algebra, elements: Sequence) -> list[dict]:
         """Every polynomial's value in A with position i bound to elements[i]
         (None where unused), each node computed once."""
         val = list(elements)
-        for l, r in self.products:
+        for _, l, r in self.products:
             val.append(A.mul(val[l], val[r]))
         return [_combine(terms, val, A.field.char) for terms in self.terms]
 
-    def runs(self, A: Algebra, substitutions: Iterable[Sequence]):
-        """For each substitution (canonical elements, one per position), the
-        list of all node values, or None when a product escapes the window.
-
-        Elements are interned by value, and each product is computed once
-        per tree shape and leaf elements across all substitutions; an
-        escape is memoized too."""
-        mul = A.mul
-        ids: dict = {}
-        nodes = [(memo, itemgetter(*order), l, r) for memo, order, (l, r)
-                 in zip(self.memos(), self.order[self.n:], self.products)]
+    def runs(self, products: "_Products", substitutions: Iterable[Sequence]):
+        """Per substitution (ids of `products`, one per position), the ids of
+        all node values, or None when a product escapes the window."""
         for sub in substitutions:
-            at = [ids.setdefault(frozenset(e.items()), len(ids)) for e in sub]
-            val = list(sub)
-            for memo, key, l, r in nodes:
-                got = memo.get(k := key(at))
-                if got is None:
-                    try:
-                        got = mul(val[l], val[r])
-                    except OutOfWindowError:
-                        got = _ESCAPED
-                    memo[k] = got
-                if got is _ESCAPED:
-                    yield None
-                    break
-                val.append(got)
-            else:
-                yield val
+            val = list(sub) + [0] * len(self.products)
+            yield val if products.fill(val, self.products) else None
 
 
-_ESCAPED = object()  # the memo entry of a product that leaves the window
+_ESCAPED = object()  # the cached product of a pair that leaves the window
+
+
+class _Products(dict):
+    """One call's products in A on elements interned by canonical value.
+
+    `intern(e)` is e's id, 0 for the zero element, and `els[id]` the element.
+    A pair of ids maps to the id of their product, from `A.mul` on its first
+    lookup only, or to `_ESCAPED` if it leaves the window.  A zero operand
+    gives 0 with no lookup: `A.mul` returns {} on it and never raises."""
+
+    __slots__ = ("A", "ids", "els")
+
+    def __init__(self, A: Algebra):
+        self.A, self.ids, self.els = A, {frozenset(): 0}, [{}]
+
+    def intern(self, e: dict) -> int:
+        got = self.ids.setdefault(frozenset(e.items()), len(self.els))
+        if got == len(self.els):
+            self.els.append(e)
+        return got
+
+    def fill(self, val: list, nodes: Iterable) -> bool:
+        """Set val[i] to the product id of val[l] and val[r] for each node
+        (i, l, r) in turn; False at the first that escapes."""
+        for i, l, r in nodes:
+            a, b = val[l], val[r]
+            if (got := self[a, b] if a and b else 0) is _ESCAPED:
+                return False
+            val[i] = got
+        return True
+
+    def __missing__(self, pair: tuple[int, int]):
+        try:
+            got = self.intern(self.A.mul(*map(self.els.__getitem__, pair)))
+        except OutOfWindowError:
+            got = _ESCAPED
+        self[pair] = got
+        return got
 
 
 def _combine(terms: list, val: list, p: int) -> dict:
@@ -172,37 +178,42 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     Variables are bound depth first in the given element order, the first
     outermost: that is lexicographic order, so the first failure met ends
     the sweep with the least failing assignment.  A product node is computed
-    once its last leaf is bound; if its leaves miss part of the bound prefix,
-    through its `_Program.memos` memo, keyed by their element positions.  An
-    out-of-window product at level k skips and counts every completion of
-    the prefix: the node lies in some term, so each of them escapes.
+    once its last leaf is bound, as an id of one `_Products` cache; the law's
+    value depends only on the ids of its term nodes, so it is combined once
+    per tuple of them.  An out-of-window product at level k skips and counts
+    every completion of the prefix: the node lies in some term, so each of
+    them escapes.
 
     On a closed algebra, permuting the values within a `symmetry_blocks`
     block changes the value at most by its sign, so each block is bound in
     non-decreasing element-list order: one assignment per orbit, the
     lex-least, and the least failing assignment is still met first.  The
-    counters stay in assignment units, as if every assignment were visited.
+    counters stay in assignment units, as if every assignment were visited;
+    `orbits` counts the assignments evaluated.
     """
     prog = _Program([poly], A.field)
     n = prog.n
     if n == 0:  # only the zero polynomial has no variables
-        return CheckOutcome(HOLDS, 1, 0)
+        return CheckOutcome(HOLDS, 1, 0, orbits=1)
     dim = len(elements)
-    mul = A.mul
+    prod = _Products(A)
+    ids = [prod.intern(e) for e in elements]
     after: list = [None] * n  # each position's predecessor in its block
     if A.closed:
         for block in symmetry_blocks(poly, A.is_commutative()):
             for prev, pos in zip(block, block[1:]):
                 after[pos] = prev
+    last = list(range(n))  # each node's last leaf
     levels: list[list] = [[] for _ in range(n)]  # products by last leaf
-    for i, (l, r), memo in zip(itertools.count(n), prog.products, prog.memos()):
-        order = prog.order[i]
-        k = max(order)  # the last leaf
-        levels[k].append((i, l, r, memo if len(order) <= k else None,
-                          itemgetter(*order)))
-    val: list = [None] * (n + len(prog.products))
+    for node in prog.products:
+        last.append(max(last[node[1]], last[node[2]]))
+        levels[last[-1]].append(node)
+    terms = prog.terms[0]  # key: the term node ids; a law that cancels has none
+    key = itemgetter(*(i for _, i in terms)) if terms else (lambda val: ())
+    vanishing: set = set()  # keys at which the law is zero
+    val: list = [0] * (n + len(prog.products))
     assign = [0] * n
-    checked = skipped = 0
+    skipped = orbits = 0
     todo = [iter(range(dim))]  # positions left to bind, one iterator per level
     while todo:
         k = len(todo) - 1
@@ -211,33 +222,29 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
             todo.pop()
             continue
         assign[k] = x
-        val[k] = elements[x]
-        try:
-            for i, l, r, memo, key in levels[k]:
-                if memo is None:
-                    val[i] = mul(val[l], val[r])
-                elif (got := memo.get(kk := key(assign))) is not None:
-                    val[i] = got
-                else:
-                    val[i] = memo[kk] = mul(val[l], val[r])
-        except OutOfWindowError:
+        val[k] = ids[x]
+        if not prod.fill(val, levels[k]):
             skipped += dim ** (n - 1 - k)
             continue
         if k < n - 1:
             j = after[k + 1]
             todo.append(iter(range(0 if j is None else assign[j], dim)))
             continue
-        checked += 1
-        value = _combine(prog.terms[0], val, A.field.char)
+        orbits += 1
+        if (at := key(val)) in vanishing:
+            continue
+        value = _combine(terms, [prod.els[v] for v in val], A.field.char)
         if value:
             witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
-            if A.closed:  # its 1-based rank among all assignments
-                checked = 1 + sum(a * dim ** (n - 1 - t)
-                                  for t, a in enumerate(assign))
-            return CheckOutcome(FAILS, checked, skipped, witness, value, poly)
-    if A.closed:
-        checked = dim ** n
-    return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped)
+            # on a closed algebra, its 1-based rank among all assignments
+            checked = (1 + sum(a * dim ** (n - 1 - t) for t, a in enumerate(assign))
+                       if A.closed else orbits)
+            return CheckOutcome(FAILS, checked, skipped, witness, value, poly,
+                                orbits=orbits)
+        vanishing.add(at)
+    checked = dim ** n if A.closed else orbits
+    return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped,
+                        orbits=orbits)
 
 
 # The most assignments of every element swept in small characteristic (the
@@ -273,16 +280,17 @@ def _check(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
         decides = False
         caveat += (f" swept on basis elements only ({p}^{slots} assignments "
                    f"of every element exceed {FULL_SWEEP_BOUND})")
-    checked = skipped = 0
+    checked = skipped = orbits = 0
     for law in laws:  # to the first failure, counters summed
         out = _sweep(law, A, els)
-        checked, skipped = checked + out.checked, skipped + out.skipped
+        checked, skipped, orbits = (checked + out.checked, skipped + out.skipped,
+                                    orbits + out.orbits)
         if out.verdict == FAILS:
             break
         decides = decides and out.verdict == HOLDS  # each part evaluated
     else:
         out.verdict = HOLDS if decides else INCONCLUSIVE
-    out.checked, out.skipped, out.caveat = checked, skipped, caveat
+    out.checked, out.skipped, out.orbits, out.caveat = checked, skipped, orbits, caveat
     if (out.verdict == FAILS
             and evaluate(out.witness_poly, A, out.witness) != out.value):
         raise UnsoundWitnessError(f"{A.name}: witness of "
@@ -371,40 +379,39 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     element of monomial c under substitution r; a substitution whose monomial
     evaluations are supported on several basis elements contributes one row
     per support index.  Substitutions that escape a graded window are skipped
-    and counted.  Each product is computed once per tree shape and leaf
-    elements over all substitutions (`_Program.runs`).  Each row streams into
-    one echelon basis as it is made, and rank, kernel and the catalog flags
-    come from that basis: M v = 0 exactly when R v = 0 for the RREF R of M.
-    With no substitution evaluated nothing constrains the kernel, so every
-    flag is None.
+    and counted.  All substitutions run on one `_Products` cache, so each pair
+    of operand values is multiplied once.  Each row streams into one echelon
+    basis as it is made, and rank, kernel and the catalog flags come from
+    that basis: M v = 0 exactly when R v = 0 for the RREF R of M.  With no
+    substitution evaluated nothing constrains the kernel, so every flag is
+    None.
     """
     monomials = multilinear_monomials(degree, True, order)
     f = A.field
     variables = [f"t{i + 1}" for i in range(degree)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
     roots = [node for ((_, node),) in prog.terms]  # one term, coefficient 1
+    prod = _Products(A)
 
-    def elements(sub):
+    def ids(sub):
         if len(sub) != degree:
             raise ValueError(f"substitution needs {degree} elements, got {len(sub)}")
-        return [A.element(e) for e in sub]
+        return [prod.intern(A.element(e)) for e in sub]
 
     echelon = Echelon(f, len(monomials))
     rows = []
-    skipped = 0
-    used = 0
-    for val in prog.runs(A, map(elements, substitutions)):
+    skipped = used = 0
+    for val in prog.runs(prod, map(ids, substitutions)):
         if val is None:
             skipped += 1
             continue
         used += 1
-        evals = [val[i] for i in roots]
+        evals = [prod.els[val[i]] for i in roots]
         # one row per supported basis index; a zero row when there is none
         for k in sorted(set().union(*evals)) or [None]:
             rows.append([e.get(k, f.zero) for e in evals])
             echelon.insert([(c, e[k]) for c, e in enumerate(evals) if k in e])
-    # the finished runs dropped their memo; the rows are canonical already
-    matrix = Matrix.of_canonical(f, rows or [[f.zero] * len(monomials)])
+    matrix = Matrix.of_canonical(f, rows or [[f.zero] * len(monomials)])  # canonical
     flags = {}
     for entry in catalog():
         if (entry.degree != degree or len(entry.variables) != degree
@@ -486,27 +493,19 @@ def verify_reference_solutions(report: IdentitySpaceReport) -> bool:
     the tortken polynomial in the variable order t1, t3, t2, t4."""
     if report.degree != 4 or report.matrix.cols != 15:
         raise ReportMismatchError("need a degree-4 report on the 15-monomial basis")
-    f = report.matrix.field
-    M = report.matrix
-    for v in REFERENCE_DEG4_SOLUTIONS:
-        if any(not f.is_zero(x) for x in M.mul_vec([f.coerce(c) for c in v])):
-            return False
-    if report.nullity != 5 or len(report.nullspace) != 5:
-        return False
-    for v in report.nullspace:
-        for dep, combo in REFERENCE_MU_RELATIONS.items():
-            if v[dep] != f.coerce(sum(sign * v[free] for free, sign in combo)):
-                return False
-    for i in range(1, 6):
-        entry = catalog_entry(f"deg4_basis_{i}")
-        vec = [f.coerce(c) for c in mu_vector(entry.poly, report.monomials)]
-        if any(not f.is_zero(x) for x in M.mul_vec(vec)):
-            return False
+    f, M = report.matrix.field, report.matrix
+    kernel = list(REFERENCE_DEG4_SOLUTIONS) + [
+        mu_vector(catalog_entry(f"deg4_basis_{i}").poly, report.monomials)
+        for i in range(1, 6)]
     tort = catalog_entry("tortken").poly.rename_variables(
         {"a": "t1", "b": "t3", "c": "t2", "d": "t4"})
-    if tort.terms != catalog_entry("deg4_basis_2").poly.terms:
-        return False
-    return True
+    return (all(f.is_zero(x) for v in kernel
+                for x in M.mul_vec([f.coerce(c) for c in v]))
+            and report.nullity == 5 == len(report.nullspace)
+            and all(v[dep] == f.coerce(sum(sign * v[free] for free, sign in combo))
+                    for v in report.nullspace
+                    for dep, combo in REFERENCE_MU_RELATIONS.items())
+            and tort.terms == catalog_entry("deg4_basis_2").poly.terms)
 
 
 # -- small reproductions -------------------------------------------------------
@@ -524,12 +523,19 @@ class Degree3System:
 
 def degree3_system() -> Degree3System:
     row = lambda i, j, s: (i + j + 2, j + s + 2, s + i + 2)
-    m = Matrix(Field.rationals(),
-               [row(1, 2, 3), row(2, 3, 1), row(3, 1, 2)])
-    d = m.det()
+    m = Matrix(Field.rationals(), [row(1, 2, 3), row(2, 3, 1), row(3, 1, 2)])
     f3 = Field.prime(3)
     m3 = Matrix(f3, [row(1, 1, 0), row(1, 0, 1), row(0, 1, 1)])
-    return Degree3System(m, abs(d), m3, not f3.is_zero(m3.det()))
+    return Degree3System(m, abs(m.det()), m3, not f3.is_zero(m3.det()))
+
+
+def _basis_values(poly: FreePoly, A: Algebra, assigns: Iterable) -> Iterable[dict]:
+    """poly's value in the closed algebra A at each tuple of basis indices,
+    all on one `_Products` cache."""
+    prog, prod = _Program([poly], A.field), _Products(A)
+    basis = [prod.intern(A.basis(i)) for i in A.indices]
+    for val in prog.runs(prod, ([basis[i] for i in t] for t in assigns)):
+        yield _combine(prog.terms[0], [prod.els[i] for i in val], A.field.char)
 
 
 def tortken_prime_relation(m: int) -> CheckOutcome:
@@ -539,19 +545,15 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
     O = divided_power(3, m)
     A = derivation_symmetric(O, standard_derivation(O))
     entry = catalog_entry("tortken_prime")
-    prog = _Program([entry.poly], A.field)
-    basis = [A.basis(i) for i in range(O.dim)]
-    assigns, subs = itertools.tee(itertools.product(range(O.dim), repeat=4))
-    vals = prog.runs(A, ([basis[i] for i in a] for a in subs))
-    for checked, (assign, val) in enumerate(zip(assigns, vals), 1):
-        diff = _combine(prog.terms[0], val, 3)
-        i, j, k, l = assign
-        quad = O.mul(O.mul(O.basis(i), O.basis(j)), O.mul(O.basis(k), O.basis(l)))
-        for t, c in quad.items():  # minus 2 * D^3(quad)
+    v = entry.variables  # the reference side (v0 v1)(v2 v3) is taken in O
+    quad = FreePoly.monomial(((v[0], v[1]), (v[2], v[3])), v)
+    assigns = list(itertools.product(range(O.dim), repeat=4))
+    sides = zip(_basis_values(entry.poly, A, assigns), _basis_values(quad, O, assigns))
+    for checked, (assign, (diff, ref)) in enumerate(zip(assigns, sides), 1):
+        for t, c in ref.items():  # minus 2 * D^3(quad)
             if t >= 3:
                 diff[t - 3] = (diff.get(t - 3, 0) - 2 * c) % 3
-        diff = {t: c for t, c in diff.items() if c}
-        if diff:
-            witness = {v: basis[x] for v, x in zip(entry.variables, assign)}
+        if diff := {t: c for t, c in diff.items() if c}:
+            witness = {x: A.basis(i) for x, i in zip(v, assign)}
             return CheckOutcome(FAILS, checked, 0, witness, diff, entry.poly)
     return CheckOutcome(HOLDS, O.dim ** 4, 0)

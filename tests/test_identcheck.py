@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -21,7 +22,8 @@ from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
                               p2_product, plus, random_commutative,
                               square_product, standard_derivation, twist)
 from tortken.freepoly import (FreePoly, catalog, catalog_entry,
-                              multilinear_monomials, mu_vector, parse)
+                              multilinear_monomials, mu_vector, parse,
+                              symmetry_blocks)
 from tortken.identcheck import (FAILS, HOLDS, INCONCLUSIVE,
                                 REFERENCE_DEG4_MATRIX, check_identity,
                                 check_identity_windowed, degree3_system,
@@ -602,17 +604,117 @@ def test_reduced_sweep_matches_naive_oracle(f, dim, commutative, escapes, law,
     assert _outcome_tuple(out) == _oracle_sweep(poly, A, idx)
 
 
-def test_sweep_visits_one_assignment_per_orbit(monkeypatch):
+def test_sweep_visits_one_assignment_per_orbit():
     # tortken on a commutative algebra: blocks {a, c} and {b, d}, so a dim-3
     # sweep evaluates one assignment per pair of 2-multisets, 6 * 6 of 81
     A = plus(osborn(1, 1, 3, 1))
-    calls = []
-    combine = identcheck._combine
-    monkeypatch.setattr(identcheck, "_combine",
-                        lambda *a: calls.append(1) or combine(*a))
     out = check_identity(TORTKEN, A)
     assert (out.verdict, out.checked, out.skipped) == (HOLDS, 81, 0)
-    assert len(calls) == 36
+    assert out.orbits == 36
+
+
+def _quotient_ring(f, coeffs):
+    """F_p[x]/(x^d - sum_k coeffs[k] x^k) on the basis 1, x, .., x^(d-1): a
+    commutative associative table, where every multilinear law whose
+    coefficients sum to 0 holds."""
+    d, p = len(coeffs), f.char
+    powers = [{i: 1} for i in range(d)]
+    for _ in range(d - 1):  # x^d .. x^(2d-2)
+        nxt = {}
+        for k, c in powers[-1].items():
+            for j, cj in ([(k + 1, 1)] if k + 1 < d else enumerate(coeffs)):
+                nxt[j] = nxt.get(j, 0) + c * cj
+        powers.append({k: v % p for k, v in nxt.items() if v % p})
+    table = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return FiniteAlgebra("quotient", f, d, table)
+
+
+COMMUTATIVE_ASSOCIATIVE_LAWS = [
+    e.name for e in catalog() if e.poly.is_multilinear()
+    and 2 <= e.degree <= 5 and sum(e.poly.terms.values()) == 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((Field.prime(2), F3, F5)), st.integers(1, 4),
+       st.sampled_from(COMMUTATIVE_ASSOCIATIVE_LAWS), st.booleans(),
+       st.integers(0, 2**32))
+def test_orbit_count_is_the_number_of_block_multisets(f, dim, law, windowed,
+                                                      seed):
+    # closed: one evaluated assignment per multiset of values on each
+    # symmetry block; a window is swept in full, so orbits == checked
+    rng = random.Random(seed)
+    poly = catalog_entry(law).poly
+    if windowed:
+        A = osborn_laurent(1, 0, -3, 3, "jordan")
+        start = rng.randint(-3, 3 - dim + 1)
+        out = check_identity_windowed(poly, A, range(start, start + dim))
+        assert out.orbits == out.checked
+        return
+    A = _quotient_ring(f, [rng.randrange(f.char) for _ in range(dim)])
+    out = check_identity(poly, A)
+    assert out.verdict == HOLDS
+    blocks = [b for b in symmetry_blocks(poly, A.is_commutative())
+              if len(b) > 1]
+    free = len(poly.variables) - sum(map(len, blocks))
+    want = dim ** free
+    for b in blocks:
+        want *= math.comb(dim + len(b) - 1, len(b))
+    assert out.orbits == want
+
+
+def test_each_operand_pair_is_multiplied_once(monkeypatch):
+    # one product cache per call: no pair of operand values reaches `mul`
+    # twice, an escaping pair included
+    pairs = []
+    mul = FiniteAlgebra.mul
+
+    def traced(self, a, b):
+        pairs.append((id(self), frozenset(a.items()), frozenset(b.items())))
+        return mul(self, a, b)
+
+    made = identcheck.derivation_symmetric
+
+    def built(O, D):  # tortken_prime_relation's set-up multiplies too
+        A = made(O, D)
+        pairs.clear()
+        return A
+
+    A = plus(osborn(1, 1, 3, 2))
+    B = plus(osborn(1, 1, 5, 1))
+    L = osborn_laurent(1, 0, -3, 3, "jordan")
+    monkeypatch.setattr(FiniteAlgebra, "mul", traced)
+    monkeypatch.setattr(GradedAlgebra, "mul", traced)
+    monkeypatch.setattr(identcheck, "derivation_symmetric", built)
+    calls = [lambda: check_identity(TORTKEN, A),
+             lambda: check_identity_windowed(TORTKEN, L, range(-2, 3)),
+             lambda: tortken_prime_relation(1)]
+    for degree in (4, 5):
+        subs = [tuple(B.basis(i) for i in t)
+                for t in itertools.product(range(B.dim), repeat=degree)]
+        calls.append(lambda d=degree, s=subs: identity_space(d, B, s))
+    outs = []
+    for call in calls:
+        pairs.clear()
+        outs.append(call())
+        assert pairs and len(set(pairs)) == len(pairs)
+    assert outs[1].skipped > 0  # the window's escapes were met
+
+
+def test_law_whose_terms_cancel():
+    # no terms, two variables: nothing is multiplied, every assignment holds
+    zero = parse("a*b - a*b", ("a", "b"))
+    assert not zero.terms
+    out = check_identity(zero, plus(osborn(1, 1, 3, 1)))
+    assert (out.verdict, out.checked, out.skipped, out.orbits) == (HOLDS, 9, 0, 6)
+    L = osborn_laurent(1, 0, -3, 3, "jordan")
+    out = check_identity_windowed(zero, L, range(-2, 3))
+    assert (out.verdict, out.checked, out.skipped, out.orbits) == (HOLDS, 25, 0, 25)
+    # every substitution escapes: nothing constrains the kernel
+    subs = [(L.basis(3),) * 4, (L.basis(-3), L.basis(-3), L.basis(3), L.basis(2))]
+    rep = identity_space(4, L, subs)
+    assert (rep.substitution_count, rep.skipped, rep.rank) == (0, 2, 0)
+    assert rep.nullity == 15
+    assert rep.flags and all(v is None for v in rep.flags.values())
 
 
 @settings(max_examples=25, deadline=None)
@@ -715,14 +817,15 @@ def test_memoized_identity_space_matches_per_substitution_runs(
 
 
 def test_identity_space_computes_each_product_once(monkeypatch):
-    # every basis substitution on dim 5: a product is computed once per tree
-    # shape and leaf elements, not once per substitution (20625 and 687500)
+    # every basis substitution on dim 5: a product is computed once per pair
+    # of operand values, not once per substitution (20625 and 687500) or per
+    # tree shape and leaf elements (1400 and 10775)
     A = plus(osborn(1, 1, 5, 1))
     calls = []
     mul = type(A).mul
     monkeypatch.setattr(type(A), "mul",
                         lambda self, a, b: calls.append(1) or mul(self, a, b))
-    for degree, want in ((4, 1400), (5, 10775)):
+    for degree, want in ((4, 125), (5, 200)):
         calls.clear()
         subs = [tuple(A.basis(i) for i in t)
                 for t in itertools.product(range(A.dim), repeat=degree)]
