@@ -102,7 +102,7 @@ class _Program:
             val.append(A.mul(val[l], val[r]))
         return [_combine(terms, val, A.field.char) for terms in self.terms]
 
-    def runs(self, products: "_Products", substitutions: Iterable[Sequence]):
+    def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
         all node values, or None when a product escapes the window."""
         for sub in substitutions:
