@@ -108,25 +108,16 @@ class Algebra:
             raise ValueError("repeated basis index")
         self.label = label
         self._escapes: dict = {}  # (i, j) -> full product, for escaping pairs
-        rows = []
+        self.table: dict = {}  # i -> j -> product pairs, None where it escapes
         for i in self.indices:
-            row = []
+            row = self.table[i] = {}
             for j in self.indices:
                 ent = _normalize(field, rule(i, j))
                 if any(k not in self.position for k, _ in ent):
                     self._escapes[i, j] = ent
                     ent = None
-                row.append(ent)
-            rows.append(self._by_index(row))
-        self.table = self._by_index(rows)
+                row[j] = ent
         self.closed = not self._escapes
-
-    def _by_index(self, values: list):
-        """Values keyed by basis index: a tuple when the indices are 0..dim-1,
-        the faster lookup in `mul`, else a dict."""
-        if self.indices == tuple(range(self.dim)):
-            return tuple(values)
-        return dict(zip(self.indices, values))
 
     # -- elements ---------------------------------------------------------
 

@@ -4,8 +4,8 @@ No floating point anywhere: rationals are arbitrary-precision `fractions.Fractio
 (always in lowest terms with positive denominator), prime-field residues are plain
 ints kept reduced in [0, p).  Matrices are dense and row-major.  `Echelon`, an
 incremental reduced row echelon basis, is the one elimination kernel: `Matrix`
-RREF, rank, nullspace and solve, the spans of `idealtool.Subspace` and identity
-spaces all run through it.  Only `Matrix.det` eliminates on its own (Bareiss).
+RREF, rank, nullspace, solve and determinant, the spans of `idealtool.Subspace`
+and identity spaces all run through it.
 """
 
 from __future__ import annotations
@@ -388,29 +388,25 @@ class Matrix:
         return self._echelon().nullspace()
 
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination with row swaps."""
+        """Exact determinant.  The rows go into one `Echelon` in order; a row
+        whose residue is zero makes it 0.  Subtracting earlier rows from a
+        later one keeps the determinant, and the residues form a triangular
+        matrix once the columns are put in pivot order, so the determinant is
+        the product of the residues' pivot entries, each negated when its
+        pivot is at an odd position among the free columns."""
         if self.rows != self.cols:
             raise NotSquareError(f"{self.rows}x{self.cols}")
         f = self.field
-        n = self.rows
-        m = [row[:] for row in self.data]
-        sign = 1
-        prev = f.one
-        for k in range(n - 1):
-            pr = next((i for i in range(k, n) if not f.is_zero(m[i][k])), None)
-            if pr is None:
+        ech = Echelon(f, self.cols)
+        d = f.one
+        for row in self.data:
+            r = ech._residue(enumerate(row))
+            k = next((t for t, x in enumerate(r) if x), None)
+            if k is None:
                 return f.zero
-            if pr != k:
-                m[k], m[pr] = m[pr], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = f.sub(f.mul(m[i][j], m[k][k]), f.mul(m[i][k], m[k][j]))
-                    m[i][j] = f.div(num, prev)
-                m[i][k] = f.zero
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
-        return f.neg(d) if sign < 0 else d
+            d = f.mul(d, f.neg(r[k]) if k % 2 else r[k])
+            ech.insert(enumerate(row))
+        return d
 
     def solve(self, rhs: Sequence):
         """One exact solution of M x = rhs (free variables zero), or None."""

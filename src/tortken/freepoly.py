@@ -153,15 +153,10 @@ class FreePoly:
         return all(sorted(tree_leaves(t)) == want for t in self.terms)
 
     def rename_variables(self, mapping: dict[str, str]) -> "FreePoly":
-        def sub(t: Tree) -> Tree:
-            if isinstance(t, str):
-                return mapping.get(t, t)
-            return (sub(t[0]), sub(t[1]))
-
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         out: dict[Tree, Fraction] = {}
         for t, c in self.terms.items():
-            nt = sub(t)
+            nt = _label(t, [mapping.get(v, v) for v in tree_leaves(t)])
             out[nt] = out.get(nt, Fraction(0)) + c
         return FreePoly(new_vars, out)
 
@@ -359,10 +354,12 @@ def _shapes(n: int) -> list[Tree]:
 
 
 def _label(shape, names: Sequence[str]) -> Tree:
+    """The tree of `shape` with its leaves, None placeholders or variable
+    names, replaced by `names` from left to right."""
     it = iter(names)
 
     def go(s):
-        if s is None:
+        if not isinstance(s, tuple):
             return next(it)
         return (go(s[0]), go(s[1]))
 
@@ -456,14 +453,12 @@ def symmetry_blocks(poly: FreePoly, commutative: bool = False) -> list[tuple]:
     for t, c in poly.terms.items():
         form[norm(t)] = form.get(norm(t), 0) + c
 
-    def swap(t: Tree, a: str, b: str) -> Tree:
-        if isinstance(t, str):
-            return b if t == a else a if t == b else t
-        return (swap(t[0], a, b), swap(t[1], a, b))
-
     def signed_fixed(a: str, b: str) -> bool:
-        return any(all(form.get(norm(swap(t, a, b))) == sign * c
-                       for t, c in form.items() if c) for sign in (1, -1))
+        swap = {a: b, b: a}
+        image = {t: norm(_label(t, [swap.get(v, v) for v in tree_leaves(t)]))
+                 for t, c in form.items() if c}
+        return any(all(form.get(image[t]) == sign * form[t] for t in image)
+                   for sign in (1, -1))
 
     names = poly.variables
     leader = list(range(len(names)))  # the least position of each block
@@ -479,10 +474,11 @@ def symmetry_blocks(poly: FreePoly, commutative: bool = False) -> list[tuple]:
 def polarize(poly: FreePoly) -> list[FreePoly]:
     """Full multilinearization, one output per multihomogeneous component.
 
-    Each variable of degree d in a component is expanded into d fresh slots and
-    only the fully multilinear part is kept.  Over char 0 (or char > degree)
-    the input is an identity iff all outputs are.  Multilinear input is
-    returned unchanged.
+    Each variable of degree d in a component is expanded into d fresh names,
+    and each monomial becomes the sum of its injective namings: every leaf
+    takes a fresh name of its variable, no name twice.  Over char 0 (or char
+    > degree) the input is an identity iff all outputs are.  Multilinear
+    input is returned unchanged.
     """
     if poly.is_multilinear():
         return [poly]
@@ -493,34 +489,25 @@ def polarize(poly: FreePoly) -> list[FreePoly]:
         groups.setdefault(sig, {})[t] = c
     out = []
     for sig in sorted(groups):
-        fresh: dict[str, list[str]] = {}
-        counter = itertools.count(1)
-        for v, d in zip(poly.variables, sig):
-            fresh[v] = [f"t{next(counter)}" for _ in range(d)]
-        new_vars = [name for v in poly.variables for name in fresh[v]]
-        acc = FreePoly.zero(new_vars)
+        ends = list(itertools.accumulate(sig, initial=0))
+        fresh = {v: range(a, b)  # the indices of v's fresh names
+                 for v, a, b in zip(poly.variables, ends, ends[1:])}
+
+        def namings(t: Tree) -> list:
+            """(named tree, bit set of the names used) for each naming."""
+            if isinstance(t, str):
+                return [(f"t{i + 1}", 1 << i) for i in fresh[t]]
+            left, right = namings(t[0]), namings(t[1])
+            return [((l, r), lm | rm) for l, lm in left for r, rm in right
+                    if not lm & rm]
+
+        terms: dict[Tree, Fraction] = {}
         for t, c in groups[sig].items():
-            leaves = tree_leaves(t)
-            slots_per_var = {v: [i for i, x in enumerate(leaves) if x == v]
-                             for v in poly.variables if fresh[v]}
-            choices = [itertools.permutations(fresh[v])
-                       for v in poly.variables if fresh[v]]
-            var_list = [v for v in poly.variables if fresh[v]]
-            for combo in itertools.product(*choices):
-                assignment: dict[int, str] = {}
-                for v, perm in zip(var_list, combo):
-                    for pos, name in zip(slots_per_var[v], perm):
-                        assignment[pos] = name
-                idx = itertools.count(0)
-
-                def sub(node: Tree):
-                    if isinstance(node, str):
-                        return assignment[next(idx)]
-                    return (sub(node[0]), sub(node[1]))
-
-                acc = acc + FreePoly.monomial(sub(t), new_vars, c)
-        if not acc.is_zero():
-            out.append(acc)
+            for named, _ in namings(t):
+                terms[named] = terms.get(named, 0) + c
+        part = FreePoly([f"t{i + 1}" for i in range(ends[-1])], terms)
+        if not part.is_zero():
+            out.append(part)
     return out
 
 

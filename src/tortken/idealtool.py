@@ -3,10 +3,10 @@
 Ideals of a finite-dimensional algebra are exactly the subspaces invariant
 under all left- and right-multiplication operators, so closure is operator
 spinning on an incremental echelon basis, and simplicity is module
-irreducibility.  A "Simple" verdict is only ever produced by a sound
+irreducibility.  A "Simple" verdict is only ever produced by one sound
 argument: Norton's irreducibility criterion on a singular operator of the
-multiplication envelope, or an exhaustive projective sweep over a finite
-field.
+multiplication envelope.  Over a small finite field the zero operator is the
+last candidate, so that every projective point is spun.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .exactnum import Echelon, Field, OutOfRangeError, binom_p_quotient, is_prime
 from .algebras import Algebra, NotClosedError, UnsoundWitnessError
+from .identcheck import FULL_SWEEP_BOUND
 
 
 class CannotCertifyError(RuntimeError):
@@ -183,11 +184,13 @@ def _projective_points(field: Field, vectors: Sequence[Sequence]):
                    for col in zip(*vectors)]
 
 
-def _norton_candidates(ops: list):
+def _norton_candidates(ops: list, field: Field):
     """Operators of the multiplication envelope to try for Norton's
     criterion, in a fixed order: the basis operators, the sums and
     differences of pairs of them until there are more than 200 operators,
-    then 100 products of pairs.  A column may repeat a position; its entries
+    then 100 products of pairs, and last, over F_p when F_p^n has at most
+    FULL_SWEEP_BOUND projective points, the zero operator, whose kernel
+    points are all of them.  A column may repeat a position; its entries
     add up."""
     yield from ops
     pairs = max(1, (202 - len(ops)) // 2)  # the fewest that pass 200 operators
@@ -197,6 +200,9 @@ def _norton_candidates(ops: list):
     for x, y in itertools.islice(itertools.product(ops, repeat=2), 100):
         # column j of the composite is y applied to column j of x
         yield [[(i, c * d) for t, c in col for i, d in y[t]] for col in x]
+    p, n = field.char, len(ops[0])
+    if p and (p ** n - 1) // (p - 1) <= FULL_SWEEP_BOUND:
+        yield [[] for _ in range(n)]
 
 
 def certify_simplicity(A: Algebra) -> SimplicityCertificate:
@@ -205,9 +211,10 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
     Order of attack: the product span A*A (always an ideal), single-generator
     closures of basis elements (cheap NotSimple witnesses), then Norton's
     criterion on the first singular operator of the multiplication envelope
-    with nullity 1 (else the first of least nullity).  With no usable
-    operator: an exhaustive projective sweep over a small prime field, else
-    the closures of differences of basis elements.
+    with nullity 1, else the first of least nullity: over a small prime
+    field there is always one, the zero operator (see `_norton_candidates`).
+    With no usable operator, the closures of differences of basis elements,
+    which can only find an ideal.
     """
     f = A.field
     n = A.dim
@@ -237,7 +244,7 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
     # module is irreducible iff every kernel point of T spins to the whole
     # space and one kernel point of T^t spins to the whole dual space.
     best = None
-    for op in _norton_candidates(ops):
+    for op in _norton_candidates(ops, f):
         null = _kernel(A, _transpose(op))  # the rows of T
         if not null or (f.char == 0 and len(null) > 1):
             continue
@@ -268,14 +275,6 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
         audit.append("norton criterion passed")
         return SimplicityCertificate(A.name, "simple", None, audit)
 
-    if f.char and (f.char ** n - 1) // (f.char - 1) <= 20000:
-        audit.append("no singular envelope operator found; projective sweep")
-        unit_vectors = [[int(i == j) for j in range(n)] for i in range(n)]
-        for v in _projective_points(f, unit_vectors):
-            sp = _spin(A, [v], ops)
-            if sp.dim < n:
-                return not_simple(sp, "projective point spans a proper ideal")
-        return SimplicityCertificate(A.name, "simple", None, audit)
     # the closures of basis differences can only find an ideal, not rule one out
     for g, h in itertools.combinations(range(n), 2):
         seed = A.dense({A.indices[g]: f.one, A.indices[h]: f.neg(f.one)})

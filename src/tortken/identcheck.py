@@ -247,8 +247,9 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
                         orbits=orbits)
 
 
-# The most assignments of every element swept in small characteristic (the
-# size bound of idealtool's projective sweep).
+# The most assignments of every element swept in small characteristic; also
+# the most projective points that idealtool's Norton step spins for the zero
+# operator.
 FULL_SWEEP_BOUND = 20000
 
 
@@ -401,6 +402,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     echelon = Echelon(f, len(monomials))
     rows = []
     skipped = used = 0
+    zero = f.zero
     for val in prog.runs(prod, map(ids, substitutions)):
         if val is None:
             skipped += 1
@@ -409,9 +411,9 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         evals = [prod.els[val[i]] for i in roots]
         # one row per supported basis index; a zero row when there is none
         for k in sorted(set().union(*evals)) or [None]:
-            rows.append([e.get(k, f.zero) for e in evals])
+            rows.append([e.get(k, zero) for e in evals])
             echelon.insert([(c, e[k]) for c, e in enumerate(evals) if k in e])
-    matrix = Matrix.of_canonical(f, rows or [[f.zero] * len(monomials)])  # canonical
+    matrix = Matrix.of_canonical(f, rows or [[zero] * len(monomials)])  # canonical
     flags = {}
     for entry in catalog():
         if (entry.degree != degree or len(entry.variables) != degree

@@ -406,6 +406,28 @@ def test_check_range_on_closed_algebra_exits_two(capsys):
         assert "--range applies to graded windows" in err
 
 
+@pytest.mark.parametrize("argv, code, line", [
+    ("algebra show --builtin osborn-laurent --alpha 0 --beta 0 --window=-1..1",
+     0, "x^-1 * x^0 = -1*x^-2"),
+    ("idspace --degree 3 --builtin gametic --dim 2",
+     0, "substitutions: 8 (skipped 0)"),
+    ("idspace --degree 3 --builtin osborn-laurent --alpha 0 --beta 0 "
+     "--window=-4..8", 2, "error: graded identity space needs --range lo..hi"),
+    ("algebra show --builtin derivation-novikov --p 3 --m 1",
+     0, "algebra: derivation_novikov(divided_power(3,1)) (dim 3, F3)"),
+    ("algebra show --builtin derivation-symmetric --p 3 --m 1",
+     0, "algebra: derivation_symmetric(divided_power(3,1)) (dim 3, F3)"),
+    ("algebra show --builtin osborn-bar --variant finite_beta --beta 1 --p 3 "
+     "--m 1", 0, "algebra: osborn_bar(1,3,1) (dim 2, F3)"),
+    ("algebra show --builtin p2-product --k 1 --m 2",
+     0, "algebra: p2_product(1,2) (dim 4, F2)"),
+], ids=["show-window", "idspace-closed", "idspace-window-no-range",
+        "derivation-novikov", "derivation-symmetric", "osborn-bar", "p2-product"])
+def test_cli_paths(capsys, argv, code, line):
+    got, out, err = run_cli(capsys, *shlex.split(argv))
+    assert got == code and line in (out + err).splitlines()
+
+
 @pytest.mark.parametrize("window", [("4", "3..3"), ("12", "20..30")])
 def test_nothing_evaluable_is_inconclusive(capsys, window):
     # no substitution evaluates inside the window: no law is claimed

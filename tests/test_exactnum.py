@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -200,6 +201,31 @@ def test_det_matches_rank_deficiency(n, data):
     m = Matrix(Q, entries)
     singular = m.rref()[1] < n
     assert (m.det() == 0) == singular
+
+
+def _leibniz(f, rows):
+    """The determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = f.zero
+    for perm in itertools.permutations(range(n)):
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, rows[i][j])
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        total = f.add(total, f.neg(term) if inversions % 2 else term)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((Q, F2, F3, F5)), st.integers(1, 5), st.data())
+def test_det_matches_leibniz(f, n, data):
+    entry = (st.fractions(-3, 3, max_denominator=3) if f.char == 0
+             else st.integers(-4, 4))
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    m = Matrix(f, rows)
+    assert m.det() == _leibniz(f, m.data)
 
 
 def test_matrix_json_round_trip():

@@ -10,7 +10,7 @@ from tortken.freepoly import (AmbiguousProductError, DegreeOutOfRangeError,
                               canonical_commutative, catalog, catalog_entry,
                               mu_vector, multilinear_monomials, parse,
                               polarize, symmetry_blocks, tree_degree,
-                              tree_format, BALANCED_FIRST_DEG4)
+                              tree_format, tree_leaves, BALANCED_FIRST_DEG4)
 
 ABC = ("a", "b", "c")
 ABCD = ("a", "b", "c", "d")
@@ -177,6 +177,49 @@ def test_polarize_outputs_multilinear():
                             ("x*(x*x) + 2*(x*x)*y", ("x", "y"))]:
         for part in polarize(parse(expr, variables)):
             assert part.is_multilinear()
+
+
+def _substituted_multilinear_parts(poly):
+    """Polarization by substitution: for each multidegree, the multilinear
+    part of poly with each variable of degree d replaced by the sum of its d
+    fresh names, expanded with FreePoly arithmetic."""
+    sigs = sorted({tuple(tree_leaves(t).count(v) for v in poly.variables)
+                   for t in poly.terms})
+    parts = []
+    for sig in sigs:
+        names = [f"t{i + 1}" for i in range(sum(sig))]
+        fresh = iter(names)
+        sums = {v: sum((FreePoly.var(next(fresh), names) for _ in range(d)),
+                       FreePoly.zero(names)) for v, d in zip(poly.variables, sig)}
+
+        def subst(t):
+            return sums[t] if isinstance(t, str) else subst(t[0]) * subst(t[1])
+
+        total = FreePoly.zero(names)
+        for t, c in poly.terms.items():
+            total = total + subst(t).scale(c)
+        part = FreePoly(names, {t: c for t, c in total.terms.items()
+                                if sorted(tree_leaves(t)) == sorted(names)})
+        if not part.is_zero():
+            parts.append(part)
+    return parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(trees, st.integers(-5, 5).filter(bool)),
+                min_size=1, max_size=4))
+def test_polarize_matches_substitution(items):
+    poly = FreePoly(ABC)
+    for t, c in items:
+        poly = poly + FreePoly.monomial(t, ABC, c)
+    want = [poly] if poly.is_multilinear() else _substituted_multilinear_parts(poly)
+    assert polarize(poly) == want
+
+
+def test_polarize_degree_7():
+    x = FreePoly.var("x", ("x",))
+    parts = polarize(((x * x) * (x * x)) * ((x * x) * x))
+    assert len(parts) == 1 and parts[0].monomial_count() == 5040
 
 
 def test_mu_vector_deg4_basis():

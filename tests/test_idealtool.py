@@ -119,7 +119,7 @@ def test_certifier_degenerate_and_field_extension():
     zero = FiniteAlgebra("zero", F5, 2, [[{}, {}], [{}, {}]])
     assert certify_simplicity(zero).verdict == "degenerate"
     # F_25 = F_5[w]/(w^2 - 2): simple, but the envelope is a field, so the
-    # certificate must come from the projective sweep
+    # certificate must come from the zero operator, every projective point
     cert = certify_simplicity(F25)
     assert cert.simple
 
@@ -174,9 +174,10 @@ NORTON_1 = "norton: singular operator with nullity 1, 1 kernel points"
      ["all 3 basis closures are full", NORTON_1,
       "dual kernel point spans a proper invariant subspace"],
      ((1, 0, 2), (0, 1, 2))),
+    # no envelope operator is singular: the zero operator comes last
     (F25, "simple", ["all 2 basis closures are full",
-                     "no singular envelope operator found; projective sweep"],
-     None),
+                     "norton: singular operator with nullity 2, 6 kernel points",
+                     "norton criterion passed"], None),
     # over Q with no candidate of nullity 1 the basis differences decide
     (plus(gametic(3)), "not_simple",
      ["all 3 basis closures are full",
