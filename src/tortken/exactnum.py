@@ -264,7 +264,10 @@ class Echelon:
         """Extend the span by the sparse v (see `_residue`).  Returns the
         normalised residue that became a new row, as (column, entry) pairs of
         its nonzero entries, or None if v already lies in the span."""
-        r = self._residue(v)
+        return self._store(self._residue(v))
+
+    def _store(self, r: list) -> list | None:
+        """`insert` for the residue r of a vector, from `_residue`."""
         k = next((t for t, x in enumerate(r) if x), None)
         if k is None:
             return None
@@ -405,7 +408,7 @@ class Matrix:
             if k is None:
                 return f.zero
             d = f.mul(d, f.neg(r[k]) if k % 2 else r[k])
-            ech.insert(enumerate(row))
+            ech._store(r)
         return d
 
     def solve(self, rhs: Sequence):

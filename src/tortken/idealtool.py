@@ -282,8 +282,11 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
         if closure.dim < n:
             return not_simple(closure, f"closure of {A.labels[g]} - {A.labels[h]} "
                               f"is proper ({closure.dim}-dimensional)")
-    raise CannotCertifyError(f"{A.name}: no usable singular operator, no proper "
-                             f"difference closure, no projective sweep over {f!r}")
+    raise CannotCertifyError(
+        f"{A.name}: no usable singular operator, no proper difference "
+        f"closure, and over {f!r} in dimension {n} the zero operator is no "
+        f"Norton candidate (it needs a prime field with at most "
+        f"{FULL_SWEEP_BOUND} projective points)")
 
 
 # -- the central-extension bilinear form --------------------------------------

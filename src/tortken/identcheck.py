@@ -9,8 +9,8 @@ failing witness is re-evaluated.  Verdicts on graded windows are always
 window-relative.
 Every evaluation runs one compiled form, `_Program`, either on one binding of
 all variables (`_Program.run`), or on the ids of a per-call cache of values
-and products (`_Products`): on many bindings (`_Program.runs`) or binding
-them one at a time (`_sweep`).
+and products (`_Products`): on many bindings (`_Program.runs`), or binding
+all but the last one at a time and the last at every element (`_sweep`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .exactnum import Echelon, Field, Matrix
@@ -70,10 +69,12 @@ class _Program:
 
     Nodes 0..n-1 are the variable positions; every distinct product subtree,
     shared across terms and polynomials, is one later node after its children.
-    `products` lists them as (node, left child, right child) and `terms[q]`
-    lists (field coefficient, node) of polynomial q."""
+    `products` lists them as (node, left child, right child), ordered by last
+    leaf, the greatest position below them, so `products[first[k]:]` are the
+    nodes that depend on position k or a later one.  `terms[q]` lists (field
+    coefficient, node) of polynomial q."""
 
-    __slots__ = ("n", "products", "terms")
+    __slots__ = ("n", "products", "terms", "first")
 
     def __init__(self, polys: Sequence[FreePoly], field: Field):
         variables = polys[0].variables
@@ -83,6 +84,12 @@ class _Program:
         ids: dict = {}
         self.terms = [[(field.coerce(c), self._node(t, pos, ids))
                        for t, c in poly.sorted_terms()] for poly in polys]
+        last = list(range(self.n))
+        for _, l, r in self.products:
+            last.append(max(last[l], last[r]))
+        self.products.sort(key=lambda node: last[node[0]])  # stays topological
+        self.first = [sum(last[i] < k for i, _, _ in self.products)
+                      for k in range(self.n + 1)]
 
     def _node(self, tree, pos: dict, ids: dict) -> int:
         if isinstance(tree, str):
@@ -97,17 +104,28 @@ class _Program:
     def run(self, A: Algebra, elements: Sequence) -> list[dict]:
         """Every polynomial's value in A with position i bound to elements[i]
         (None where unused), each node computed once."""
-        val = list(elements)
-        for _, l, r in self.products:
-            val.append(A.mul(val[l], val[r]))
+        val = list(elements) + [None] * len(self.products)
+        for i, l, r in self.products:
+            val[i] = A.mul(val[l], val[r])
         return [_combine(terms, val, A.field.char) for terms in self.terms]
 
     def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
-        all node values, or None when a product escapes the window."""
+        all node values, or None when a product escapes the window.  Only the
+        nodes whose last leaf is at or after the first position that differs
+        from the previous substitution are computed again, in one list that
+        is yielded each time, so read it before the next."""
+        n = self.n
+        tails = [self.products[k:] for k in self.first]
+        val = [0] * (n + len(self.products))
+        good = 0  # val holds every node whose last leaf is below it
         for sub in substitutions:
-            val = list(sub) + [0] * len(self.products)
-            yield val if products.fill(val, self.products) else None
+            k = 0
+            while k < good and val[k] == sub[k]:
+                k += 1
+            val[k:n] = sub[k:]
+            good = n if products.fill(val, tails[k]) else k
+            yield val if good == n else None
 
 
 _ESCAPED = object()  # the cached product of a pair that leaves the window
@@ -119,18 +137,31 @@ class _Products(dict):
     `intern(e)` is e's id, 0 for the zero element, and `els[id]` the element.
     A pair of ids maps to the id of their product, from `A.mul` on its first
     lookup only, or to `_ESCAPED` if it leaves the window.  A zero operand
-    gives 0 with no lookup: `A.mul` returns {} on it and never raises."""
+    gives 0 with no lookup: `A.mul` returns {} on it and never raises.
+    `vector(v)` interns a tuple of ids, one per element of a sweep's list, as
+    id ~i of `vecs[i]`; a pair with a vector id maps to the elementwise
+    product's, where an escape beats a zero and so reaches every node above."""
 
-    __slots__ = ("A", "ids", "els")
+    __slots__ = ("A", "ids", "els", "vecs")
 
     def __init__(self, A: Algebra):
-        self.A, self.ids, self.els = A, {frozenset(): 0}, [{}]
+        self.A, self.ids, self.els, self.vecs = A, {frozenset(): 0}, [{}], []
 
     def intern(self, e: dict) -> int:
         got = self.ids.setdefault(frozenset(e.items()), len(self.els))
         if got == len(self.els):
             self.els.append(e)
         return got
+
+    def vector(self, v: tuple) -> int:
+        got = self.ids.setdefault(v, ~len(self.vecs))
+        if got == ~len(self.vecs):
+            self.vecs.append(v)
+        return got
+
+    def column(self, a: int) -> tuple:
+        """The vector of id a, an element id repeated when a is one."""
+        return self.vecs[~a] if a < 0 else (a,) * len(self.vecs[0])
 
     def fill(self, val: list, nodes: Iterable) -> bool:
         """Set val[i] to the product id of val[l] and val[r] for each node
@@ -143,10 +174,16 @@ class _Products(dict):
         return True
 
     def __missing__(self, pair: tuple[int, int]):
-        try:
-            got = self.intern(self.A.mul(*map(self.els.__getitem__, pair)))
-        except OutOfWindowError:
-            got = _ESCAPED
+        if min(pair) < 0:
+            got = self.vector(tuple([
+                _ESCAPED if a is _ESCAPED or b is _ESCAPED
+                else self[a, b] if a and b else 0
+                for a, b in zip(*map(self.column, pair))]))
+        else:
+            try:
+                got = self.intern(self.A.mul(*map(self.els.__getitem__, pair)))
+            except OutOfWindowError:
+                got = _ESCAPED
         self[pair] = got
         return got
 
@@ -178,11 +215,13 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     Variables are bound depth first in the given element order, the first
     outermost: that is lexicographic order, so the first failure met ends
     the sweep with the least failing assignment.  A product node is computed
-    once its last leaf is bound, as an id of one `_Products` cache; the law's
-    value depends only on the ids of its term nodes, so it is combined once
-    per tuple of them.  An out-of-window product at level k skips and counts
-    every completion of the prefix: the node lies in some term, so each of
-    them escapes.
+    once its last leaf is bound, as an id of one `_Products` cache; one that
+    escapes the window before the last level skips and counts every
+    completion of the prefix, as the node lies in some term.  The last level
+    is computed once per prefix, as vectors over every element; then the
+    prefix depends only on its term nodes' ids: a tuple of them that
+    vanished before from the same start adds the same counts, and a new one
+    is walked x by x, an x with an escaped term skipped and counted.
 
     On a closed algebra, permuting the values within a `symmetry_blocks`
     block changes the value at most by its sign, so each block is bound in
@@ -195,7 +234,7 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     n = prog.n
     if n == 0:  # only the zero polynomial has no variables
         return CheckOutcome(HOLDS, 1, 0, orbits=1)
-    dim = len(elements)
+    dim, p = len(elements), A.field.char
     prod = _Products(A)
     ids = [prod.intern(e) for e in elements]
     after: list = [None] * n  # each position's predecessor in its block
@@ -203,45 +242,57 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
         for block in symmetry_blocks(poly, A.is_commutative()):
             for prev, pos in zip(block, block[1:]):
                 after[pos] = prev
-    last = list(range(n))  # each node's last leaf
-    levels: list[list] = [[] for _ in range(n)]  # products by last leaf
-    for node in prog.products:
-        last.append(max(last[node[1]], last[node[2]]))
-        levels[last[-1]].append(node)
-    terms = prog.terms[0]  # key: the term node ids; a law that cancels has none
-    key = itemgetter(*(i for _, i in terms)) if terms else (lambda val: ())
-    vanishing: set = set()  # keys at which the law is zero
+    levels = [prog.products[a:b] for a, b in zip(prog.first, prog.first[1:])]
+    terms = prog.terms[0]  # a law that cancels has none
+    nodes = [i for _, i in terms]
+    vanishing: set = set()  # tuples of term value ids at which the law is 0
+    known: dict = {}  # start -> {term ids of a vanishing prefix: counts}
     val: list = [0] * (n + len(prog.products))
+    val[n - 1] = prod.vector(tuple(ids))
     assign = [0] * n
     skipped = orbits = 0
-    todo = [iter(range(dim))]  # positions left to bind, one iterator per level
+    todo = [iter((0,))]  # the empty prefix, then one iterator per position
     while todo:
-        k = len(todo) - 1
-        x = next(todo[k], None)
-        if x is None:
+        if (x := next(todo[-1], None)) is None:
             todo.pop()
             continue
-        assign[k] = x
-        val[k] = ids[x]
-        if not prod.fill(val, levels[k]):
-            skipped += dim ** (n - 1 - k)
+        k = len(todo) - 2  # the position x binds, -1 for the empty prefix
+        if k >= 0:
+            assign[k], val[k] = x, ids[x]
+            if not prod.fill(val, levels[k]):
+                skipped += dim ** (n - 1 - k)
+                continue
+        start = 0 if after[k + 1] is None else assign[after[k + 1]]
+        if k < n - 2:
+            todo.append(iter(range(start, dim)))
             continue
-        if k < n - 1:
-            j = after[k + 1]
-            todo.append(iter(range(0 if j is None else assign[j], dim)))
+        for i, l, r in levels[-1]:
+            val[i] = prod[val[l], val[r]]
+        seen = known.setdefault(start, {})
+        if (got := seen.get(at := tuple(map(val.__getitem__, nodes)))) is not None:
+            orbits, skipped = orbits + got[0], skipped + got[1]
             continue
-        orbits += 1
-        if (at := key(val)) in vanishing:
-            continue
-        value = _combine(terms, [prod.els[v] for v in val], A.field.char)
-        if value:
-            witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
-            # on a closed algebra, its 1-based rank among all assignments
-            checked = (1 + sum(a * dim ** (n - 1 - t) for t, a in enumerate(assign))
-                       if A.closed else orbits)
-            return CheckOutcome(FAILS, checked, skipped, witness, value, poly,
-                                orbits=orbits)
-        vanishing.add(at)
+        before = orbits, skipped
+        rows = list(zip(*map(prod.column, at))) or [()] * dim
+        for x in range(start, dim):
+            if _ESCAPED in (ts := rows[x]):
+                skipped += 1
+                continue
+            orbits += 1
+            if ts in vanishing:
+                continue
+            value = _combine(terms, {i: prod.els[t] for i, t in zip(nodes, ts)}, p)
+            if value:
+                assign[n - 1] = x
+                witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
+                # on a closed algebra, its 1-based rank among all assignments
+                checked = (1 + sum(a * dim ** (n - 1 - t)
+                                   for t, a in enumerate(assign))
+                           if A.closed else orbits)
+                return CheckOutcome(FAILS, checked, skipped, witness, value, poly,
+                                    orbits=orbits)
+            vanishing.add(ts)
+        seen[at] = (orbits - before[0], skipped - before[1])
     checked = dim ** n if A.closed else orbits
     return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped,
                         orbits=orbits)

@@ -177,8 +177,9 @@ def test_simplicity_exit_codes(capsys):
 
 
 def test_simplicity_cannot_certify_exits_three(capsys):
-    # over Q this algebra has no singular operator of nullity 1, no proper
-    # difference closure, and no projective sweep: inconclusive, one line
+    # over Q this algebra has no singular operator of nullity 1 and no
+    # proper difference closure, and the zero operator is no Norton
+    # candidate over Q: inconclusive, one line
     code, out, err = run_cli(capsys, "simplicity", "--builtin",
                              "random-commutative", "--dim", "4", "--seed", "3")
     assert code == 3 and out == ""

@@ -19,8 +19,9 @@ from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
                               derivation_symmetric,
                               divided_power, gametic, integration_product,
                               minus, opposite, osborn, osborn_laurent,
-                              p2_product, plus, random_commutative,
-                              square_product, standard_derivation, twist)
+                              osborn_plus_explicit, p2_product, plus,
+                              random_commutative, square_product,
+                              standard_derivation, twist)
 from tortken.freepoly import (FreePoly, catalog, catalog_entry,
                               multilinear_monomials, mu_vector, parse,
                               symmetry_blocks)
@@ -715,6 +716,107 @@ def test_law_whose_terms_cancel():
     assert (rep.substitution_count, rep.skipped, rep.rank) == (0, 2, 0)
     assert rep.nullity == 15
     assert rep.flags and all(v is None for v in rep.flags.values())
+
+
+# The last variable is swept as a vector over the whole element list, so the
+# cases below use lists longer than the dim <= 4 tables above, laws whose
+# terms do not all hold the last variable, and windows whose only escapes
+# are in products that hold it.
+
+def _oracle_orbits(poly, A, count, checked):
+    """How many of the first `checked` assignments (in lex order, of `count`
+    list positions) bind every symmetry block in non-decreasing order."""
+    blocks = symmetry_blocks(poly, A.is_commutative()) if A.closed else []
+    assigns = itertools.product(range(count), repeat=len(poly.variables))
+    return sum(all(t[i] <= t[j] for b in blocks for i, j in zip(b, b[1:]))
+               for t in itertools.islice(assigns, checked))
+
+
+def _oracle_sweep_elements(poly, A, elements):
+    """`_oracle_sweep` of a closed algebra on a list of elements."""
+    checked = 0
+    for els in itertools.product(elements, repeat=len(poly.variables)):
+        checked += 1
+        bound = dict(zip(poly.variables, els))
+        if val := _oracle_value(poly, A, bound):
+            return FAILS, checked, 0, bound, val
+    return HOLDS if checked else INCONCLUSIVE, checked, 0, None, None
+
+
+LONG_VECTOR_LAWS = [e.name for e in catalog()
+                    if e.poly.is_multilinear() and 2 <= e.degree <= 4]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_FIELDS), st.integers(5, 7), st.booleans(),
+       st.sampled_from(LONG_VECTOR_LAWS), st.integers(0, 2**32))
+def test_sweep_of_long_lists_matches_naive_oracle(f, dim, associative, law,
+                                                  seed):
+    # a random table, or over F_p a commutative associative one on which
+    # every law whose coefficients sum to 0 holds, so all orbits are swept
+    rng = random.Random(seed)
+    if associative and f.char:
+        A = _quotient_ring(f, [rng.randrange(f.char) for _ in range(dim)])
+    else:
+        A = _random_table(f, dim, rng.random() < 0.5, rng)
+    poly = catalog_entry(law).poly
+    out = identcheck._sweep(poly, A, [A.basis(i) for i in range(dim)])
+    want = _oracle_sweep(poly, A, range(dim))
+    assert _outcome_tuple(out) == want
+    assert out.orbits == _oracle_orbits(poly, A, dim, want[1])
+
+
+PARTIAL_LAWS = [parse(e, v) for e, v in (
+    ("a*a - a", ("a",)), ("(a*a)*a", ("a",)), ("a*a + a*b", ("a", "b")),
+    ("a*b - b*a + a*a", ("a", "b")), ("(a*a)*b - a*(a*b)", ("a", "b")),
+    ("a*a", ("a", "b")))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((Field.prime(2), F3)), st.integers(1, 3),
+       st.sampled_from(PARTIAL_LAWS), st.booleans(), st.integers(0, 2**32))
+def test_sweep_of_partial_laws_matches_naive_oracle(f, dim, poly, every,
+                                                    seed):
+    # one-variable laws and laws with a term that lacks the last variable
+    # (or with no term that has it), swept on basis elements or on every
+    # element of the algebra, as `check_identity` does in small char
+    rng = random.Random(seed)
+    A = _random_table(f, dim, rng.random() < 0.5, rng)
+    els = _every_element(A) if every else [A.basis(i) for i in range(dim)]
+    out = identcheck._sweep(poly, A, els)
+    want = _oracle_sweep_elements(poly, A, els)
+    assert _outcome_tuple(out) == want
+    assert out.orbits == _oracle_orbits(poly, A, len(els), want[1])
+
+
+LAST_ONLY_LAWS = [parse(e, ("a", "b", "c")) for e in (
+    "a*(b*c) - b*(a*c)", "(a*c)*(b*c)", "c*(a*c) + (b*c)*c")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_FIELDS), st.integers(1, 4), st.booleans(),
+       st.sampled_from(LAST_ONLY_LAWS), st.integers(0, 2**32))
+def test_window_with_escapes_only_at_the_last_position(f, dim, commutative,
+                                                       poly, seed):
+    # every product of these laws holds c, the last variable, so each
+    # escape is met in a vector, and a zero entry against an escaped one
+    # (at (a*c)*(b*c)) must still skip the assignment; a window that no
+    # product leaves is closed and swept by orbits
+    rng = random.Random(seed)
+    A = _random_window(f, dim, commutative, True, rng)
+    idx = rng.sample(A.indices, rng.randint(1, dim))
+    out = identcheck._sweep(poly, A, [A.basis(i) for i in idx])
+    want = _oracle_sweep(poly, A, idx)
+    assert _outcome_tuple(out) == want
+    assert out.orbits == _oracle_orbits(poly, A, len(idx), want[1])
+
+
+def test_tortken_sweep_on_dim_27():
+    # the paper's identity on the largest benchmark table: 27^4 assignments
+    # in 142884 orbits of the blocks {a, c} and {b, d}
+    out = check_identity(TORTKEN, osborn_plus_explicit(1, 1, 3, 3))
+    assert (out.verdict, out.checked, out.skipped) == (HOLDS, 531441, 0)
+    assert out.orbits == 142884
 
 
 @settings(max_examples=25, deadline=None)
