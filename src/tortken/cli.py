@@ -267,6 +267,11 @@ def cmd_check(args) -> int:
 
 def cmd_idspace(args) -> int:
     if args.reference_deg4:
+        if given := [f"--{key}" for key in ("degree", "range", "builtin", "spec",
+                     "window", "transform", *_BUILTIN_PARAM_KEYS)
+                     if getattr(args, key, None) is not None]:
+            raise UsageError(f"--reference-deg4 takes no {' '.join(given)}: it "
+                             "is the fixed degree-4 reproduction")
         report = reference_deg4_report()
         ok = verify_reference_solutions(report)
 
@@ -281,6 +286,8 @@ def cmd_idspace(args) -> int:
         raise UsageError("need --degree N or --reference-deg4")
     if not 1 <= args.degree <= 5:
         raise UsageError(f"identity spaces support degree 1..5, got {args.degree}")
+    if args.basis == "balanced_first" and args.degree != 4:
+        raise UsageError(f"--basis balanced_first needs --degree 4, got {args.degree}")
     A = _build_algebra(args)
     if args.range:
         _, idx = _range_indices(args, A, "uses every substitution")

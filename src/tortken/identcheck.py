@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 from .exactnum import Echelon, Field, Matrix
 from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError,
                        divided_power, derivation_symmetric, standard_derivation)
-from .freepoly import (FreePoly, catalog, catalog_entry, multilinear_monomials,
-                       mu_vector, polarize, symmetry_blocks, tree_format,
-                       tree_leaves)
+from .freepoly import (FreePoly, _label, canonical_commutative, catalog,
+                       catalog_entry, multilinear_monomials, mu_vector,
+                       polarize, symmetry_blocks, tree_format, tree_leaves)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -431,39 +431,75 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     element of monomial c under substitution r; a substitution whose monomial
     evaluations are supported on several basis elements contributes one row
     per support index.  Substitutions that escape a graded window are skipped
-    and counted.  All substitutions run on one `_Products` cache, so each pair
-    of operand values is multiplied once.  Each row streams into one echelon
-    basis as it is made, and rank, kernel and the catalog flags come from
-    that basis: M v = 0 exactly when R v = 0 for the RREF R of M.  With no
-    substitution evaluated nothing constrains the kernel, so every flag is
-    None.
+    and counted.  Rank, kernel and the catalog flags come from one echelon
+    basis of the rows (M v = 0 exactly when R v = 0 for the RREF R of M);
+    with no substitution evaluated every flag is None.
+
+    One substitution per orbit is evaluated, on one `_Products` cache.  On a
+    commutative A the orbit of x is its S_n orbit, represented by r, the ids
+    of x sorted, x_i = r_pos(i); else x is its own orbit.  Sound: a symmetric
+    table makes a product's value independent of its factors' order, so
+    monomial m takes at x the value that column c', the canonical form of m
+    renamed by t_i -> t_pos(i), takes at r; and it stores escaped cells
+    symmetrically, so an orbit escapes as a whole.  Row x is row r with each
+    column c read from c', by a map composed from the adjacent
+    transpositions' maps, kept per permutation.  A row set already inserted,
+    known by its tuple of monomial value ids, is not inserted again.
     """
     monomials = multilinear_monomials(degree, True, order)
-    f = A.field
-    variables = [f"t{i + 1}" for i in range(degree)]
+    f, n, zero = A.field, degree, A.field.zero
+    variables = [f"t{i + 1}" for i in range(n)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
     roots = [node for ((_, node),) in prog.terms]  # one term, coefficient 1
     prod = _Products(A)
+    swaps = []  # column map of each adjacent transposition t_k <-> t_k+1
+    if commutative := A.is_commutative():
+        column = {canonical_commutative(m): c for c, m in enumerate(monomials)}
+        for a, b in zip(variables, variables[1:]):
+            swap = {a: b, b: a}
+            swaps.append([column[canonical_commutative(
+                _label(m, [swap.get(v, v) for v in tree_leaves(m)]))]
+                for m in monomials])
+    maps = {tuple(range(n)): range(len(monomials))}
 
-    def ids(sub):
-        if len(sub) != degree:
-            raise ValueError(f"substitution needs {degree} elements, got {len(sub)}")
-        return [prod.intern(A.element(e)) for e in sub]
+    def colmap(pos: tuple):
+        if (got := maps.get(pos)) is None:  # undo the first adjacent inversion
+            k = next(k for k in range(n - 1) if pos[k] > pos[k + 1])
+            prev = colmap(pos[:k] + (pos[k + 1], pos[k]) + pos[k + 2:])
+            got = maps[pos] = [prev[c] for c in swaps[k]]
+        return got
 
-    echelon = Echelon(f, len(monomials))
-    rows = []
-    skipped = used = 0
-    zero = f.zero
-    for val in prog.runs(prod, map(ids, substitutions)):
-        if val is None:
-            skipped += 1
-            continue
-        used += 1
-        evals = [prod.els[val[i]] for i in roots]
-        # one row per supported basis index; a zero row when there is none
-        for k in sorted(set().union(*evals)) or [None]:
-            rows.append([e.get(k, zero) for e in evals])
-            echelon.insert([(c, e[k]) for c, e in enumerate(evals) if k in e])
+    def orbit(sub):
+        if len(sub) != n:
+            raise ValueError(f"substitution needs {n} elements, got {len(sub)}")
+        x = [prod.intern(A.element(e)) for e in sub]
+        at = sorted(range(n), key=x.__getitem__) if commutative else range(n)
+        pos = tuple(sorted(range(n), key=at.__getitem__))  # x_i = r_pos(i)
+        return reps.setdefault(r := tuple(x[i] for i in at), r), colmap(pos)
+
+    reps: dict = {}  # one tuple per representative, shared by its orbit
+    orbits = [orbit(sub) for sub in substitutions]
+    todo = sorted(reps)  # lex order shares the most prefixes
+    known = {}  # representative -> (monomial value ids, rows) unless escaped
+    for r, val in zip(todo, prog.runs(prod, todo)):
+        if val is not None:
+            evals = [prod.els[val[i]] for i in roots]
+            # one row per supported basis index; a zero row when there is none
+            known[r] = (tuple(val[i] for i in roots),
+                        [[e.get(k, zero) for e in evals]
+                         for k in sorted(set().union(*evals))]
+                        or [[zero] * len(monomials)])
+    echelon, rows, inserted = Echelon(f, len(monomials)), [], set()
+    for r, cmap in orbits:
+        if r in known:
+            vals, got = known[r]
+            got = [[row[c] for c in cmap] for row in got]
+            rows += got
+            if (vals := tuple([vals[c] for c in cmap])) not in inserted:
+                inserted.add(vals)
+                for row in got:
+                    echelon.insert([(c, x) for c, x in enumerate(row) if x])
+    used = sum(r in known for r, _ in orbits)
     matrix = Matrix.of_canonical(f, rows or [[zero] * len(monomials)])  # canonical
     flags = {}
     for entry in catalog():
@@ -477,7 +513,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
             continue
         flags[entry.name] = echelon.annihilates(vec) if used else None
     return IdentitySpaceReport(degree, order, monomials, getattr(A, "name", "?"),
-                               used, skipped, matrix, echelon.dim,
+                               used, len(orbits) - used, matrix, echelon.dim,
                                echelon.nullspace(), flags)
 
 

@@ -152,6 +152,28 @@ def test_idspace_reference(capsys):
     assert "reference solutions verified: True" in out
 
 
+@pytest.mark.parametrize("extra, named", [
+    (("--degree", "3"), "--degree"),
+    (("--builtin", "gametic", "--dim", "3"), "--builtin --dim"),
+    (("--range=0..1",), "--range")])
+def test_idspace_reference_rejects_other_options(capsys, extra, named):
+    code, out, err = run_cli(capsys, "idspace", "--reference-deg4", *extra)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --reference-deg4 takes no {named}: it is the "
+                   "fixed degree-4 reproduction\n")
+
+
+def test_idspace_balanced_first_needs_degree4(capsys):
+    code, out, err = run_cli(capsys, "idspace", "--degree", "3", "--basis",
+                             "balanced_first", "--builtin", "gametic",
+                             "--dim", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --basis balanced_first needs --degree 4, got 3\n"
+    code, out, _ = run_cli(capsys, "idspace", "--degree", "4", "--basis",
+                           "balanced_first", "--builtin", "gametic", "--dim", "2")
+    assert code == 0 and "monomial order: balanced_first" in out
+
+
 def test_idspace_degree3_laurent(capsys):
     code, out, _ = run_cli(capsys, "idspace", "--degree", "3", "--builtin",
                            "osborn-laurent", "--alpha", "0", "--beta", "0",

@@ -501,11 +501,11 @@ def _oracle_sweep(poly, A, indices):
     return HOLDS if checked else INCONCLUSIVE, checked, skipped, None, None
 
 
-def _oracle_rows(degree, A, substitutions):
+def _oracle_rows(degree, A, substitutions, order="canonical"):
     f = A.field
     variables = [f"t{i + 1}" for i in range(degree)]
     monos = [FreePoly.monomial(m, variables)
-             for m in multilinear_monomials(degree, True)]
+             for m in multilinear_monomials(degree, True, order)]
     rows, used, skipped = [], 0, 0
     for sub in substitutions:
         els = dict(zip(variables, sub))
@@ -819,23 +819,35 @@ def test_tortken_sweep_on_dim_27():
     assert out.orbits == 142884
 
 
-@settings(max_examples=25, deadline=None)
+def _orbit_substitutions(rng, draw, degree, count):
+    """`count` random substitutions and every permutation of two random
+    multisets, shuffled: most share an S_n orbit with another."""
+    subs = [tuple(draw() for _ in range(degree)) for _ in range(count)]
+    for _ in range(2):
+        subs += itertools.permutations([draw() for _ in range(degree)])
+    rng.shuffle(subs)
+    return subs
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.sampled_from(SMALL_FIELDS), st.integers(1, 3), st.booleans(),
-       st.integers(3, 4), st.booleans(), st.integers(0, 2**32))
+       st.integers(3, 4), st.sampled_from((None, 0, 1)), st.booleans(),
+       st.integers(0, 2**32))
 def test_identity_space_rows_match_naive_oracle(f, dim, commutative, degree,
-                                                windowed, seed):
+                                                beta, balanced, seed):
+    # a random table, or a Laurent window (with beta = 1, more escapes)
     rng = random.Random(seed)
-    if windowed:
-        A = osborn_laurent(1, 0, -3, 3, "jordan")
-        subs = [tuple(A.basis(rng.randrange(-2, 3)) for _ in range(degree))
-                for _ in range(8)]
+    order = "balanced_first" if balanced and degree == 4 else "canonical"
+    if beta is not None:
+        A = osborn_laurent(1, beta, -3, 3, "jordan")
+        draw = lambda: A.basis(rng.randrange(-2, 3))
     else:
         A = _random_table(f, dim, commutative, rng)
-        subs = [tuple({i: c for i in range(dim)
-                       if (c := A.field.coerce(rng.randint(-2, 2)))}
-                      for _ in range(degree)) for _ in range(8)]
-    rep = identity_space(degree, A, subs)
-    rows, used, skipped = _oracle_rows(degree, A, subs)
+        draw = lambda: {i: c for i in range(dim)
+                        if (c := A.field.coerce(rng.randint(-2, 2)))}
+    subs = _orbit_substitutions(rng, draw, degree, 8)
+    rep = identity_space(degree, A, subs, order)
+    rows, used, skipped = _oracle_rows(degree, A, subs, order)
     assert (rep.substitution_count, rep.skipped) == (used, skipped)
     f = A.field
     M = rows or [[f.zero] * rep.matrix.cols]
@@ -855,14 +867,14 @@ def test_identity_space_rows_match_naive_oracle(f, dim, commutative, degree,
         assert flag is want, name
 
 
-def _reference_space(degree, A, substitutions):
+def _reference_space(degree, A, substitutions, order="canonical"):
     """Rows and skips of the identity space with every substitution run on
     its own by `_Program.run`: no memo shared across substitutions."""
     f = A.field
     variables = [f"t{i + 1}" for i in range(degree)]
     prog = identcheck._Program(
         [FreePoly.monomial(m, variables)
-         for m in multilinear_monomials(degree, True)], f)
+         for m in multilinear_monomials(degree, True, order)], f)
     rows, skipped = [], 0
     for sub in substitutions:
         try:
@@ -877,18 +889,20 @@ def _reference_space(degree, A, substitutions):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from((Field.prime(2), F3, F5, None, "integration")),
-       st.integers(1, 3), st.booleans(), st.integers(3, 4),
+@given(st.sampled_from((Field.prime(2), F3, F5, 0, 1, "integration")),
+       st.integers(1, 3), st.booleans(), st.integers(3, 4), st.booleans(),
        st.integers(0, 2**32))
 def test_memoized_identity_space_matches_per_substitution_runs(
-        f, dim, commutative, degree, seed):
-    # A closed F_p table, or a Q window where some substitutions escape.
-    # The element pool holds basis elements, random combinations and, for
-    # each, an equal element as a distinct dict (over F_p with coefficients
-    # off by p); substitutions draw from it with repetition.
+        f, dim, commutative, degree, balanced, seed):
+    # A closed F_p table, or a Q window where some substitutions escape
+    # (with beta = 1, more of them).  The element pool holds basis elements,
+    # random combinations and, for each, an equal element as a distinct dict
+    # (over F_p with coefficients off by p); substitutions draw from it with
+    # repetition.
     rng = random.Random(seed)
-    if f is None:
-        A = osborn_laurent(Fraction(1, 2), 0, -4, 4, "jordan")
+    order = "balanced_first" if balanced and degree == 4 else "canonical"
+    if f in (0, 1):
+        A = osborn_laurent(Fraction(1, 2), f, -4, 4, "jordan")
         idx = list(range(-2, 3))
     elif f == "integration":
         A = integration_product(8)
@@ -906,9 +920,9 @@ def test_memoized_identity_space_matches_per_substitution_runs(
     pool += [{i: c for i in rng.sample(idx, rng.randint(1, len(idx)))
               if (c := scalar())} for _ in range(3)]
     pool += [{k: c + p for k, c in e.items()} for e in pool]
-    subs = [tuple(rng.choice(pool) for _ in range(degree)) for _ in range(12)]
-    rep = identity_space(degree, A, subs)
-    rows, skipped = _reference_space(degree, A, subs)
+    subs = _orbit_substitutions(rng, lambda: rng.choice(pool), degree, 12)
+    rep = identity_space(degree, A, subs, order)
+    rows, skipped = _reference_space(degree, A, subs, order)
     assert (rep.substitution_count, rep.skipped) == (len(subs) - skipped,
                                                      skipped)
     f = A.field
@@ -921,18 +935,35 @@ def test_memoized_identity_space_matches_per_substitution_runs(
 def test_identity_space_computes_each_product_once(monkeypatch):
     # every basis substitution on dim 5: a product is computed once per pair
     # of operand values, not once per substitution (20625 and 687500) or per
-    # tree shape and leaf elements (1400 and 10775)
+    # tree shape and leaf elements (1400 and 10775), and only on the
+    # C(dim + degree - 1, degree) sorted representatives of the S_n orbits
     A = plus(osborn(1, 1, 5, 1))
-    calls = []
-    mul = type(A).mul
+    calls, reps = [], []
+    mul, runs = type(A).mul, identcheck._Program.runs
     monkeypatch.setattr(type(A), "mul",
                         lambda self, a, b: calls.append(1) or mul(self, a, b))
-    for degree, want in ((4, 125), (5, 200)):
+    monkeypatch.setattr(identcheck._Program, "runs", lambda self, prod, subs:
+                        runs(self, prod, [reps.append(s) or s for s in subs]))
+    for degree, want, orbits in ((4, 109, 70), (5, 193, 126)):
         calls.clear()
+        reps.clear()
         subs = [tuple(A.basis(i) for i in t)
                 for t in itertools.product(range(A.dim), repeat=degree)]
         identity_space(degree, A, subs)
         assert len(calls) == want, degree
+        assert len(reps) == orbits == math.comb(A.dim + degree - 1, degree)
+
+
+def test_identity_space_rejects_a_wrong_length_before_evaluating(monkeypatch):
+    A = plus(osborn(1, 1, 3, 1))
+    calls = []
+    mul = type(A).mul
+    monkeypatch.setattr(type(A), "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    subs = [(A.basis(0),) * 4, (A.basis(1),) * 4, (A.basis(2),) * 3]
+    with pytest.raises(ValueError, match="substitution needs 4 elements, got 3"):
+        identity_space(4, A, subs)
+    assert calls == []
 
 
 def test_alt_right_mult_agrees_with_operator_oracle():
