@@ -69,6 +69,13 @@ def canonical_commutative(t: Tree) -> Tree:
     return (l, r) if tree_key(l) <= tree_key(r) else (r, l)
 
 
+def rename_tree(t: Tree, mapping: dict[str, str]) -> Tree:
+    """`t` with each leaf v replaced by ``mapping.get(v, v)``."""
+    if isinstance(t, str):
+        return mapping.get(t, t)
+    return (rename_tree(t[0], mapping), rename_tree(t[1], mapping))
+
+
 class FreePoly:
     """Formal Q-linear combination of product trees over declared variables."""
 
@@ -156,7 +163,7 @@ class FreePoly:
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         out: dict[Tree, Fraction] = {}
         for t, c in self.terms.items():
-            nt = _label(t, [mapping.get(v, v) for v in tree_leaves(t)])
+            nt = rename_tree(t, mapping)
             out[nt] = out.get(nt, Fraction(0)) + c
         return FreePoly(new_vars, out)
 
@@ -341,68 +348,47 @@ def parse(text: str, variables: Sequence[str]) -> FreePoly:
     return _Parser(text, variables).parse()
 
 
-def _shapes(n: int) -> list[Tree]:
-    """All binary tree shapes with n leaves; leaves are the placeholder None."""
-    if n == 1:
-        return [None]
+def _commutative_trees(leaves: tuple) -> list[Tree]:
+    """Every `canonical_commutative` tree with each of `leaves` once.
+
+    The first leaf's factor takes each subset of the other leaves that
+    leaves the other factor nonempty, so each split into two factors is met
+    once; children come out canonical, so ordering them by `tree_key` makes
+    the pair canonical.
+    """
+    if len(leaves) == 1:
+        return [leaves[0]]
+    first, rest = leaves[0], leaves[1:]
     out = []
-    for i in range(1, n):
-        for l in _shapes(i):
-            for r in _shapes(n - i):
-                out.append((l, r))
+    for k in range(len(rest)):
+        for mine in itertools.combinations(rest, k):
+            other = tuple(v for v in rest if v not in mine)
+            for l in _commutative_trees((first,) + mine):
+                for r in _commutative_trees(other):
+                    out.append((l, r) if tree_key(l) <= tree_key(r) else (r, l))
     return out
 
 
-def _label(shape, names: Sequence[str]) -> Tree:
-    """The tree of `shape` with its leaves, None placeholders or variable
-    names, replaced by `names` from left to right."""
-    it = iter(names)
+def multilinear_monomials(n: int, order: str = "canonical") -> list[Tree]:
+    """The multilinear degree-n monomials in t1..tn modulo commutativity.
 
-    def go(s):
-        if not isinstance(s, tuple):
-            return next(it)
-        return (go(s[0]), go(s[1]))
-
-    return go(shape)
-
-
-def multilinear_monomials(n: int, modulo_commutativity: bool,
-                          order: str = "canonical") -> list[Tree]:
-    """All multilinear degree-n monomials in t1..tn, deterministically ordered.
-
-    Plain: every tree shape with every leaf permutation, Catalan(n-1) * n! of
-    them.  Modulo commutativity: one recursively-min-ordered representative per
-    orbit under swapping product factors.  ``order="balanced_first"`` (n = 4
-    only) lists the three balanced products (t1t2)(t3t4), (t1t3)(t2t4),
-    (t1t4)(t2t3) and then the twelve left-combed ((ti tj) tk) tl in
-    lexicographic order, matching the column convention of the degree-4
-    identity-space reports.
+    One `canonical_commutative` representative per orbit under swapping
+    product factors, (2n-3)!! of them, sorted by `tree_key`.
+    ``order="balanced_first"`` (n = 4 only) lists the three balanced
+    products (t1t2)(t3t4), (t1t3)(t2t4), (t1t4)(t2t3) and then the twelve
+    left-combed ((ti tj) tk) tl in lexicographic order, matching the column
+    convention of the degree-4 identity-space reports.
     """
     if not 1 <= n <= 6:
         raise DegreeOutOfRangeError(f"degree must be in 1..6, got {n}")
-    names = [f"t{i}" for i in range(1, n + 1)]
     if order == "balanced_first":
         if n != 4:
             raise ValueError("balanced_first ordering is defined for degree 4")
-        if not modulo_commutativity:
-            raise ValueError("balanced_first is a commutative ordering")
         return list(BALANCED_FIRST_DEG4)
     if order != "canonical":
         raise ValueError(f"unknown ordering {order!r}")
-    out = []
-    seen = set()
-    for shape in _shapes(n):
-        for perm in itertools.permutations(names):
-            t = _label(shape, perm)
-            if modulo_commutativity:
-                t = canonical_commutative(t)
-                if t in seen:
-                    continue
-                seen.add(t)
-            out.append(t)
-    if modulo_commutativity:
-        out.sort(key=tree_key)
-    return out
+    return sorted(_commutative_trees(tuple(f"t{i}" for i in range(1, n + 1))),
+                  key=tree_key)
 
 
 def _deg4_balanced_first() -> list[Tree]:
@@ -455,8 +441,7 @@ def symmetry_blocks(poly: FreePoly, commutative: bool = False) -> list[tuple]:
 
     def signed_fixed(a: str, b: str) -> bool:
         swap = {a: b, b: a}
-        image = {t: norm(_label(t, [swap.get(v, v) for v in tree_leaves(t)]))
-                 for t, c in form.items() if c}
+        image = {t: norm(rename_tree(t, swap)) for t, c in form.items() if c}
         return any(all(form.get(image[t]) == sign * form[t] for t in image)
                    for sign in (1, -1))
 

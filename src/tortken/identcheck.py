@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 from .exactnum import Echelon, Field, Matrix
 from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError,
                        divided_power, derivation_symmetric, standard_derivation)
-from .freepoly import (FreePoly, _label, canonical_commutative, catalog,
-                       catalog_entry, multilinear_monomials, mu_vector,
-                       polarize, symmetry_blocks, tree_format, tree_leaves)
+from .freepoly import (FreePoly, canonical_commutative, catalog, catalog_entry,
+                       multilinear_monomials, mu_vector, polarize, rename_tree,
+                       symmetry_blocks, tree_format, tree_leaves)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -446,7 +446,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     transpositions' maps, kept per permutation.  A row set already inserted,
     known by its tuple of monomial value ids, is not inserted again.
     """
-    monomials = multilinear_monomials(degree, True, order)
+    monomials = multilinear_monomials(degree, order)
     f, n, zero = A.field, degree, A.field.zero
     variables = [f"t{i + 1}" for i in range(n)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
@@ -457,9 +457,8 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         column = {canonical_commutative(m): c for c, m in enumerate(monomials)}
         for a, b in zip(variables, variables[1:]):
             swap = {a: b, b: a}
-            swaps.append([column[canonical_commutative(
-                _label(m, [swap.get(v, v) for v in tree_leaves(m)]))]
-                for m in monomials])
+            swaps.append([column[canonical_commutative(rename_tree(m, swap))]
+                          for m in monomials])
     maps = {tuple(range(n)): range(len(monomials))}
 
     def colmap(pos: tuple):
@@ -506,11 +505,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         if (entry.degree != degree or len(entry.variables) != degree
                 or not entry.poly.is_multilinear()):
             continue
-        try:
-            vec = [f.coerce(c) for c in mu_vector(entry.poly, monomials)]
-        except ZeroDivisionError:
-            flags[entry.name] = None
-            continue
+        vec = [f.coerce(c) for c in mu_vector(entry.poly, monomials)]
         flags[entry.name] = echelon.annihilates(vec) if used else None
     return IdentitySpaceReport(degree, order, monomials, getattr(A, "name", "?"),
                                used, len(orbits) - used, matrix, echelon.dim,

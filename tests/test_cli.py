@@ -100,7 +100,7 @@ def test_algebra_validate(capsys):
     assert "novikov: OK" in out
 
 
-def test_algebra_validate_catches_failure(capsys):
+def test_algebra_validate_catches_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "algebra", "validate", "--builtin",
                            "random-commutative", "--dim", "3", "--char", "5",
                            "--seed", "0", "--transform", "opposite")
@@ -108,6 +108,10 @@ def test_algebra_validate_catches_failure(capsys):
     code, out, _ = run_cli(capsys, "algebra", "validate", "--builtin",
                            "gametic", "--dim", "2")
     assert code == 0 and "novikov: OK" in out
+    # b0*b1 = b1 and b1*b0 = 0 over F_3: not commutative
+    spec = _spec_file(tmp_path, _dim2([[0, 1, 1, 1]], char=3))
+    code, out, _ = run_cli(capsys, "algebra", "validate", "--spec", spec)
+    assert (code, out) == (1, "commutative: FAIL (commutativity)\n")
 
 
 def test_spec_file_round_trip(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,8 @@ from tortken.freepoly import (AmbiguousProductError, DegreeOutOfRangeError,
                               canonical_commutative, catalog, catalog_entry,
                               mu_vector, multilinear_monomials, parse,
                               polarize, symmetry_blocks, tree_degree,
-                              tree_format, tree_leaves, BALANCED_FIRST_DEG4)
+                              tree_format, tree_key, tree_leaves,
+                              BALANCED_FIRST_DEG4)
 
 ABC = ("a", "b", "c")
 ABCD = ("a", "b", "c", "d")
@@ -40,6 +40,9 @@ def test_parse_coefficients():
     p = parse("2*(a*b) - 1/2*(b*a)", ABC)
     assert p.terms[("a", "b")] == 2
     assert p.terms[("b", "a")] == Fraction(-1, 2)
+    # unary minus as a factor
+    assert parse("a*-b", ("a", "b")).format() == "-a*b"
+    assert parse("2*-(a*b)", ("a", "b")).format() == "-2*(a*b)"
 
 
 def test_parse_errors():
@@ -59,6 +62,10 @@ def test_parse_errors():
     assert err.value.pos == 8
     with pytest.raises(ValueError, match="repeated variable"):
         parse("a*a", ("a", "a"))
+    with pytest.raises(ParseError,
+                       match="assoc takes 3 arguments, got 2") as err:
+        parse("assoc(a,b)", ("a", "b"))
+    assert err.value.pos == 0
 
 
 def test_format_round_trip_catalog():
@@ -82,36 +89,54 @@ def test_format_round_trip_random(items):
     assert parse(poly.format(), ABC) == poly
 
 
+def _monomial_oracle(n):
+    """Every tree shape under every leaf permutation, canonicalized,
+    deduplicated and sorted by tree_key."""
+    def shapes(k):
+        if k == 1:
+            return [None]
+        return [(l, r) for i in range(1, k)
+                for l in shapes(i) for r in shapes(k - i)]
+
+    def label(shape, it):
+        if shape is None:
+            return next(it)
+        return (label(shape[0], it), label(shape[1], it))
+
+    names = [f"t{i}" for i in range(1, n + 1)]
+    return sorted({canonical_commutative(label(shape, iter(perm)))
+                   for shape in shapes(n)
+                   for perm in itertools.permutations(names)}, key=tree_key)
+
+
 def test_monomial_counts():
-    assert multilinear_monomials(2, False) == [("t1", "t2"), ("t2", "t1")]
-    assert len(multilinear_monomials(3, False)) == 12
-    for n in range(1, 6):
-        catalan = math.comb(2 * (n - 1), n - 1) // n
-        assert len(multilinear_monomials(n, False)) == catalan * math.factorial(n)
+    for n in range(1, 7):
+        assert multilinear_monomials(n) == _monomial_oracle(n), n
+    assert multilinear_monomials(2) == [("t1", "t2")]
     # commutative counts are the double factorials (2n-3)!!
-    assert [len(multilinear_monomials(n, True)) for n in (2, 3, 4, 5)] == \
-        [1, 3, 15, 105]
+    assert [len(multilinear_monomials(n)) for n in (2, 3, 4, 5, 6)] == \
+        [1, 3, 15, 105, 945]
     with pytest.raises(DegreeOutOfRangeError):
-        multilinear_monomials(7, False)
+        multilinear_monomials(7)
     with pytest.raises(DegreeOutOfRangeError):
-        multilinear_monomials(0, True)
+        multilinear_monomials(0)
 
 
 def test_balanced_first_ordering():
-    ms = multilinear_monomials(4, True, order="balanced_first")
+    ms = multilinear_monomials(4, order="balanced_first")
     assert len(ms) == 15
     assert tree_format(ms[0]) == "(t1*t2)*(t3*t4)"
     assert tree_format(ms[3]) == "((t1*t2)*t3)*t4"
     assert tree_format(ms[14]) == "((t3*t4)*t2)*t1"
     # same orbit classes as the canonical list
-    canon = {canonical_commutative(t) for t in multilinear_monomials(4, True)}
+    canon = {canonical_commutative(t) for t in multilinear_monomials(4)}
     assert {canonical_commutative(t) for t in ms} == canon
     with pytest.raises(ValueError):
-        multilinear_monomials(3, True, order="balanced_first")
+        multilinear_monomials(3, order="balanced_first")
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(multilinear_monomials(4, True)), st.data())
+@given(st.sampled_from(multilinear_monomials(4)), st.data())
 def test_canonical_stable_under_swaps(tree, data):
     def shuffle(t):
         if isinstance(t, str):
@@ -136,6 +161,13 @@ def test_catalog_degrees():
         assert catalog_entry(name).degree == deg, name
     for i in range(1, 6):
         assert catalog_entry(f"deg4_basis_{i}").degree == 4
+
+
+def test_catalog_coefficients_are_integers():
+    # identity_space coerces them into F_p, which cannot fail on integers
+    for entry in catalog():
+        assert all(c.denominator == 1 for c in entry.poly.terms.values()), \
+            entry.name
 
 
 def test_deg5_iv_shape():

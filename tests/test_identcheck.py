@@ -505,7 +505,7 @@ def _oracle_rows(degree, A, substitutions, order="canonical"):
     f = A.field
     variables = [f"t{i + 1}" for i in range(degree)]
     monos = [FreePoly.monomial(m, variables)
-             for m in multilinear_monomials(degree, True, order)]
+             for m in multilinear_monomials(degree, order)]
     rows, used, skipped = [], 0, 0
     for sub in substitutions:
         els = dict(zip(variables, sub))
@@ -874,7 +874,7 @@ def _reference_space(degree, A, substitutions, order="canonical"):
     variables = [f"t{i + 1}" for i in range(degree)]
     prog = identcheck._Program(
         [FreePoly.monomial(m, variables)
-         for m in multilinear_monomials(degree, True, order)], f)
+         for m in multilinear_monomials(degree, order)], f)
     rows, skipped = [], 0
     for sub in substitutions:
         try:
