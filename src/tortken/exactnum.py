@@ -2,10 +2,12 @@
 
 No floating point anywhere: rationals are arbitrary-precision `fractions.Fraction`
 (always in lowest terms with positive denominator), prime-field residues are plain
-ints kept reduced in [0, p).  Matrices are dense and row-major.  `Echelon`, an
-incremental reduced row echelon basis, is the one elimination kernel: `Matrix`
-RREF, rank, nullspace, solve and determinant, the spans of `idealtool.Subspace`
-and identity spaces all run through it.
+ints kept reduced in [0, p); `Field.coerce` rejects floats.  Matrices are dense
+and row-major.  `Echelon`, an incremental reduced row echelon basis, is the one
+elimination kernel: `Matrix` RREF, rank, nullspace, solve and determinant, the
+spans of `idealtool.Subspace` and identity spaces all run through it.  Over Q it
+keeps each row as int numerators over one positive int denominator and builds
+`Fraction`s only for the values it returns.
 """
 
 from __future__ import annotations
@@ -80,9 +82,13 @@ class Field:
         return Fraction(1) if self.char == 0 else 1
 
     def coerce(self, x):
-        """Coerce an int, Fraction, or "a/b" string into a canonical scalar."""
+        """Coerce an int, Fraction, or "a/b" string into a canonical scalar;
+        a float or complex raises TypeError, as no value is rounded."""
         if type(x) is (int if self.char else Fraction):  # the common case
             return x % self.char if self.char else x
+        if isinstance(x, (float, complex)):
+            raise TypeError(f"{x!r} is floating point; use an int, a Fraction "
+                            f"or an 'a/b' string")
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:
@@ -110,11 +116,6 @@ class Field:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.char == 0 else pow(a, -1, self.char)
-
-    def div(self, a, b):
-        if self.is_zero(b):
-            raise ZeroDivisionError("division by zero")
-        return a / b if self.char == 0 else a * pow(b, -1, self.char) % self.char
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -196,8 +197,11 @@ class Echelon:
     from pivot column to that free part.  `insert` reduces a new vector
     against the stored rows; a nonzero residue is normalised, cleared from
     the stored rows in its pivot column, and stored.  The RREF of a row space
-    is unique, so `rows` does not depend on the insertion order.  Over F_p
-    the inner loops run on plain ints with one reduction mod p per entry.
+    is unique, so `rows` does not depend on the insertion order.  Over F_p a
+    free part is a list of plain ints, with one reduction mod p per entry.
+    Over Q it is a pair (numerators, denominator) of ints in lowest terms
+    with a positive denominator, so that the inner loops never reduce a
+    fraction; `Fraction`s are built only where values leave the kernel.
     """
 
     __slots__ = ("field", "cols", "_p", "_zero", "_free", "_free_pos",
@@ -210,7 +214,7 @@ class Echelon:
         self._zero = field.zero
         self._free = list(range(cols))               # non-pivot columns, ascending
         self._free_pos = {j: j for j in self._free}  # column -> index in _free
-        self._pivots: dict[int, list] = {}           # pivot column -> free part
+        self._pivots: dict = {}                      # pivot column -> free part
 
     @property
     def dim(self) -> int:
@@ -224,9 +228,15 @@ class Echelon:
     @property
     def rows(self) -> tuple:
         """The RREF rows, ordered by pivot column."""
-        one = self.field.one
-        return tuple(tuple(self._dense([(c, one), *zip(self._free, fr)]))
-                     for c, fr in sorted(self._pivots.items()))
+        p, one = self._p, self.field.one
+        return tuple(tuple(self._dense([(c, one), *zip(
+            self._free, fr if p else self._fractions(*fr))]))
+            for c, fr in sorted(self._pivots.items()))
+
+    @staticmethod
+    def _fractions(nums: list, d: int) -> list:
+        """Numerators over the denominator d as canonical `Fraction`s."""
+        return [Fraction(a, d) for a in nums]
 
     def _dense(self, pairs) -> list:
         out = [self._zero] * self.cols
@@ -243,22 +253,47 @@ class Echelon:
         return [(j, x) for j, x in enumerate(map(self.field.coerce, vec)) if x]
 
     def _residue(self, v) -> list:
-        """The canonical residue of the sparse v on the free columns (it is 0
-        on every pivot column).  v is (column, entry) pairs; entries on a
-        repeated column add up, and over F_p they may be any ints."""
-        p = self._p
-        r = [self._zero] * len(self._free)
+        """The residue of the sparse v on the free columns (it is 0 on every
+        pivot column): ints in [0, p) over F_p, and over Q the numerators of
+        `_residue_q`.  v is (column, entry) pairs; entries on a repeated
+        column add up, and they may be any ints (or, over Q, `Fraction`s)."""
+        if not (p := self._p):
+            return self._residue_q(v)[0]
+        r = [0] * len(self._free)
         free_pos = self._free_pos
         for c, x in v:
             t = free_pos.get(c)
             if t is not None:
                 r[t] += x
                 continue
-            if p:
-                x %= p
+            x %= p
             if x:
                 r = [a - x * b for a, b in zip(r, self._pivots[c])]
-        return [a % p for a in r] if p else r
+        return [a % p for a in r]
+
+    def _residue_q(self, v) -> tuple[list, int]:
+        """`_residue` over Q as int numerators over a positive int
+        denominator, the lcm of the denominators met; not in lowest terms,
+        as `_store` and `Fraction` both reduce."""
+        free_pos, pivots = self._free_pos, self._pivots
+        r, d = [0] * len(self._free), 1
+        for c, x in v:
+            a, b = x.numerator, x.denominator
+            if not a:
+                continue
+            if (t := free_pos.get(c)) is None:
+                fr, e = pivots[c]
+                b *= e
+            if d % b:
+                s = b // math.gcd(d, b)
+                d *= s
+                r = [y * s for y in r]
+            a *= d // b
+            if t is None:
+                r = [y - a * z for y, z in zip(r, fr)]
+            else:
+                r[t] += a
+        return r, d
 
     def insert(self, v) -> list | None:
         """Extend the span by the sparse v (see `_residue`).  Returns the
@@ -267,25 +302,39 @@ class Echelon:
         return self._store(self._residue(v))
 
     def _store(self, r: list) -> list | None:
-        """`insert` for the residue r of a vector, from `_residue`."""
+        """`insert` for the residue numerators r of a vector, from
+        `_residue`: the new row is r over its first nonzero entry."""
         k = next((t for t, x in enumerate(r) if x), None)
         if k is None:
             return None
-        p = self._p
-        inv = pow(r[k], -1, p) if p else 1 / r[k]
-        r = [x * inv % p for x in r] if p else [x * inv for x in r]
-        free = self._free
-        residue = [(j, x) for j, x in zip(free, r) if x]
-        pivots = self._pivots
-        for c, fr in pivots.items():
-            x = fr[k]
-            if x:
-                fr = ([(a - x * b) % p for a, b in zip(fr, r)] if p
-                      else [a - x * b for a, b in zip(fr, r)])
-                pivots[c] = fr
-            del fr[k]
-        del r[k]
-        pivots[free.pop(k)] = r
+        free, pivots = self._free, self._pivots
+        if p := self._p:
+            inv = pow(r[k], -1, p)
+            r = [x * inv % p for x in r]
+            residue = [(j, x) for j, x in zip(free, r) if x]
+            for c, fr in pivots.items():
+                x = fr[k]
+                if x:
+                    fr = [(a - x * b) % p for a, b in zip(fr, r)]
+                    pivots[c] = fr
+                del fr[k]
+            del r[k]
+            pivots[free.pop(k)] = r
+        else:
+            g = math.gcd(*r)
+            r = [x // g for x in r] if r[k] > 0 else [-x // g for x in r]
+            e = r[k]  # the new row is r / e, in lowest terms, with e > 0
+            residue = [(j, Fraction(x, e)) for j, x in zip(free, r) if x]
+            for c, (fr, d) in pivots.items():
+                x = fr[k]
+                if x:  # fr / d - x / d * r / e, over d * e
+                    fr = [a * e - x * b for a, b in zip(fr, r)]
+                    g = math.gcd(d := d * e, *fr)
+                    fr = [a // g for a in fr]
+                    pivots[c] = fr, d // g
+                del fr[k]
+            del r[k]
+            pivots[free.pop(k)] = r, e
         self._free_pos = {j: t for t, j in enumerate(free)}
         return residue
 
@@ -297,7 +346,9 @@ class Echelon:
 
     def reduce(self, vec: Sequence) -> list:
         """Residue of the dense vec after elimination against the RREF rows."""
-        return self._dense(zip(self._free, self._residue(self.sparse(vec))))
+        v = self.sparse(vec)
+        r = self._residue(v) if self._p else self._fractions(*self._residue_q(v))
+        return self._dense(zip(self._free, r))
 
     def nullspace(self) -> list[list]:
         """Canonical basis of the vectors orthogonal to every row: one per
@@ -308,17 +359,19 @@ class Echelon:
             v = [self._zero] * self.cols
             v[j] = self.field.one
             for c, fr in self._pivots.items():
-                v[c] = -fr[t] % p if p else -fr[t]
+                v[c] = -fr[t] % p if p else Fraction(-fr[0][t], fr[1])
             out.append(v)
         return out
 
     def annihilates(self, vec: Sequence) -> bool:
         """Whether M vec = 0 for the canonical dense vec and any matrix M
-        whose rows span this space (checked on the RREF rows)."""
+        whose rows span this space (checked on the RREF rows; over Q on
+        d * row, for its numerators over the denominator d)."""
         p = self._p
         on_free = [vec[j] for j in self._free]
         for c, fr in self._pivots.items():
-            s = vec[c] + sum(a * b for a, b in zip(fr, on_free))
+            fr, d = (fr, 1) if p else fr
+            s = d * vec[c] + sum(a * b for a, b in zip(fr, on_free))
             if s % p if p else s:
                 return False
         return True
@@ -399,15 +452,17 @@ class Matrix:
         pivot is at an odd position among the free columns."""
         if self.rows != self.cols:
             raise NotSquareError(f"{self.rows}x{self.cols}")
-        f = self.field
+        f, q = self.field, not self.field.char
         ech = Echelon(f, self.cols)
         d = f.one
         for row in self.data:
-            r = ech._residue(enumerate(row))
+            r, e = (ech._residue_q(enumerate(row)) if q
+                    else (ech._residue(enumerate(row)), 1))
             k = next((t for t, x in enumerate(r) if x), None)
             if k is None:
                 return f.zero
-            d = f.mul(d, f.neg(r[k]) if k % 2 else r[k])
+            x = Fraction(r[k], e) if q else r[k]
+            d = f.mul(d, f.neg(x) if k % 2 else x)
             ech._store(r)
         return d
 

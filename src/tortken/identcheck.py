@@ -468,10 +468,17 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
             got = maps[pos] = [prev[c] for c in swaps[k]]
         return got
 
+    raw: dict = {}  # items of a raw element -> id; equal items, equal element
+
+    def element_id(e: dict) -> int:
+        if (got := raw.get(key := frozenset(e.items()))) is None:
+            got = raw[key] = prod.intern(A.element(e))
+        return got
+
     def orbit(sub):
         if len(sub) != n:
             raise ValueError(f"substitution needs {n} elements, got {len(sub)}")
-        x = [prod.intern(A.element(e)) for e in sub]
+        x = [element_id(e) for e in sub]
         at = sorted(range(n), key=x.__getitem__) if commutative else range(n)
         pos = tuple(sorted(range(n), key=at.__getitem__))  # x_i = r_pos(i)
         return reps.setdefault(r := tuple(x[i] for i in at), r), colmap(pos)

@@ -18,6 +18,15 @@ F5 = Field.prime(5)
 def test_scalar_errors():
     with pytest.raises(ZeroDivisionError):
         F3.coerce(Fraction(1, 3))
+    # no floating point, not even a float with an exact binary value
+    for f in (Q, F5):
+        for x in (2.0, 0.1, 1j, float("nan")):
+            with pytest.raises(TypeError, match="floating point"):
+                f.coerce(x)
+    with pytest.raises(TypeError, match="floating point"):
+        Matrix(F5, [[0.5, 1], [1, 2]]).det()
+    with pytest.raises(TypeError, match="floating point"):
+        Echelon(Q, 2).add([Fraction(1, 2), 0.25])
 
 
 def test_field_construction():
@@ -132,31 +141,45 @@ def test_rref_idempotent_and_nullspace(rows, cols, data):
 F2 = Field.prime(2)
 
 
+# Q entries with unequal denominators, mixed with ints
+q_entries = st.one_of(st.fractions(-50, 50, max_denominator=30),
+                      st.integers(-4, 4))
+
+
 @st.composite
 def _row_spaces(draw):
-    """(field, cols, rows, rhs): rows drawn from a few base rows, zero rows
-    and unit rows, so that zero rows, duplicates, rank 0 and rank `cols`
-    all occur."""
+    """(field, cols, rows, rhs, probe): rows drawn from a few base rows,
+    combinations of two of them (which cancel in elimination), zero rows and
+    unit rows, so that zero rows, duplicates, rank 0 and rank `cols` all
+    occur; probe is one more vector."""
     f = draw(st.sampled_from((F2, F3, F5, Q)))
     cols = draw(st.integers(1, 5))
-    entry = (st.fractions(-3, 3, max_denominator=3) if f.char == 0
-             else st.integers(-4, 4))
+    entry = q_entries if f.char == 0 else st.integers(-4, 4)
     base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                          max_size=3))
+    if base:
+        base += [[a * x + b * y for x, y in zip(u, v)] for u, v, a, b in draw(
+            st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base),
+                               entry, entry), max_size=2))]
     base += [[0] * cols] + [[int(i == j) for j in range(cols)]
                             for i in range(cols)]
     rows = draw(st.lists(st.sampled_from(base), min_size=1, max_size=7))
     rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
-    return f, cols, rows, rhs
+    probe = draw(st.lists(entry, min_size=cols, max_size=cols))
+    return f, cols, rows, rhs, probe
 
 
 @settings(max_examples=200, deadline=None)
 @given(_row_spaces())
-@example((F3, 3, [[0, 0, 0], [0, 0, 0]], [0, 1]))                # rank 0
-@example((F5, 2, [[1, 2], [1, 2], [0, 0], [3, 1]], [1, 1, 0, 2]))  # rank cols
-@example((Q, 3, [[1, 2, 3], [2, 4, 6], [0, 0, 0]], [1, 2, 0]))     # duplicates
+@example((F3, 3, [[0, 0, 0], [0, 0, 0]], [0, 1], [1, 2, 0]))        # rank 0
+@example((F5, 2, [[1, 2], [1, 2], [0, 0], [3, 1]], [1, 1, 0, 2], [1, 2]))
+@example((Q, 3, [[1, 2, 3], [2, 4, 6], [0, 0, 0]], [1, 2, 0],      # duplicates
+          [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]))
+@example((Q, 3, [[Fraction(1, 6), Fraction(-3, 10), 2], [5, Fraction(1, 15), 0],
+                 [Fraction(31, 6), Fraction(-7, 30), 2]], [1, 0, 1],
+          [Fraction(-1, 30), 7, Fraction(5, 9)]))  # the third row cancels
 def test_kernel_matches_dense_reference(case):
-    f, cols, rows, rhs = case
+    f, cols, rows, rhs, probe = case
     m = Matrix(f, rows)
     R0, rank0, pivots0 = dense_rref(f, rows)
     R, rank, pivots = m.rref()
@@ -169,19 +192,45 @@ def test_kernel_matches_dense_reference(case):
     assert m.solve(consistent) == dense_solve(f, rows, consistent, cols)
     # the kernel on its own: any insertion order gives the same echelon rows
     ech = Echelon(f, cols)
-    for row in reversed(rows):
-        ech.add(row)
+    added = [ech.add(row) for row in reversed(rows)]
     assert (ech.rows, ech.dim) == (tuple(map(tuple, R0[:rank0])), rank0)
     # a sparse vector may repeat a column, and its entries add up
     split = Echelon(f, cols)
-    for row in rows:
-        split.insert([(j, x - 1) for j, x in enumerate(row)]
-                     + [(j, 1) for j in reversed(range(cols))])
+    inserted = [split.insert([(j, x - 1) for j, x in enumerate(row)]
+                             + [(j, 1) for j in reversed(range(cols))])
+                for row in rows]
     assert split.rows == ech.rows
     units = [[int(i == j) for j in range(cols)] for i in range(cols)]
     for v in null + [[f.coerce(x) for x in u] for u in units]:
         want = all(f.is_zero(x) for x in dense_mul_vec(f, rows, v))
         assert ech.annihilates(v) is want
+    # reduce(v) is v minus a vector of the span, zero on every pivot column,
+    # and zero exactly when v lies in the span
+    reduced = []
+    for v in [probe] + units:
+        red = ech.reduce(v)
+        reduced += red
+        assert all(f.is_zero(red[c]) for c in pivots0)
+        diff = [f.sub(f.coerce(x), y) for x, y in zip(v, red)]
+        assert dense_rref(f, rows + [diff])[1] == rank0
+        inside = dense_rref(f, rows + [v])[1] == rank0
+        assert (not any(red)) is inside
+    # every value leaving the kernel is canonical: over Q a Fraction in
+    # lowest terms, over F_p an int in [0, p); inside it, every row over Q
+    # is int numerators over a positive denominator, in lowest terms
+    values = [x for r in ech.rows for x in r] + [x for v in null for x in v]
+    values += [x for res in added if res is not None for x in res] + reduced
+    values += [x for res in inserted if res is not None for _, x in res]
+    for x in values:
+        if f.char:
+            assert type(x) is int and 0 <= x < f.char
+        else:
+            assert type(x) is Fraction
+            assert x.denominator > 0
+            assert math.gcd(x.numerator, x.denominator) == 1
+    if f.char == 0:
+        for nums, d in ech._pivots.values():
+            assert d > 0 and math.gcd(d, *nums) == 1
 
 
 def test_det_examples():
@@ -220,8 +269,7 @@ def _leibniz(f, rows):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((Q, F2, F3, F5)), st.integers(1, 5), st.data())
 def test_det_matches_leibniz(f, n, data):
-    entry = (st.fractions(-3, 3, max_denominator=3) if f.char == 0
-             else st.integers(-4, 4))
+    entry = q_entries if f.char == 0 else st.integers(-4, 4)
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                               min_size=n, max_size=n))
     m = Matrix(f, rows)

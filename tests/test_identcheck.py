@@ -249,6 +249,25 @@ def test_identity_space_reference():
     assert not rep.flags["sokolov"]
 
 
+def test_laurent_identity_space_over_q_matches_dense_reference():
+    # the degree-4 space of the benchmark's Laurent job, on the rational
+    # kernel, against the plain-Fraction elimination of its own matrix
+    L = osborn_laurent(Fraction(1, 2), 0, -6, 6, "jordan")
+    subs = [tuple(L.basis(i) for i in t)
+            for t in itertools.product(range(-2, 3), repeat=4)]
+    rep = identity_space(4, L, subs)
+    assert (rep.rank, rep.nullity) == (10, 5)
+    assert rep.nullspace == dense_nullspace(L.field, rep.matrix.data,
+                                            rep.matrix.cols)
+    assert all(type(x) is Fraction for v in rep.nullspace for x in v)
+    assert rep.flags == {
+        "tortken": True, "tortken_left": True, "tortken_prime": False,
+        "assoc_jordan_deg4": False, "alt_right_mult": True,
+        "cyclic_assoc_middle": True, "cyclic_assoc_outer": True,
+        "sokolov": False, "deg4_basis_1": True, "deg4_basis_2": True,
+        "deg4_basis_3": True, "deg4_basis_4": True, "deg4_basis_5": True}
+
+
 def test_identity_space_row_one_sanity():
     # ((x*x)*x)*1 = 4 under the derivation product: column 4 of row 1
     rep = reference_deg4_report()
@@ -964,6 +983,34 @@ def test_identity_space_rejects_a_wrong_length_before_evaluating(monkeypatch):
     with pytest.raises(ValueError, match="substitution needs 4 elements, got 3"):
         identity_space(4, A, subs)
     assert calls == []
+
+
+def test_identity_space_interns_each_raw_element_once(monkeypatch):
+    # equal raw items give equal elements, so `element` runs once per raw
+    # dict; {0: 1} and {0: 6} differ as dicts but are one element of F_5,
+    # so they share an id and all three substitutions share one orbit
+    A = plus(osborn(1, 1, 5, 1))
+    calls, reps = [], []
+    element, runs = type(A).element, identcheck._Program.runs
+    monkeypatch.setattr(type(A), "element",
+                        lambda self, e: calls.append(e) or element(self, e))
+    monkeypatch.setattr(identcheck._Program, "runs", lambda self, prod, subs:
+                        runs(self, prod, [reps.append(s) or s for s in subs]))
+    one, six, two = {0: 1}, {0: 6}, {1: 2}
+    subs = [(one, two, two, two), (six, two, two, two), (two, two, one, two)]
+    rep = identity_space(4, A, subs)
+    assert calls == [one, two, six]
+    assert len(reps) == 1
+    same = identity_space(4, A, [(one, two, two, two)] + subs[::2])
+    assert rep.matrix.data == same.matrix.data
+
+
+def test_identity_space_rejects_an_index_outside_the_window_every_call():
+    L = osborn_laurent(1, 0, -3, 3, "jordan")
+    subs = [(L.basis(0),) * 4, (L.basis(0), L.basis(1), {9: 1}, L.basis(0))]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="index 9 outside window"):
+            identity_space(4, L, subs)
 
 
 def test_alt_right_mult_agrees_with_operator_oracle():
