@@ -10,6 +10,7 @@ detected at evaluation time instead of being silently truncated.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -56,21 +57,15 @@ class PrereqIdentityFailsError(ValueError):
 def el_add(field: Field, a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
-        v = field.add(out.get(k, field.zero), c)
-        if field.is_zero(v):
-            out.pop(k, None)
-        else:
-            out[k] = v
-    return out
+        out[k] = out.get(k, 0) + c
+    return field.canonical(out)
 
 def el_sub(field: Field, a: dict, b: dict) -> dict:
-    return el_add(field, a, el_scale(field, field.neg(field.one), b))
+    return el_add(field, a, el_scale(field, -1, b))
 
 def el_scale(field: Field, c, a: dict) -> dict:
     c = field.coerce(c)
-    if field.is_zero(c):
-        return {}
-    return {k: field.mul(c, v) for k, v in a.items()}
+    return field.canonical({k: c * v for k, v in a.items()})
 
 class Algebra:
     """An algebra on a finite tuple of basis indices, given by its product
@@ -131,10 +126,8 @@ class Algebra:
         for k, c in coords.items():
             if k not in self.position:
                 raise ValueError(f"index {k} outside window")
-            c = self.field.coerce(c)
-            if not self.field.is_zero(c):
-                out[k] = c
-        return out
+            out[k] = self.field.coerce(c)
+        return self.field.canonical(out)
 
     def product(self, i, j) -> tuple:
         """The normalized product of basis elements i and j as sorted
@@ -156,10 +149,7 @@ class Algebra:
                 c = ca * cb
                 for k, ck in ent:
                     out[k] = out.get(k, 0) + c * ck
-        p = self.field.char
-        if p:
-            return {k: v % p for k, v in out.items() if v % p}
-        return {k: v for k, v in out.items() if v}
+        return self.field.canonical(out)
 
     def fmt_element(self, e: dict) -> str:
         if not e:
@@ -269,9 +259,8 @@ class Algebra:
 def _normalize(field: Field, pairs) -> tuple:
     merged: dict = {}
     for k, c in pairs:
-        merged[k] = field.add(merged.get(k, field.zero), field.coerce(c))
-    return tuple(sorted((k, c) for k, c in merged.items()
-                        if not field.is_zero(c)))
+        merged[k] = merged.get(k, 0) + field.coerce(c)
+    return tuple(sorted(field.canonical(merged).items()))
 
 
 def _of_class(A: Algebra, name: str, field: Field, indices: Sequence,
@@ -394,13 +383,8 @@ def divided_power(p: int, m: int) -> Algebra:
         raise ValueError("need m >= 1")
     field = Field.prime(p)
     dim = p**m
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if i + j < dim:
-                c = binomial(i + j, i) % p
-                if c:
-                    table[i][j] = {i + j: c}
+    table = [[{i + j: binomial(i + j, i)} if i + j < dim else {}
+              for j in range(dim)] for i in range(dim)]  # reduced by the table
     return FiniteAlgebra(f"divided_power({p},{m})", field, dim, table,
                          [f"x^({i})" for i in range(dim)])
 
@@ -493,22 +477,16 @@ def osborn_plus_explicit(alpha, beta, p: int, m: int) -> FiniteAlgebra:
     alpha = field.coerce(alpha)
     beta = field.coerce(beta)
     dim = p**m
-    two = field.coerce(2)
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    table = [[[] for _ in range(dim)] for _ in range(dim)]  # pairs add up
     for i in range(dim):
         for j in range(dim):
-            ent: dict = {}
-            k = i + j - 1
-            if 0 <= k < dim:
-                c = binomial(i + j, j) % p
-                if c:
-                    ent[k] = c
+            ent = table[i][j]
+            if 0 <= i + j - 1 < dim:
+                ent.append((i + j - 1, binomial(i + j, j)))
             if i == 0 and j == 0:
-                ent[dim - 2] = field.add(ent.get(dim - 2, 0), field.mul(two, beta))
-                ent[dim - 1] = field.add(ent.get(dim - 1, 0), field.mul(two, alpha))
+                ent += [(dim - 2, 2 * beta), (dim - 1, 2 * alpha)]
             if (i, j) in ((0, 1), (1, 0)):
-                ent[dim - 1] = field.sub(ent.get(dim - 1, 0), field.mul(two, beta))
-            table[i][j] = ent
+                ent.append((dim - 1, -2 * beta))
     return FiniteAlgebra(
         f"osborn_plus({field.fmt(alpha)},{field.fmt(beta)},{p},{m})",
         field, dim, table, [f"x^({i})" for i in range(dim)])
@@ -570,8 +548,7 @@ def osborn_bar_finite(beta, p: int, m: int) -> FiniteAlgebra:
     f = A.field
     dim = A.dim
     beta = f.coerce(beta)
-    gens = [el_add(f, A.basis(0),
-                   el_scale(f, f.neg(f.mul(f.coerce(2), beta)), A.basis(dim - 1)))]
+    gens = [A.element({0: 1, dim - 1: -2 * beta})]
     gens += [A.basis(i) for i in range(1, dim - 1)]
     labels = [f"1-2b*x^({dim - 1})" if beta else "x^(0)"] + \
              [f"x^({i})" for i in range(1, dim - 1)]
@@ -635,14 +612,17 @@ def osborn_bar_laurent_beta(beta, lo: int, hi: int) -> GradedAlgebra:
                          label_fn=lambda i: f"y^{i}")
 
 
+_OSBORN_BAR = {"laurent_alpha": osborn_bar_laurent,
+               "finite_beta": osborn_bar_finite,
+               "laurent_beta": osborn_bar_laurent_beta}
+
+
 def osborn_bar(variant: str, **params) -> Algebra:
-    if variant == "laurent_alpha":
-        return osborn_bar_laurent(params["alpha"], params["lo"], params["hi"])
-    if variant == "finite_beta":
-        return osborn_bar_finite(params["beta"], params["p"], params["m"])
-    if variant == "laurent_beta":
-        return osborn_bar_laurent_beta(params["beta"], params["lo"], params["hi"])
-    raise ValueError(f"unknown osborn_bar variant {variant!r}")
+    """The `_OSBORN_BAR` function of the variant on its own parameters."""
+    if variant not in _OSBORN_BAR:
+        raise ValueError(f"unknown osborn_bar variant {variant!r}")
+    _check_params(_OSBORN_BAR[variant], f"osborn_bar {variant!r}", params)
+    return _OSBORN_BAR[variant](**params)
 
 
 # -- other constructions ----------------------------------------------------
@@ -710,9 +690,8 @@ def plus(A: Algebra) -> Algebra:
 
 def minus(A: Algebra) -> Algebra:
     """Commutator product [a, b] = ab - ba."""
-    neg = A.field.neg
     return A.derived(f"minus({A.name})", lambda i, j: A.product(i, j) + tuple(
-        (k, neg(c)) for k, c in A.product(j, i)))
+        (k, -c) for k, c in A.product(j, i)))
 
 
 def opposite(A: Algebra) -> Algebra:
@@ -786,17 +765,14 @@ def subalgebra_on_basis(A: Algebra, elements: Sequence[dict], name: str,
         raise ValueError("basis elements are dependent")
     bt = Matrix(f, rows).transpose()
     k = len(elements)
-    table = []
+    table = [[None] * k for _ in range(k)]
     for i in range(k):
-        row = []
         for j in range(k):
-            w = A.mul(elements[i], elements[j])
-            lam = bt.solve(A.dense(w))
+            lam = bt.solve(A.dense(A.mul(elements[i], elements[j])))
             if lam is None:
                 raise NotClosedError(f"product of basis elements {i},{j} "
                                      "leaves the span")
-            row.append({t: c for t, c in enumerate(lam) if not f.is_zero(c)})
-        table.append(row)
+            table[i][j] = list(enumerate(lam))  # the table drops the zeros
     return FiniteAlgebra(name, f, k, table, labels)
 
 
@@ -815,38 +791,52 @@ def algebra_from_spec(spec: dict) -> Algebra:
     return builtin_algebra(kind, **params)
 
 
+def _check_params(fn: Callable, what: str, kw: dict) -> None:
+    """ValueError naming a parameter that fn needs and kw lacks, or one in kw
+    that fn does not take."""
+    try:
+        inspect.signature(fn).bind(**kw)
+    except TypeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def _divided_kind(product: Callable | None = None) -> Callable:
+    """A divided-power kind's constructor: divided powers over F_p (a prime
+    p and m) or over Q on the window 0..N (N alone), under product if any."""
+    def build(p: int = 0, m: int | None = None, N: int | None = None):
+        if (m is None) == bool(p) or (N is None) != bool(p):
+            raise ValueError("divided powers take p and m (p prime), or N alone")
+        base = divided_power(p, m if p else N)
+        return product(base, standard_derivation(base)) if product else base
+    return build
+
+
+# kind -> builder; a builder's keyword parameters are the kind's parameters
+_BUILTINS = {
+    "divided-power": _divided_kind(),
+    "derivation-novikov": _divided_kind(derivation_novikov),
+    "derivation-symmetric": _divided_kind(derivation_symmetric),
+    "osborn": lambda p, m, alpha=0, beta=0: osborn(alpha, beta, p, m),
+    "osborn-plus": lambda p, m, alpha=0, beta=0: osborn_plus_explicit(
+        alpha, beta, p, m),
+    "osborn-laurent": lambda lo, hi, alpha=0, beta=0, variant="jordan":
+        osborn_laurent(alpha, beta, lo, hi, variant),
+    "osborn-bar": osborn_bar,
+    "gametic": lambda dim, char=0: gametic(dim, Field(char or 0)),
+    "integration": lambda N: integration_product(N),
+    "square-product": square_product,
+    "p2-product": p2_product,
+    "random-commutative": lambda dim, char=0, seed=0: random_commutative(
+        dim, Field(char or 0), seed),
+}
+
+
 def builtin_algebra(kind: str, **kw) -> Algebra:
-    frac = Field.rationals().parse  # an int or an "a/b" string, no floats
-    if kind == "divided-power":
-        return divided_power(kw.get("p", 0), kw["m"] if kw.get("p") else kw["N"])
-    if kind == "derivation-novikov":
-        base = divided_power(kw.get("p", 0), kw["m"] if kw.get("p") else kw["N"])
-        return derivation_novikov(base, standard_derivation(base))
-    if kind == "derivation-symmetric":
-        base = divided_power(kw.get("p", 0), kw["m"] if kw.get("p") else kw["N"])
-        return derivation_symmetric(base, standard_derivation(base))
-    if kind == "osborn":
-        return osborn(frac(kw.get("alpha", 0)), frac(kw.get("beta", 0)),
-                      kw["p"], kw["m"])
-    if kind == "osborn-plus":
-        return osborn_plus_explicit(frac(kw.get("alpha", 0)),
-                                    frac(kw.get("beta", 0)), kw["p"], kw["m"])
-    if kind == "osborn-laurent":
-        return osborn_laurent(frac(kw.get("alpha", 0)), frac(kw.get("beta", 0)),
-                              kw["lo"], kw["hi"], kw.get("variant", "jordan"))
-    if kind == "osborn-bar":
-        return osborn_bar(kw.pop("variant"), **{
-            k: (frac(v) if k in ("alpha", "beta") else v) for k, v in kw.items()})
-    if kind == "gametic":
-        field = Field(kw["char"]) if kw.get("char") else Field.rationals()
-        return gametic(kw["dim"], field)
-    if kind == "integration":
-        return integration_product(kw["N"])
-    if kind == "square-product":
-        return square_product(kw["p"], kw["k"], kw["l"], kw["m"])
-    if kind == "p2-product":
-        return p2_product(kw["k"], kw["m"])
-    if kind == "random-commutative":
-        field = Field(kw["char"]) if kw.get("char") else Field.rationals()
-        return random_commutative(kw["dim"], field, kw.get("seed", 0))
-    raise ValueError(f"unknown builtin algebra {kind!r}")
+    """The `_BUILTINS` algebra of the kind on exactly its parameters, alpha
+    and beta given as an int or an "a/b" string."""
+    if kind not in _BUILTINS:
+        raise ValueError(f"unknown builtin algebra {kind!r}")
+    _check_params(_BUILTINS[kind], f"builtin {kind!r}", kw)
+    frac = Field.rationals().parse  # no floats
+    return _BUILTINS[kind](**{k: frac(v) if k in ("alpha", "beta") else v
+                              for k, v in kw.items()})

@@ -38,8 +38,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 # for "1/0" or a denominator divisible by p is an ArithmeticError)
 _BAD_PARAMETERS = (KeyError, ValueError, TypeError, ArithmeticError)
 
-_BUILTIN_PARAM_KEYS = ("p", "m", "N", "alpha", "beta", "dim", "char", "k", "l",
-                       "seed", "variant", "lo", "hi")
+# one flag per builtin parameter but lo and hi, which --window gives
+_ALGEBRA_PARAMS = {"p": int, "m": int, "N": int, "alpha": str, "beta": str,
+                   "dim": int, "char": int, "k": int, "l": int, "seed": int,
+                   "variant": str}
 
 
 def _read_spec(path: str) -> dict:
@@ -59,17 +61,12 @@ def _build_algebra(args) -> Algebra:
     else:
         if not getattr(args, "builtin", None):
             raise UsageError("need --builtin NAME or --spec FILE")
-        params = {}
-        for key in _BUILTIN_PARAM_KEYS:
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = val
+        params = {key: getattr(args, key) for key in _ALGEBRA_PARAMS
+                  if getattr(args, key) is not None}
         if getattr(args, "window", None):
             params["lo"], params["hi"] = _parse_range(args.window)
         try:
             A = builtin_algebra(args.builtin, **params)
-        except KeyError as exc:
-            raise UsageError(f"builtin {args.builtin!r} needs parameter {exc}")
         except _BAD_PARAMETERS as exc:
             raise UsageError(str(exc))
     transform = getattr(args, "transform", None)
@@ -100,17 +97,8 @@ def _get_identity(args):
 def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builtin", help="builtin algebra name")
     p.add_argument("--spec", help="JSON algebra spec file")
-    p.add_argument("--p", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--alpha", type=str)
-    p.add_argument("--beta", type=str)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--char", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--seed", type=int, help="seed of random-commutative")
-    p.add_argument("--variant", type=str)
+    for key, kind in _ALGEBRA_PARAMS.items():
+        p.add_argument(f"--{key}", type=kind)
     p.add_argument("--window", type=str, help="graded window lo..hi")
     p.add_argument("--transform", choices=("plus", "minus", "opposite"))
 
@@ -268,7 +256,7 @@ def cmd_check(args) -> int:
 def cmd_idspace(args) -> int:
     if args.reference_deg4:
         if given := [f"--{key}" for key in ("degree", "range", "builtin", "spec",
-                     "window", "transform", *_BUILTIN_PARAM_KEYS)
+                     "window", "transform", *_ALGEBRA_PARAMS)
                      if getattr(args, key, None) is not None]:
             raise UsageError(f"--reference-deg4 takes no {' '.join(given)}: it "
                              "is the fixed degree-4 reproduction")

@@ -100,6 +100,20 @@ class Field:
             return x.numerator * pow(x.denominator, -1, self.char) % self.char
         return x % self.char
 
+    def canonical(self, sums: dict) -> dict:
+        """The sparse element of raw int (over Q also `Fraction`) sums: each
+        value reduced into [0, p) over F_p, a `Fraction` over Q, and the
+        zeros dropped.  A loop, not a comprehension: it runs on every product
+        of the sweeps, mostly on one to three entries."""
+        if not (p := self.char):
+            return {k: v if type(v) is Fraction else Fraction(v)
+                    for k, v in sums.items() if v}
+        out = {}
+        for k, v in sums.items():
+            if v := v % p:
+                out[k] = v
+        return out
+
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
 
@@ -413,15 +427,9 @@ class Matrix:
     def mul_vec(self, v: Sequence) -> list:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        f = self.field
-        vv = [f.coerce(x) for x in v]
-        out = []
-        for row in self.data:
-            acc = f.zero
-            for a, b in zip(row, vv):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
+        vv = [self.field.coerce(x) for x in v]
+        return [self.field.coerce(sum(a * b for a, b in zip(row, vv)))
+                for row in self.data]
 
     def _echelon(self) -> Echelon:
         ech = Echelon(self.field, self.cols)

@@ -50,8 +50,8 @@ class Subspace(Echelon):
         return not any(self.reduce(self.algebra.dense(element)))
 
     def basis_elements(self) -> list[dict]:
-        return [{i: c for i, c in zip(self.algebra.indices, row)
-                 if not self.algebra.field.is_zero(c)} for row in self.rows]
+        return [{i: c for i, c in zip(self.algebra.indices, row) if c}
+                for row in self.rows]
 
     def to_json_dict(self) -> dict:
         f = self.algebra.field
@@ -277,8 +277,7 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
 
     # the closures of basis differences can only find an ideal, not rule one out
     for g, h in itertools.combinations(range(n), 2):
-        seed = A.dense({A.indices[g]: f.one, A.indices[h]: f.neg(f.one)})
-        closure = _spin(A, [seed], ops)
+        closure = _spin(A, [A.dense({A.indices[g]: 1, A.indices[h]: -1})], ops)
         if closure.dim < n:
             return not_simple(closure, f"closure of {A.labels[g]} - {A.labels[h]} "
                               f"is proper ({closure.dim}-dimensional)")

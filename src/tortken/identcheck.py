@@ -107,7 +107,7 @@ class _Program:
         val = list(elements) + [None] * len(self.products)
         for i, l, r in self.products:
             val[i] = A.mul(val[l], val[r])
-        return [_combine(terms, val, A.field.char) for terms in self.terms]
+        return [_combine(terms, val, A.field) for terms in self.terms]
 
     def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
@@ -188,15 +188,13 @@ class _Products(dict):
         return got
 
 
-def _combine(terms: list, val: list, p: int) -> dict:
-    """sum of coefficient * val[node] over the terms, reduced, zeros dropped."""
+def _combine(terms: list, val: list, field: Field) -> dict:
+    """The sum of coefficient * val[node] over the terms, canonical."""
     acc: dict = {}
     for c, i in terms:
         for k, v in val[i].items():
             acc[k] = acc.get(k, 0) + c * v
-    if p:
-        return {k: v % p for k, v in acc.items() if v % p}
-    return {k: v for k, v in acc.items() if v}
+    return field.canonical(acc)
 
 
 def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
@@ -234,7 +232,7 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     n = prog.n
     if n == 0:  # only the zero polynomial has no variables
         return CheckOutcome(HOLDS, 1, 0, orbits=1)
-    dim, p = len(elements), A.field.char
+    dim, f = len(elements), A.field
     prod = _Products(A)
     ids = [prod.intern(e) for e in elements]
     after: list = [None] * n  # each position's predecessor in its block
@@ -281,7 +279,7 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
             orbits += 1
             if ts in vanishing:
                 continue
-            value = _combine(terms, {i: prod.els[t] for i, t in zip(nodes, ts)}, p)
+            value = _combine(terms, {i: prod.els[t] for i, t in zip(nodes, ts)}, f)
             if value:
                 assign[n - 1] = x
                 witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
@@ -468,10 +466,11 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
             got = maps[pos] = [prev[c] for c in swaps[k]]
         return got
 
-    raw: dict = {}  # items of a raw element -> id; equal items, equal element
+    raw: dict = {}  # a raw element's typed items -> id; 1.0 == 1 but no hit
 
     def element_id(e: dict) -> int:
-        if (got := raw.get(key := frozenset(e.items()))) is None:
+        key = tuple([(k, v, type(v)) for k, v in e.items()])
+        if (got := raw.get(key)) is None:
             got = raw[key] = prod.intern(A.element(e))
         return got
 
@@ -590,8 +589,7 @@ def verify_reference_solutions(report: IdentitySpaceReport) -> bool:
         for i in range(1, 6)]
     tort = catalog_entry("tortken").poly.rename_variables(
         {"a": "t1", "b": "t3", "c": "t2", "d": "t4"})
-    return (all(f.is_zero(x) for v in kernel
-                for x in M.mul_vec([f.coerce(c) for c in v]))
+    return (not any(x for v in kernel for x in M.mul_vec(v))
             and report.nullity == 5 == len(report.nullspace)
             and all(v[dep] == f.coerce(sum(sign * v[free] for free, sign in combo))
                     for v in report.nullspace
@@ -626,7 +624,7 @@ def _basis_values(poly: FreePoly, A: Algebra, assigns: Iterable) -> Iterable[dic
     prog, prod = _Program([poly], A.field), _Products(A)
     basis = [prod.intern(A.basis(i)) for i in A.indices]
     for val in prog.runs(prod, ([basis[i] for i in t] for t in assigns)):
-        yield _combine(prog.terms[0], [prod.els[i] for i in val], A.field.char)
+        yield _combine(prog.terms[0], [prod.els[i] for i in val], A.field)
 
 
 def tortken_prime_relation(m: int) -> CheckOutcome:
@@ -643,8 +641,8 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
     for checked, (assign, (diff, ref)) in enumerate(zip(assigns, sides), 1):
         for t, c in ref.items():  # minus 2 * D^3(quad)
             if t >= 3:
-                diff[t - 3] = (diff.get(t - 3, 0) - 2 * c) % 3
-        if diff := {t: c for t, c in diff.items() if c}:
+                diff[t - 3] = diff.get(t - 3, 0) - 2 * c
+        if diff := A.field.canonical(diff):
             witness = {x: A.basis(i) for x, i in zip(v, assign)}
             return CheckOutcome(FAILS, checked, 0, witness, diff, entry.poly)
     return CheckOutcome(HOLDS, O.dim ** 4, 0)

@@ -1,17 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tortken.exactnum import Field, binomial
-from tortken.freepoly import catalog_entry
+from tortken.freepoly import catalog_entry, parse
 from tortken.identcheck import evaluate
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotADerivationError,
                               NotClosedError, OutOfWindowError,
                               PrereqIdentityFailsError, algebra_from_spec,
                               builtin_algebra, derivation_novikov,
                               derivation_symmetric, divided_power, el_add,
-                              el_sub,
+                              el_scale, el_sub,
                               gametic, integration_product, minus, opposite,
                               osborn, osborn_bar, osborn_bar_finite,
                               osborn_bar_laurent, osborn_bar_laurent_beta,
@@ -342,6 +343,10 @@ def test_builtin_registry():
     assert builtin_algebra("square-product", p=3, k=0, l=1, m=2).dim == 9
     assert builtin_algebra("osborn-laurent", alpha="1/2", beta=0,
                            lo=-4, hi=4).indices[0] == -4
+    with pytest.raises(ValueError, match="'p'"):
+        builtin_algebra("gametic", dim=2, p=3)
+    with pytest.raises(ValueError, match="'m'"):
+        builtin_algebra("osborn", p=3)
 
 
 def test_subalgebra_on_basis_not_closed():
@@ -419,6 +424,81 @@ def test_functors_match_their_definitions(pair):
     assert plus(A).labels == A.labels
     assert A.closed == all(all(k in A.position for k in ab(i, j))
                            for i in A.indices for j in A.indices)
+
+
+# -- canonical sparse sums against a dense oracle ------------------------------
+#
+# Products, sums, scalings and evaluations return canonical elements: no stored
+# zero, a `Fraction` over Q and an int in [0, p) over F_p.  The oracle works on
+# dense vectors of the raw table, with the `Field` arithmetic alone.
+
+_SUM_POLYS = (catalog_entry("commutativity").poly,
+              catalog_entry("associativity").poly,
+              parse("2*(a*b)*c - 3*a*(b*c) + b*a - 4*c*c", ("a", "b", "c")))
+
+
+@st.composite
+def raw_sums(draw):
+    """(field, raw table, algebra, three elements, a raw scalar): raw values
+    out of [0, p) over F_p, and ints and fractions over Q."""
+    f = draw(st.sampled_from((Q, Field.prime(2), F3, F5)))
+    dim = draw(st.integers(1, 3))
+    coef = st.integers(-6, 6)
+    if not f.char:
+        coef = coef | st.fractions(-3, 3, max_denominator=3)
+    cell = st.lists(st.tuples(st.integers(0, dim - 1), coef), max_size=3)
+    table = [[draw(cell) for _ in range(dim)] for _ in range(dim)]
+    A = FiniteAlgebra("random", f, dim, table)
+    els = [A.element(draw(st.dictionaries(st.integers(0, dim - 1), coef)))
+           for _ in range(3)]
+    return f, table, A, els, draw(coef)
+
+
+def _is_canonical(f, e: dict) -> bool:
+    return all((type(v) is int and 0 < v < f.char) if f.char
+               else (type(v) is Fraction and v != 0) for v in e.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_sums())
+def test_sparse_sums_are_canonical_and_match_a_dense_oracle(case):
+    f, table, A, (x, y, z), c = case
+    n = A.dim
+
+    def mul(u, v):  # dense product on the raw table
+        out = [f.zero] * n
+        for i, j in itertools.product(range(n), repeat=2):
+            for k, ck in table[i][j]:
+                out[k] = f.add(out[k], f.mul(f.mul(u[i], v[j]), f.coerce(ck)))
+        return out
+
+    def value(tree, at):
+        return at[tree] if isinstance(tree, str) else mul(
+            value(tree[0], at), value(tree[1], at))
+
+    def evaluated(poly, at):
+        out = [f.zero] * n
+        for tree, coef in poly.terms.items():
+            out = [f.add(s, f.mul(f.coerce(coef), t))
+                   for s, t in zip(out, value(tree, at))]
+        return out
+
+    X, Y, Z = map(A.dense, (x, y, z))
+    got = [(A.mul(x, y), mul(X, Y)),
+           (el_add(f, x, y), [f.add(a, b) for a, b in zip(X, Y)]),
+           (el_sub(f, x, y), [f.sub(a, b) for a, b in zip(X, Y)]),
+           (el_scale(f, c, x), [f.mul(f.coerce(c), a) for a in X]),
+           (el_sub(f, x, x), [f.zero] * n),  # these four cancel
+           (el_add(f, x, el_scale(f, -1, x)), [f.zero] * n),
+           (el_scale(f, 0, x), [f.zero] * n),
+           (evaluate(_SUM_POLYS[0], A, {"a": x, "b": x}), [f.zero] * n)]
+    for poly in _SUM_POLYS:
+        at = {"a": x, "b": y, "c": z}
+        got.append((evaluate(poly, A, at),
+                    evaluated(poly, {v: A.dense(at[v]) for v in at})))
+    for e, dense in [(x, X), (y, Y), (z, Z)] + got:
+        assert _is_canonical(f, e), e
+        assert e == {k: v for k, v in enumerate(dense) if not f.is_zero(v)}
 
 
 def _truncated_integration(n: int) -> FiniteAlgebra:

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tortken import algebras, cli
 from tortken.algebras import FiniteAlgebra
 from tortken.cli import main
 
@@ -403,16 +406,54 @@ def _dim2(table, char=0):
     {"kind": "osborn", "params": {"p": 3, "m": 1, "alpha": "1/0"}},
     {"kind": "osborn", "params": {"p": 3, "m": 1, "alpha": 0.1}},
     {"kind": "osborn", "params": {"p": 3, "m": 1, "beta": "0.1"}},
+    {"kind": "gametic", "params": {"dim": 2, "seed": 1}},
 ], ids=["row-range", "column-range", "index-range", "negative-row",
         "zero-denominator", "denominator-mod-p", "top-level-list", "float-q",
         "float-fp", "decimal-string", "short-entry", "params-list",
         "builtin-zero-denominator", "builtin-float-alpha",
-        "builtin-decimal-beta"])
+        "builtin-decimal-beta", "builtin-unknown-parameter"])
 def test_bad_spec_exits_two(tmp_path, capsys, spec):
     path = _spec_file(tmp_path, spec)
     code, _, err = run_cli(capsys, "algebra", "show", "--spec", path)
     assert code == 2
     assert path in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("check --identity tortken --builtin gametic --dim 3 --p 7 --window 0..9 "
+     "--alpha 5", "'p'"),
+    ("algebra show --builtin divided-power --p 3 --m 1 --N 4", "N alone"),
+    ("algebra show --builtin derivation-novikov --m 2", "N alone"),
+    ("algebra show --builtin osborn-bar --variant finite_beta --beta 1 --p 3 "
+     "--m 1 --alpha 2", "'alpha'"),
+    ("algebra show --builtin osborn-bar --variant laurent_beta --beta 1",
+     "'lo'"),
+    ("simplicity --builtin random-commutative --dim 2 --variant jordan",
+     "'variant'"),
+    ("idspace --degree 2 --builtin integration --N 3 --window 0..3 "
+     "--range 0..1", "'lo'"),
+], ids=["gametic-p", "divided-power-N", "derivation-m", "osborn-bar-alpha",
+        "osborn-bar-missing-window", "random-variant", "integration-window"])
+def test_builtin_rejects_parameters_it_does_not_take(capsys, argv, named):
+    # a parameter the builtin does not take, or one it lacks, is one error
+    # line and exit 2, never silently dropped
+    code, out, err = run_cli(capsys, *shlex.split(argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_every_builtin_parameter_has_a_cli_flag():
+    # every parameter of every builder (the osborn-bar variants included) is
+    # a flag, but lo and hi, which --window gives; every flag is one's
+    builders = [*algebras._BUILTINS.values(), *algebras._OSBORN_BAR.values()]
+    params = {name for b in builders
+              for name, par in inspect.signature(b).parameters.items()
+              if par.kind is not par.VAR_KEYWORD} - {"lo", "hi"}
+    parser = argparse.ArgumentParser()
+    cli._add_algebra_flags(parser)
+    flags = {a.dest for a in parser._actions} - {
+        "help", "builtin", "spec", "window", "transform"}
+    assert params == flags == set(cli._ALGEBRA_PARAMS)
 
 
 @pytest.mark.parametrize("value, code", [("0.1", 2), ("1e3", 2), ("1/2", 0)])

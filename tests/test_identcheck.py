@@ -1005,6 +1005,16 @@ def test_identity_space_interns_each_raw_element_once(monkeypatch):
     assert rep.matrix.data == same.matrix.data
 
 
+def test_identity_space_rejects_a_float_equal_to_an_exact_value():
+    # 1.0 == 1 and their hashes agree; a float after the exact value must
+    # raise as it does before it
+    A = plus(osborn(1, 1, 5, 1))
+    for subs in ([({0: 1}, {1: 1}), ({0: 1.0}, {1: 1})],
+                 [({0: 1.0}, {1: 1}), ({0: 1}, {1: 1})]):
+        with pytest.raises(TypeError, match="floating point"):
+            identity_space(2, A, subs)
+
+
 def test_identity_space_rejects_an_index_outside_the_window_every_call():
     L = osborn_laurent(1, 0, -3, 3, "jordan")
     subs = [(L.basis(0),) * 4, (L.basis(0), L.basis(1), {9: 1}, L.basis(0))]
