@@ -2,19 +2,24 @@
 
 No floating point anywhere: rationals are arbitrary-precision `fractions.Fraction`
 (always in lowest terms with positive denominator), prime-field residues are plain
-ints kept reduced in [0, p); `Field.coerce` rejects floats.  Matrices are dense
-and row-major.  `Echelon`, an incremental reduced row echelon basis, is the one
-elimination kernel: `Matrix` RREF, rank, nullspace, solve and determinant, the
-spans of `idealtool.Subspace` and identity spaces all run through it.  Over Q it
-keeps each row as int numerators over one positive int denominator and builds
-`Fraction`s only for the values it returns.
+ints kept reduced in [0, p); `Field.coerce` takes exact rationals only.  Matrices
+are dense and row-major.  `Echelon`, an incremental reduced row echelon basis, is
+the one elimination kernel: `Matrix` RREF, rank, nullspace, solve and determinant,
+the spans of `idealtool.Subspace` and identity spaces all run through it.  Over Q
+it keeps each row as int numerators over one positive int denominator and builds
+`Fraction`s only for the values it returns; over F_p it adds pivot rows packed
+into one int of fixed-width slots.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
+import operator
 import re
+import struct
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,14 +36,36 @@ class NotDivisibleError(ArithmeticError):
     """An exact division that the theory guarantees left a remainder."""
 
 
+# Miller-Rabin with these bases is exact below the bound: no composite there
+# passes all of them (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: Miller-Rabin to the bases `_MR_BASES` below
+    `_MR_BOUND`, trial division above it."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < _MR_BOUND:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
+    d = _MR_BASES[-1] + 2
     while d * d <= n:
         if n % d == 0:
             return False
@@ -82,15 +109,27 @@ class Field:
         return Fraction(1) if self.char == 0 else 1
 
     def coerce(self, x):
-        """Coerce an int, Fraction, or "a/b" string into a canonical scalar;
-        a float or complex raises TypeError, as no value is rounded."""
+        """Coerce an int, a `Fraction` or other `numbers.Rational`, or a
+        string that `Fraction` reads ("a/b", but also "1.5") into a canonical
+        scalar; an integer type with `__index__` counts as its plain int.
+        Anything else, a float or a `Decimal` included, raises TypeError
+        naming its type, as no value is rounded and no foreign type enters
+        the kernel."""
         if type(x) is (int if self.char else Fraction):  # the common case
             return x % self.char if self.char else x
-        if isinstance(x, (float, complex)):
-            raise TypeError(f"{x!r} is floating point; use an int, a Fraction "
-                            f"or an 'a/b' string")
         if isinstance(x, str):
             x = Fraction(x)
+        elif not isinstance(x, (int, Fraction)):
+            if isinstance(x, numbers.Rational):
+                x = Fraction(operator.index(x.numerator),
+                             operator.index(x.denominator))
+            elif hasattr(type(x), "__index__"):
+                x = operator.index(x)
+            else:
+                kind = ("floating point" if isinstance(x, (float, complex))
+                        else f"a {type(x).__name__}")
+                raise TypeError(f"{x!r} is {kind}; use an int, a Fraction "
+                                f"or an 'a/b' string")
         if self.char == 0:
             return Fraction(x)
         if isinstance(x, Fraction):
@@ -98,7 +137,7 @@ class Field:
                 raise ZeroDivisionError(
                     f"denominator {x.denominator} not invertible mod {self.char}")
             return x.numerator * pow(x.denominator, -1, self.char) % self.char
-        return x % self.char
+        return int(x) % self.char
 
     def canonical(self, sums: dict) -> dict:
         """The sparse element of raw int (over Q also `Fraction`) sums: each
@@ -203,6 +242,23 @@ def binom_p_quotient(p: int, m: int, i: int) -> int:
     return q % p
 
 
+@functools.lru_cache(maxsize=256)
+def _packing(p: int, cols: int) -> tuple:
+    """(w, B, struct) of the packed F_p rows of `Echelon` (see there): w the
+    bytes of a slot, B the hits an accumulator takes before it is unpacked,
+    and the `struct.Struct` of all slots when w <= 8, else None; all None
+    over Q."""
+    if not p:
+        return None, None, None
+    most = (p - 1) ** 2  # the largest term a hit adds to a slot
+    w = 1
+    while 8 * w < (most * cols).bit_length():
+        w *= 2
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(w)
+    return (w, (256 ** w - 1) // most,
+            struct.Struct(f"<{cols}{code}") if code else None)
+
+
 class Echelon:
     """An incremental reduced row echelon basis of a row space in F^cols.
 
@@ -212,14 +268,32 @@ class Echelon:
     against the stored rows; a nonzero residue is normalised, cleared from
     the stored rows in its pivot column, and stored.  The RREF of a row space
     is unique, so `rows` does not depend on the insertion order.  Over F_p a
-    free part is a list of plain ints, with one reduction mod p per entry.
-    Over Q it is a pair (numerators, denominator) of ints in lowest terms
-    with a positive denominator, so that the inner loops never reduce a
-    fraction; `Fraction`s are built only where values leave the kernel.
+    free part is a list of plain ints in [0, p).  Over Q it is a pair
+    (numerators, denominator) of ints in lowest terms with a positive
+    denominator, so that the inner loops never reduce a fraction; `Fraction`s
+    are built only where values leave the kernel.
+
+    Over F_p a residue adds whole pivot rows packed into one int each, built
+    the first time a residue meets the row.  The packed row has one slot of
+    W = 8w bits per column, slot j in bits jW to (j+1)W - 1: the row's entry
+    in column j, which is its free-part entry on a free column and 0 on every
+    pivot column, its own included.  Slots go by column, not by free
+    position, so a `_store` that does not rewrite a row (the row is 0 in the
+    new pivot column) leaves its packed int valid; a store that rewrites the
+    row drops it.  A pivot hit with x in [1, p) adds (p - x) * row, which is
+    -x * row mod p, so each hit adds to every slot a term in [0, (p-1)^2]:
+    nothing borrows, and after at most B = (2^W - 1) // (p-1)^2 hits every
+    slot sum is at most 2^W - 1, so nothing carries into the next slot.
+    `_residue` unpacks the accumulator into its list of free entries when
+    the hits reach B and once at the end, then reduces each entry mod p.
+    The width is a function of p and cols alone: w is the least power of two
+    with 8w >= the bit length of cols * (p-1)^2, so B >= cols and a vector
+    with distinct columns unpacks once (p = 5, 105 columns: 2-byte slots;
+    p = 2^61 - 1 and up to 64 columns: 16-byte slots, B = 64).
     """
 
     __slots__ = ("field", "cols", "_p", "_zero", "_free", "_free_pos",
-                 "_pivots")
+                 "_pivots", "_packed", "_slot", "_budget", "_struct")
 
     def __init__(self, field: Field, cols: int):
         self.field = field
@@ -229,6 +303,8 @@ class Echelon:
         self._free = list(range(cols))               # non-pivot columns, ascending
         self._free_pos = {j: j for j in self._free}  # column -> index in _free
         self._pivots: dict = {}                      # pivot column -> free part
+        self._packed: dict = {}  # pivot column -> packed row, over F_p, once used
+        self._slot, self._budget, self._struct = _packing(self._p, cols)
 
     @property
     def dim(self) -> int:
@@ -270,11 +346,15 @@ class Echelon:
         """The residue of the sparse v on the free columns (it is 0 on every
         pivot column): ints in [0, p) over F_p, and over Q the numerators of
         `_residue_q`.  v is (column, entry) pairs; entries on a repeated
-        column add up, and they may be any ints (or, over Q, `Fraction`s)."""
+        column add up, and they may be any ints (or, over Q, `Fraction`s).
+        Over F_p the pivot rows hit add up in one packed accumulator (see the
+        class docstring), unpacked when the budget of hits is spent and at
+        the end."""
         if not (p := self._p):
             return self._residue_q(v)[0]
         r = [0] * len(self._free)
-        free_pos = self._free_pos
+        free_pos, packed, budget = self._free_pos, self._packed, self._budget
+        acc = hits = 0
         for c, x in v:
             t = free_pos.get(c)
             if t is not None:
@@ -282,8 +362,35 @@ class Echelon:
                 continue
             x %= p
             if x:
-                r = [a - x * b for a, b in zip(r, self._pivots[c])]
-        return [a % p for a in r]
+                if (row := packed.get(c)) is None:
+                    row = packed[c] = self._pack(self._pivots[c])
+                acc += (p - x) * row  # -x * row, each slot term in [0, (p-1)^2]
+                hits += 1
+                if hits == budget:  # one more hit could carry out of a slot
+                    s = self._slots(acc)
+                    r = [a + s[j] for a, j in zip(r, self._free)]
+                    acc = hits = 0
+        if not acc:
+            return [a % p for a in r]
+        s = self._slots(acc)
+        return [(a + s[j]) % p for a, j in zip(r, self._free)]
+
+    def _pack(self, fr: list) -> int:
+        """The free part fr of an F_p pivot row as one int: entry t in the
+        slot of column `_free[t]`, zero in every other slot."""
+        dense = self._dense(zip(self._free, fr))
+        if self._struct:
+            return int.from_bytes(self._struct.pack(*dense), "little")
+        return int.from_bytes(b"".join(x.to_bytes(self._slot, "little")
+                                       for x in dense), "little")
+
+    def _slots(self, acc: int):
+        """The slot values of a packed int, one per column."""
+        w = self._slot
+        b = acc.to_bytes(w * self.cols, "little")
+        if self._struct:
+            return self._struct.unpack(b)
+        return [int.from_bytes(b[i:i + w], "little") for i in range(0, len(b), w)]
 
     def _residue_q(self, v) -> tuple[list, int]:
         """`_residue` over Q as int numerators over a positive int
@@ -321,7 +428,7 @@ class Echelon:
         k = next((t for t, x in enumerate(r) if x), None)
         if k is None:
             return None
-        free, pivots = self._free, self._pivots
+        free, pivots, packed = self._free, self._pivots, self._packed
         if p := self._p:
             inv = pow(r[k], -1, p)
             r = [x * inv % p for x in r]
@@ -331,6 +438,7 @@ class Echelon:
                 if x:
                     fr = [(a - x * b) % p for a, b in zip(fr, r)]
                     pivots[c] = fr
+                    packed.pop(c, None)
                 del fr[k]
             del r[k]
             pivots[free.pop(k)] = r

@@ -68,3 +68,23 @@ def dense_mul_vec(f: Field, data, v) -> list:
             acc = f.add(acc, f.mul(f.coerce(a), f.coerce(b)))
         out.append(acc)
     return out
+
+
+def dense_det(f: Field, data):
+    """The determinant of a square matrix by dense Gaussian elimination with
+    plain Field calls: the product of the pivots, negated once per row swap."""
+    m = [[f.coerce(x) for x in row] for row in data]
+    d = f.one
+    for c in range(len(m)):
+        r = next((i for i in range(c, len(m)) if not f.is_zero(m[i][c])), None)
+        if r is None:
+            return f.zero
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            d = f.neg(d)
+        d = f.mul(d, m[c][c])
+        inv = f.inv(m[c][c])
+        for i in range(c + 1, len(m)):
+            q = f.mul(m[i][c], inv)
+            m[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(m[i], m[c])]
+    return d

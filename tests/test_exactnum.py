@@ -1,11 +1,13 @@
 import itertools
 import math
+import numbers
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_rref import dense_mul_vec, dense_nullspace, dense_rref, dense_solve
+from dense_rref import (dense_det, dense_mul_vec, dense_nullspace, dense_rref,
+                        dense_solve)
 from tortken.exactnum import (Echelon, Field, Matrix, NotDivisibleError,
                               NotSquareError, OutOfRangeError,
                               binom_p_quotient, binomial, lucas_binomial)
@@ -27,6 +29,46 @@ def test_scalar_errors():
         Matrix(F5, [[0.5, 1], [1, 2]]).det()
     with pytest.raises(TypeError, match="floating point"):
         Echelon(Q, 2).add([Fraction(1, 2), 0.25])
+
+
+def _rational(n, d):
+    """A `numbers.Rational` that is no `Fraction`: n over d, and nothing
+    more (every abstract method is left out)."""
+    names = dict.fromkeys(numbers.Rational.__abstractmethods__)
+    return type("Ratio", (numbers.Rational,),
+                {**names, "numerator": n, "denominator": d})()
+
+
+class _Index:
+    """An integer type that is no int: it has `__index__` alone."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def test_coerce_takes_exact_rationals_only():
+    from decimal import Decimal
+    for f in (Q, F5):
+        for x in (Decimal("0.1"), Decimal("1.5"), Decimal(2), object(), [1]):
+            with pytest.raises(TypeError, match=type(x).__name__):
+                f.coerce(x)
+    with pytest.raises(TypeError, match="Decimal"):
+        Echelon(F5, 1).add([Decimal(1)])
+    # an __index__ integer comes back as a plain int, a bool as 0 or 1
+    for x, want in ((_Index(7), 2), (_Index(-3), 2), (True, 1)):
+        assert type(F5.coerce(x)) is int and F5.coerce(x) == want
+    assert type(Q.coerce(_Index(7))) is Fraction and Q.coerce(_Index(7)) == 7
+    assert Matrix(F5, [[_Index(7), 1]]).data == [[2, 1]]
+    assert Q.coerce(_rational(_Index(-6), 4)) == Fraction(-3, 2)
+    assert F5.coerce(_rational(1, _Index(2))) == 3
+    with pytest.raises(ZeroDivisionError):
+        F5.coerce(_rational(1, 5))
+    # strings and Fractions as before
+    assert F5.coerce(Fraction(1, 2)) == 3 and Q.coerce("-3/4") == Fraction(-3, 4)
+    assert F5.coerce("3/2") == 4 and type(Q.coerce(3)) is Fraction
 
 
 def test_field_construction():
@@ -231,6 +273,103 @@ def test_kernel_matches_dense_reference(case):
     if f.char == 0:
         for nums, d in ech._pivots.values():
             assert d > 0 and math.gcd(d, *nums) == 1
+
+
+# p = 2 and 3, then primes whose (p-1)^2 needs 62, 122 and 130 bits, so
+# that the packed F_p rows of `Echelon` take 1-, 16- and 32-byte slots
+WIDE_FIELDS = (F2, F3, Field.prime(2**31 - 1), Field.prime(2**61 - 1),
+               Field.prime(2**64 + 13))
+
+
+@st.composite
+def _wide_prime_cases(draw):
+    """(field, cols, rows, probe, hot, repeats, square): up to 40 columns,
+    sparse rows and their combinations (so elimination cancels), entries
+    of either sign far outside [0, p), a sparse vector `hot` to repeat up
+    to 300 times (past any slot budget of p = 2, 3 or 2^61 - 1) and a
+    square matrix."""
+    f = draw(st.sampled_from(WIDE_FIELDS))
+    p, cols = f.char, draw(st.integers(1, 40))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-4 * p * p, 4 * p * p))
+    column = st.integers(0, cols - 1)
+
+    def sparse_row():
+        row = [0] * cols
+        for j, x in draw(st.dictionaries(column, entry, max_size=cols)).items():
+            row[j] = x
+        return row
+    base = [sparse_row() for _ in range(draw(st.integers(1, 5)))]
+    base += [[a * x + b * y for x, y in zip(u, v)] for u, v, a, b in draw(
+        st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base),
+                           entry, entry), max_size=3))]
+    rows = draw(st.lists(st.sampled_from(base), min_size=1, max_size=10))
+    hot = draw(st.lists(st.tuples(column, entry), min_size=1, max_size=3))
+    n = draw(st.integers(1, 7))
+    square = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    return (f, cols, rows, sparse_row(), hot, draw(st.integers(0, 300)),
+            square)
+
+
+def _worst_case(f, cols, repeats):
+    """The pivot row (1, p-1, ..., p-1, 0) and x = 1 on its pivot, repeated:
+    every hit adds (p-1)^2, the most it can, to every slot but the first
+    and the last, so a carry would land in the last slot, a free one."""
+    p = f.char
+    return (f, cols, [[1] + [p - 1] * (cols - 2) + [0]], [0] * cols,
+            [(0, 1)], repeats, [[p - 1] * 2, [1, p - 1]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_wide_prime_cases())
+@example(_worst_case(F2, 40, 300))
+@example(_worst_case(F3, 40, 70))
+@example(_worst_case(Field.prime(2**61 - 1), 40, 65))
+def test_prime_kernel_matches_dense_reference_at_every_slot_width(case):
+    f, cols, rows, probe, hot, repeats, square = case
+    p = f.char
+    R0, rank0, pivots0 = dense_rref(f, rows)
+    ech = Echelon(f, cols)
+    added = [ech.add(row) for row in rows]
+    assert (ech.rows, ech.dim, ech.pivots) == \
+        (tuple(map(tuple, R0[:rank0])), rank0, pivots0)
+    null = ech.nullspace()
+    assert null == dense_nullspace(f, rows, cols) == Matrix(f, rows).nullspace()
+    units = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    for v in null + units:
+        want = all(f.is_zero(x) for x in dense_mul_vec(f, rows, v))
+        assert ech.annihilates(v) is want
+    reduced = []
+    for v in [probe] + units:
+        red = ech.reduce(v)
+        reduced += red
+        assert all(red[c] == 0 for c in pivots0)
+        diff = [f.sub(f.coerce(x), y) for x, y in zip(v, red)]
+        assert dense_rref(f, rows + [diff])[1] == rank0
+        assert (not any(red)) is (dense_rref(f, rows + [v])[1] == rank0)
+    # the hot entries repeated, as one sparse vector with repeated columns,
+    # against their dense sum
+    dense = list(probe)
+    for j, x in hot:
+        dense[j] += repeats * x
+    split, whole = Echelon(f, cols), Echelon(f, cols)
+    for row in rows:
+        split.add(row)
+        whole.add(row)
+    pairs = [(j, x) for j, x in enumerate(probe)] + hot * repeats
+    inserted = split.insert(pairs)
+    assert (inserted is None) is (whole.add(dense) is None)
+    assert split.rows == whole.rows == tuple(map(tuple, dense_rref(
+        f, rows + [dense])[0][:split.dim]))
+    det = Matrix(f, square).det()
+    assert det == dense_det(f, square)
+    if len(square) <= 4:  # the reference against the signed permutation sum
+        assert det == _leibniz(f, Matrix(f, square).data)
+    values = [x for r in ech.rows for x in r] + [x for v in null for x in v]
+    values += [x for res in added if res is not None for x in res] + reduced
+    values += [x for _, x in inserted or ()] + [det]
+    for x in values:
+        assert type(x) is int and 0 <= x < p
 
 
 def test_det_examples():

@@ -473,6 +473,20 @@ def test_degree5_identity_space_report():
             assert all(f.is_zero(x) for x in rep.matrix.mul_vec(vec)), entry.name
 
 
+def test_degree5_identity_space_matches_dense_elimination():
+    # the workload's own shape: all 5^5 basis substitutions of a dim-5 F_5
+    # Jordan algebra, 105 columns; the kernel's rank and nullspace must be
+    # those of the dense reference elimination of the same matrix (its
+    # distinct rows, which span the same row space)
+    A = plus(osborn(1, 1, 5, 1))
+    subs = list(itertools.product([A.basis(i) for i in A.indices], repeat=5))
+    rep = identity_space(5, A, subs)
+    rows = list(map(list, dict.fromkeys(map(tuple, rep.matrix.data))))
+    assert (rep.matrix.cols, rep.rank, rep.nullity) == (105, 35, 70)
+    assert dense_rref(A.field, rows)[1] == rep.rank
+    assert rep.nullspace == dense_nullspace(A.field, rows, 105)
+
+
 def test_seeded_random_commutative_fails_tortken_with_witness():
     R = random_commutative(3, F5, seed=0)
     out = check_identity(TORTKEN, R)
@@ -1042,8 +1056,8 @@ def test_evaluate_reports_missing_variables():
         G.mul(G.basis(0), G.basis(1))
 
 
-@pytest.mark.parametrize("target", ["counterexample", "tortken-prime",
-                                    "deg4-matrix", "simplicity-table"])
+@pytest.mark.parametrize("target", sorted(
+    path.stem for path in (Path(__file__).parent / "golden").glob("*.txt")))
 def test_reproduce_without_asserts_matches_golden(target):
     # python -O strips asserts: the evaluator, elimination and certifier
     # paths must not rely on them
