@@ -109,15 +109,17 @@ class Field:
         return Fraction(1) if self.char == 0 else 1
 
     def coerce(self, x):
-        """Coerce an int, a `Fraction` or other `numbers.Rational`, or a
-        string that `Fraction` reads ("a/b", but also "1.5") into a canonical
-        scalar; an integer type with `__index__` counts as its plain int.
-        Anything else, a float or a `Decimal` included, raises TypeError
-        naming its type, as no value is rounded and no foreign type enters
-        the kernel."""
+        """Coerce an int, a `Fraction` or other `numbers.Rational`, or an
+        "a/b" string (the `fmt` form, no spaces, no decimals; another string
+        raises ValueError) into a canonical scalar; an integer type with
+        `__index__` counts as its plain int.  Anything else, a float or a
+        `Decimal` included, raises TypeError naming its type, as no value is
+        rounded and no foreign type enters the kernel."""
         if type(x) is (int if self.char else Fraction):  # the common case
             return x % self.char if self.char else x
         if isinstance(x, str):
+            if not _SCALAR.fullmatch(x):
+                raise ValueError(f"bad scalar {x!r}: need an int or an 'a/b' string")
             x = Fraction(x)
         elif not isinstance(x, (int, Fraction)):
             if isinstance(x, numbers.Rational):
@@ -179,8 +181,7 @@ class Field:
     def parse(self, text):
         """A scalar from an int or an "a/b" string, the forms `fmt` writes;
         anything else, a zero denominator included, raises ValueError."""
-        if type(text) is not int and not (isinstance(text, str)
-                                          and _SCALAR.fullmatch(text)):
+        if type(text) is not int and not isinstance(text, str):
             raise ValueError(f"bad scalar {text!r}: need an int or an 'a/b' string")
         try:
             return self.coerce(text)

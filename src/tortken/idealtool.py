@@ -6,7 +6,10 @@ spinning on an incremental echelon basis, and simplicity is module
 irreducibility.  A "Simple" verdict is only ever produced by one sound
 argument: Norton's irreducibility criterion on a singular operator of the
 multiplication envelope.  Over a small finite field the zero operator is the
-last candidate, so that every projective point is spun.
+last candidate, so that every projective point is spun.  Once the closure of
+a basis element e_k is known to be all of A, any later spin whose span
+reaches a multiple of e_k stops there with "whole algebra", as its ideal then
+contains I(e_k) = A; only proper spins run to the end.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import collections
 import itertools
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .exactnum import Echelon, Field, OutOfRangeError, binom_p_quotient, is_prime
 from .algebras import Algebra, NotClosedError, UnsoundWitnessError
@@ -94,37 +97,56 @@ def _dual_operators(ops: list) -> list:
     return [_transpose(op) for op in ops]
 
 
-def _spin(A: Algebra, seeds: Sequence[Sequence],
-          operators: Sequence) -> Subspace:
-    """Smallest subspace containing `seeds` and invariant under the operators.
+def _images(v, operators):
+    """The nonzero images of the sparse v under each operator, as sparse
+    items with raw sums."""
+    for op in operators:
+        w: dict = {}
+        for j, c in v:
+            for i, x in op[j]:
+                w[i] = w.get(i, 0) + c * x
+        if w:
+            yield w.items()
+
+
+def _spin(A: Algebra, seeds: Sequence[Sequence], operators: Sequence,
+          full: Collection[int] = ()) -> Subspace | None:
+    """Smallest subspace containing `seeds` and invariant under the
+    operators, or None when that is the whole algebra.
 
     The operators are lists of sparse columns (`_operators`).  One Subspace
     is extended in place, breadth first: every new basis vector is pushed
     through every operator, and each nonzero image that leaves the span adds
-    its residue.  The spin stops as soon as the span is the whole algebra.
+    its residue.  The spin stops as soon as the span is the whole algebra,
+    or as soon as it holds x e_k (x != 0) for a basis position k in `full`,
+    the positions whose ideal I(e_k) is known to be all of A: an image that
+    is itself such a multiple, or an inserted residue that is one.
+
+    The early exit is sound for the multiplication operators of
+    `_operators`.  Their spin of a vector v is the ideal I(v) it generates.
+    Every image and every residue lies in that span, so x e_k in it puts e_k
+    in I(v), and then A = I(e_k) <= I(v).  A proper ideal holds no such e_k,
+    so a proper spin still runs to the end and returns its whole basis.
+    Without `full` (the dual spin, `ideal_closure`) it never exits early.
     """
     n = A.dim
     space = Subspace(A, [])
     frontier = collections.deque()
-    for s in seeds:
-        res = space.insert(space.sparse(s))
-        if res is not None:
-            frontier.append(res)
-    while frontier and space.dim < n:
-        v = frontier.popleft()
-        for op in operators:
-            w: dict = {}
-            for j, c in v:
-                for i, x in op[j]:
-                    w[i] = w.get(i, 0) + c * x
-            if not w:
-                continue
-            res = space.insert(w.items())
+    images = map(space.sparse, seeds)
+    while True:
+        for w in images:
+            if len(w) == 1:  # w = x e_k, in the span once inserted
+                ((k, x),) = w
+                if k in full and A.field.coerce(x):
+                    return None
+            res = space.insert(w)
             if res is not None:
-                if space.dim == n:
-                    break
+                if space.dim == n or len(res) == 1 and res[0][0] in full:
+                    return None
                 frontier.append(res)
-    return space
+        if not frontier:
+            return space
+        images = _images(frontier.popleft(), operators)
 
 
 def _kernel(A: Algebra, vectors: Sequence) -> list[list]:
@@ -141,7 +163,10 @@ def ideal_closure(A: Algebra, generators: Sequence[dict]) -> Subspace:
     if not generators:
         raise ValueError("need at least one generator")
     seeds = [A.dense(A.element(g)) for g in generators]
-    return _spin(A, seeds, _operators(A))
+    span = _spin(A, seeds, _operators(A))
+    if span is None:
+        return Subspace.from_elements(A, [A.basis(i) for i in A.indices])
+    return span
 
 
 def is_ideal(A: Algebra, S: Subspace) -> bool:
@@ -214,7 +239,8 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
     with nullity 1, else the first of least nullity: over a small prime
     field there is always one, the zero operator (see `_norton_candidates`).
     With no usable operator, the closures of differences of basis elements,
-    which can only find an ideal.
+    which can only find an ideal.  Every spin after a full basis closure may
+    stop early at that basis element (see `_spin`).
     """
     f = A.field
     n = A.dim
@@ -233,11 +259,13 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
     if aa.dim < n:  # the product span is itself an ideal
         return not_simple(aa, f"A*A is a proper ideal of dimension {aa.dim}")
 
+    full = set()  # the positions g with I(e_g) = A, for `_spin` to exit early
     for g, i in enumerate(A.indices):
-        closure = _spin(A, [A.dense(A.basis(i))], ops)
-        if closure.dim < n:
+        closure = _spin(A, [A.dense(A.basis(i))], ops, full)
+        if closure is not None:
             return not_simple(closure, f"closure of basis element {A.labels[g]} "
                               f"is proper ({closure.dim}-dimensional)")
+        full.add(g)
     audit.append(f"all {n} basis closures are full")
 
     # Norton's criterion: for a singular operator T of the envelope, the
@@ -259,12 +287,12 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
         audit.append(f"norton: singular operator with nullity {len(null)}, "
                      f"{len(points)} kernel points")
         for v in points:
-            sp = _spin(A, [v], ops)
-            if sp.dim < n:
+            sp = _spin(A, [v], ops, full)
+            if sp is not None:
                 return not_simple(sp, "kernel point spans a proper ideal")
         u = _kernel(A, op)[0]  # T's columns are the rows of T^t
         tsp = _spin(A, [u], _dual_operators(ops))
-        if tsp.dim < n:
+        if tsp is not None:
             # annihilator of the dual spin is a proper ideal of A
             witness = Subspace(A, tsp.nullspace())
             if not is_ideal(A, witness):
@@ -277,8 +305,9 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
 
     # the closures of basis differences can only find an ideal, not rule one out
     for g, h in itertools.combinations(range(n), 2):
-        closure = _spin(A, [A.dense({A.indices[g]: 1, A.indices[h]: -1})], ops)
-        if closure.dim < n:
+        closure = _spin(A, [A.dense({A.indices[g]: 1, A.indices[h]: -1})],
+                        ops, full)
+        if closure is not None:
             return not_simple(closure, f"closure of {A.labels[g]} - {A.labels[h]} "
                               f"is proper ({closure.dim}-dimensional)")
     raise CannotCertifyError(

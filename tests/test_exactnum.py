@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dense_rref import (dense_det, dense_mul_vec, dense_nullspace, dense_rref,
                         dense_solve)
+from tortken.algebras import osborn
 from tortken.exactnum import (Echelon, Field, Matrix, NotDivisibleError,
                               NotSquareError, OutOfRangeError,
                               binom_p_quotient, binomial, lucas_binomial)
@@ -69,6 +70,19 @@ def test_coerce_takes_exact_rationals_only():
     # strings and Fractions as before
     assert F5.coerce(Fraction(1, 2)) == 3 and Q.coerce("-3/4") == Fraction(-3, 4)
     assert F5.coerce("3/2") == 4 and type(Q.coerce(3)) is Fraction
+
+
+def test_coerce_and_parse_take_the_same_strings():
+    # the "a/b" form alone: no decimals, spaces or exponents, which
+    # `Fraction` would read
+    for f in (Q, F5):
+        for text in ("1.5", " 1/2 ", "1e3"):
+            for read in (f.coerce, f.parse):
+                with pytest.raises(ValueError, match="need an int or an 'a/b' string"):
+                    read(text)
+        assert f.coerce("-3/4") == f.parse("-3/4") == f.coerce(Fraction(-3, 4))
+    with pytest.raises(ValueError, match="'0.5'"):
+        osborn("0.5", 0, 3, 1)
 
 
 def test_field_construction():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense_rref import dense_rref
 from tortken import idealtool
-from tortken.exactnum import Field, OutOfRangeError
+from tortken.exactnum import Echelon, Field, OutOfRangeError
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotClosedError,
                               divided_power, gametic, osborn, osborn_bar_finite,
                               plus, random_commutative)
@@ -317,6 +317,52 @@ def test_closure_matches_rebuild_oracle(f, dim, commutative, ngens, seed):
     assert S.rows == _rref_rows(A, dense)
     probe = [_random_scalar(f, rng) for _ in range(dim)]
     assert S.reduce(probe) == _oracle_reduce(f, _rref_rows(A, dense), probe)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 5), st.booleans(),
+       st.integers(0, 2**32))
+def test_early_exit_spin_matches_oracle(f, dim, commutative, seed):
+    # the positions whose closure is full let `_spin` stop early; it may say
+    # "whole algebra" (None) only when the closure is full, and a proper span
+    # must be the oracle's
+    rng = random.Random(seed)
+    A = _random_algebra(f, dim, commutative, rng)
+    full = {g for g, i in enumerate(A.indices)
+            if ideal_closure(A, [A.basis(i)]).dim == dim}
+    ops = idealtool._operators(A)
+    for _ in range(3):
+        v = [_random_scalar(f, rng) if rng.random() < 0.5 else 0
+             for _ in range(dim)]
+        span = idealtool._spin(A, [v], ops, full)
+        want = _oracle_closure(A, [v])
+        if span is None:
+            assert len(want) == dim
+            assert ideal_closure(A, [A.element(dict(enumerate(v)))]).dim == dim
+        else:
+            assert span.dim < dim and span.rows == want
+
+
+def test_dim25_certificate_and_its_work(monkeypatch):
+    # every kernel point spin stops at the first basis element it reaches, as
+    # all 25 basis closures are full: 11938 inserts, against 140627 for
+    # spins run to full dimension
+    A = plus(osborn(1, 0, 5, 2))
+    inserts = 0
+    insert = Echelon.insert
+
+    def counted(self, v):
+        nonlocal inserts
+        inserts += 1
+        return insert(self, v)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    cert = certify_simplicity(A)
+    assert (cert.verdict, cert.audit) == ("simple", [
+        "all 25 basis closures are full",
+        "norton: singular operator with nullity 5, 781 kernel points",
+        "norton criterion passed"])
+    assert inserts < 20000
 
 
 def _sweep_verdict(A):
