@@ -48,14 +48,15 @@ def _read_spec(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read algebra spec {path}: {exc}")
 
 
-def _build_algebra(args) -> Algebra:
+def _build_algebra(args, spec: dict | None = None) -> Algebra:
+    """The flags' algebra, from `spec` if the --spec file is already read."""
     if getattr(args, "spec", None):
         try:
-            A = algebra_from_spec(_read_spec(args.spec))
+            A = algebra_from_spec(_read_spec(args.spec) if spec is None else spec)
         except _BAD_PARAMETERS as exc:
             raise UsageError(f"bad algebra spec {args.spec}: {exc}")
     else:
@@ -123,7 +124,8 @@ def _emit(args, text_fn, json_obj) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_algebra(args) -> int:
-    A = _build_algebra(args)
+    spec = _read_spec(args.spec) if args.spec else None
+    A = _build_algebra(args, spec)
     if args.action == "show":
         if A.closed:
             preds = A.predicates()
@@ -160,7 +162,7 @@ def cmd_algebra(args) -> int:
             _emit(args, text, {"name": A.name, "field": {"char": A.field.char},
                                "window": [A.indices[0], A.indices[-1]]})
         return 0
-    return _validate_algebra(args, A)
+    return _validate_algebra(args, A, spec)
 
 
 _VALIDATION_TAGS = {
@@ -182,10 +184,9 @@ _VALIDATION_TAGS = {
 }
 
 
-def _validate_algebra(args, A: Algebra) -> int:
+def _validate_algebra(args, A: Algebra, spec: dict | None) -> int:
     kind, params = args.builtin, vars(args)
-    if args.spec:  # the laws of the spec's own kind
-        spec = _read_spec(args.spec)
+    if spec is not None:  # the laws of the spec's own kind
         kind, params = spec.get("kind"), spec.get("params", {})
     tags = list(_VALIDATION_TAGS.get(kind, [("commutative", ("commutativity",))]))
     if kind == "square-product":
@@ -260,15 +261,10 @@ def cmd_idspace(args) -> int:
                      if getattr(args, key, None) is not None]:
             raise UsageError(f"--reference-deg4 takes no {' '.join(given)}: it "
                              "is the fixed degree-4 reproduction")
-        report = reference_deg4_report()
-        ok = verify_reference_solutions(report)
-
-        def text():
-            return report.to_text() + f"\nreference solutions verified: {ok}"
-
+        report, ok, text = _reference_deg4()
         payload = report.to_json_dict()
         payload["reference_verified"] = ok
-        _emit(args, text, payload)
+        _emit(args, lambda: text, payload)
         return 0 if ok else 1
     if args.degree is None:
         raise UsageError("need --degree N or --reference-deg4")
@@ -317,10 +313,11 @@ def cmd_simplicity(args) -> int:
     return 0 if cert.simple else 1
 
 
-def _reproduce_deg4_matrix() -> str:
+def _reference_deg4():
+    """The degree-4 reproduction's report, audit verdict and printed text."""
     report = reference_deg4_report()
     ok = verify_reference_solutions(report)
-    return report.to_text() + f"\nreference solutions verified: {ok}"
+    return report, ok, report.to_text() + f"\nreference solutions verified: {ok}"
 
 
 def _reproduce_det54() -> str:
@@ -404,7 +401,7 @@ def _reproduce_psi() -> str:
 
 
 _REPRODUCE = {
-    "deg4-matrix": _reproduce_deg4_matrix,
+    "deg4-matrix": lambda: _reference_deg4()[2],
     "det54": _reproduce_det54,
     "counterexample": _reproduce_counterexample,
     "tortken-prime": _reproduce_tortken_prime,

@@ -345,7 +345,11 @@ class _Parser:
 
 def parse(text: str, variables: Sequence[str]) -> FreePoly:
     """Parse an identity expression into canonical FreePoly form."""
-    return _Parser(text, variables).parse()
+    parser = _Parser(text, variables)
+    try:
+        return parser.parse()
+    except RecursionError:  # nested too deep for the recursive descent
+        raise ParseError("expression nested too deeply", parser.pos) from None
 
 
 def _commutative_trees(leaves: tuple) -> list[Tree]:

@@ -200,13 +200,20 @@ class SimplicityCertificate:
 
 def _projective_points(field: Field, vectors: Sequence[Sequence]):
     """All projective-point representatives of the span of the given
-    independent vectors (finite fields only): the combinations whose first
-    nonzero coefficient is 1."""
-    p = field.char
-    for coeffs in itertools.product(range(p), repeat=len(vectors)):
-        if next((c for c in coeffs if c), None) == 1:
-            yield [sum(c * x for c, x in zip(coeffs, col)) % p
-                   for col in zip(*vectors)]
+    independent vectors (finite fields only), generated lazily: the
+    combinations whose first nonzero coefficient is 1, in the lex order of
+    their coefficient tuples, each vector added once per prefix."""
+    p, k = field.char, len(vectors)
+
+    def span(acc, j):  # acc plus each combination of vectors[j:], in lex order
+        if j == k:
+            yield [a % p for a in acc]
+            return
+        for c in range(p):
+            yield from span([a + c * x for a, x in zip(acc, vectors[j])], j + 1)
+
+    for z in reversed(range(k)):  # the coefficients (0,) * z + (1, ...)
+        yield from span(vectors[z], z + 1)
 
 
 def _norton_candidates(ops: list, field: Field):
@@ -282,10 +289,10 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
                 break
     if best is not None:
         op, null = best
-        points = ([null[0]] if f.char == 0
-                  else list(_projective_points(f, null)))
-        audit.append(f"norton: singular operator with nullity {len(null)}, "
-                     f"{len(points)} kernel points")
+        p, k = f.char, len(null)
+        points = [null[0]] if p == 0 else _projective_points(f, null)
+        audit.append(f"norton: singular operator with nullity {k}, "
+                     f"{1 if p == 0 else (p ** k - 1) // (p - 1)} kernel points")
         for v in points:
             sp = _spin(A, [v], ops, full)
             if sp is not None:

@@ -11,6 +11,8 @@ Every evaluation runs one compiled form, `_Program`, either on one binding of
 all variables (`_Program.run`), or on the ids of a per-call cache of values
 and products (`_Products`): on many bindings (`_Program.runs`), or binding
 all but the last one at a time and the last at every element (`_sweep`).
+The degree-4 reproduction keeps no frozen data: its report is audited
+against the catalog laws deg4_basis_1..5, the one copy of the kernel.
 """
 
 from __future__ import annotations
@@ -224,9 +226,11 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     On a closed algebra, permuting the values within a `symmetry_blocks`
     block changes the value at most by its sign, so each block is bound in
     non-decreasing element-list order: one assignment per orbit, the
-    lex-least, and the least failing assignment is still met first.  The
-    counters stay in assignment units, as if every assignment were visited;
-    `orbits` counts the assignments evaluated.
+    lex-least, and the least failing assignment is still met first.
+    `orbits` counts the assignments evaluated; `checked` is the number up to
+    where the sweep ends in lex order (dim^n, or the failing one's 1-based
+    rank) less `skipped`, which is 0 on a closed algebra, where nothing
+    escapes; a window has no symmetry, so there it equals `orbits`.
     """
     prog = _Program([poly], A.field)
     n = prog.n
@@ -283,15 +287,12 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
             if value:
                 assign[n - 1] = x
                 witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
-                # on a closed algebra, its 1-based rank among all assignments
-                checked = (1 + sum(a * dim ** (n - 1 - t)
-                                   for t, a in enumerate(assign))
-                           if A.closed else orbits)
-                return CheckOutcome(FAILS, checked, skipped, witness, value, poly,
-                                    orbits=orbits)
+                rank = 1 + sum(a * dim ** (n - 1 - t) for t, a in enumerate(assign))
+                return CheckOutcome(FAILS, rank - skipped, skipped, witness, value,
+                                    poly, orbits=orbits)
             vanishing.add(ts)
         seen[at] = (orbits - before[0], skipped - before[1])
-    checked = dim ** n if A.closed else orbits
+    checked = dim ** n - skipped
     return CheckOutcome(HOLDS if checked else INCONCLUSIVE, checked, skipped,
                         orbits=orbits)
 
@@ -520,42 +521,6 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
 
 # -- reference degree-4 data --------------------------------------------------
 
-REFERENCE_DEG4_MATRIX = (
-    (2, 2, 2, 4, 2, 4, 2, 1, 1, 4, 2, 1, 1, 1, 1),
-    (2, 2, 2, 2, 4, 1, 1, 4, 2, 1, 1, 4, 2, 1, 1),
-    (2, 2, 2, 1, 1, 2, 4, 2, 4, 1, 1, 1, 1, 4, 2),
-    (2, 2, 2, 1, 1, 1, 1, 1, 1, 2, 4, 2, 4, 2, 4),
-    (0, 1, 1, 0, 0, 0, 1, 1, 2, 0, 1, 1, 2, 3, 3),
-    (0, 1, 1, 0, 0, 1, 2, 0, 1, 1, 2, 0, 1, 3, 3),
-    (1, 1, 0, 2, 1, 1, 0, 0, 0, 3, 3, 1, 2, 0, 1),
-    (1, 1, 0, 0, 1, 0, 1, 3, 3, 0, 0, 2, 1, 2, 1),
-    (1, 1, 0, 1, 2, 1, 2, 3, 3, 0, 0, 1, 0, 1, 0),
-    (0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1),
-)
-
-REFERENCE_DEG4_SOLUTIONS = (
-    (1, 0, -1, 0, 1, 0, 0, -1, 0, 0, -1, 0, 0, 0, 1),
-    (1, 0, -1, 0, 1, 1, -1, -1, 0, -1, 0, 0, 0, 1, 0),
-    (0, 1, -1, -1, 1, 1, 0, -1, 0, 0, -1, 0, 1, 0, 0),
-    (0, 1, -1, 0, 0, 1, 0, -1, 0, -1, 0, 1, 0, 0, 0),
-    (0, 0, 0, -1, 1, 1, -1, -1, 1, 0, 0, 0, 0, 0, 0),
-)
-
-# dependent coordinate -> linear combination of the free coordinates
-# (free coordinates are positions 8, 11, 12, 13, 14)
-REFERENCE_MU_RELATIONS = {
-    0: ((13, 1), (14, 1)),
-    1: ((11, 1), (12, 1)),
-    2: ((11, -1), (12, -1), (13, -1), (14, -1)),
-    3: ((12, -1), (8, -1)),
-    4: ((12, 1), (13, 1), (14, 1), (8, 1)),
-    5: ((11, 1), (12, 1), (13, 1), (8, 1)),
-    6: ((13, -1), (8, -1)),
-    7: ((11, -1), (12, -1), (13, -1), (14, -1), (8, -1)),
-    9: ((11, -1), (13, -1)),
-    10: ((12, -1), (14, -1)),
-}
-
 REFERENCE_DEG4_SUBSTITUTIONS = (
     (1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
     (0, 0, 1, 2), (0, 0, 2, 1), (0, 2, 1, 0), (1, 0, 0, 2),
@@ -576,24 +541,21 @@ def reference_deg4_report() -> IdentitySpaceReport:
 
 
 def verify_reference_solutions(report: IdentitySpaceReport) -> bool:
-    """Audit a degree-4 report against the frozen reference kernel data:
-    the five recorded solutions and the deg4_basis_* polynomials must lie in
-    the kernel, the kernel must be 5-dimensional, every kernel basis vector
-    must satisfy the recorded coordinate relations, and deg4_basis_2 must be
-    the tortken polynomial in the variable order t1, t3, t2, t4."""
+    """Audit a degree-4 report against the catalog laws deg4_basis_1..5, read
+    in its monomial order: its matrix must annihilate the five, which are
+    independent, and its 5-dimensional kernel must be their span; and
+    deg4_basis_2 must be tortken in the variable order t1, t3, t2, t4."""
     if report.degree != 4 or report.matrix.cols != 15:
         raise ReportMismatchError("need a degree-4 report on the 15-monomial basis")
     f, M = report.matrix.field, report.matrix
-    kernel = list(REFERENCE_DEG4_SOLUTIONS) + [
-        mu_vector(catalog_entry(f"deg4_basis_{i}").poly, report.monomials)
-        for i in range(1, 6)]
+    laws = [mu_vector(catalog_entry(f"deg4_basis_{i}").poly, report.monomials)
+            for i in range(1, 6)]
     tort = catalog_entry("tortken").poly.rename_variables(
         {"a": "t1", "b": "t3", "c": "t2", "d": "t4"})
-    return (not any(x for v in kernel for x in M.mul_vec(v))
+    return (not any(x for v in laws for x in M.mul_vec(v))
             and report.nullity == 5 == len(report.nullspace)
-            and all(v[dep] == f.coerce(sum(sign * v[free] for free, sign in combo))
-                    for v in report.nullspace
-                    for dep, combo in REFERENCE_MU_RELATIONS.items())
+            and Matrix(f, laws).rank() == 5
+            and Matrix(f, laws + report.nullspace).rank() == 5
             and tort.terms == catalog_entry("deg4_basis_2").poly.terms)
 
 

@@ -19,13 +19,14 @@ from tortken.algebras import (FiniteAlgebra, derivation_novikov,
                               random_commutative, square_product,
                               standard_derivation, tensor_leibniz)
 from tortken.freepoly import BALANCED_FIRST_DEG4, catalog, catalog_entry, mu_vector
-from tortken.identcheck import (FAILS, HOLDS, REFERENCE_DEG4_MATRIX,
-                                REFERENCE_DEG4_SOLUTIONS, check_identity,
+from tortken.identcheck import (FAILS, HOLDS, check_identity,
                                 check_identity_windowed, degree3_system,
                                 evaluate, identity_space,
                                 reference_deg4_report, tortken_prime_relation,
                                 verify_reference_solutions)
 from tortken.idealtool import certify_simplicity, is_ideal, psi_charp, psi_cyclic_char0
+
+from deg4_reference import REFERENCE_DEG4_MATRIX, REFERENCE_DEG4_SOLUTIONS
 
 F5 = Field.prime(5)
 TORTKEN = catalog_entry("tortken").poly

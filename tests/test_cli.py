@@ -134,6 +134,24 @@ def test_malformed_spec_exit_two(tmp_path, capsys):
     assert str(bad) in err
 
 
+def test_deeply_nested_spec_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "algebra", "show", "--spec", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read algebra spec {deep}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", ["-" * 5000 + "a*a",
+                                  "(" * 2000 + "a*a" + ")" * 2000])
+def test_deeply_nested_expr_exits_two(capsys, expr):
+    code, out, err = run_cli(capsys, "check", f"--expr={expr}", "--vars", "a",
+                             "--builtin", "gametic", "--dim", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad expression: ") and err.count("\n") == 1
+
+
 def test_unknown_identity_exit_two(capsys):
     code, _, err = run_cli(capsys, "check", "--identity", "nope",
                            "--builtin", "gametic", "--dim", "2")
@@ -309,6 +327,17 @@ def test_algebra_validate_spec_uses_its_kind(tmp_path, capsys):
         "alpha": 1, "lo": -3, "hi": 3, "variant": "novikov"}})
     code, out, _ = run_cli(capsys, "algebra", "validate", "--spec", spec)
     assert (code, out) == (0, "novikov: OK\n")
+
+
+def test_algebra_validate_reads_its_spec_once(tmp_path, capsys, monkeypatch):
+    spec = _spec_file(tmp_path, {"kind": "osborn", "params": {
+        "alpha": 1, "beta": 0, "p": 3, "m": 1}})
+    reads = []
+    read = cli._read_spec
+    monkeypatch.setattr(cli, "_read_spec",
+                        lambda path: reads.append(path) or read(path))
+    code, out, _ = run_cli(capsys, "algebra", "validate", "--spec", spec)
+    assert (code, out, reads) == (0, "novikov: OK\n", [spec])
 
 
 def test_repeated_variable_names_exit_two(tmp_path, capsys):

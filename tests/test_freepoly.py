@@ -68,6 +68,16 @@ def test_parse_errors():
     assert err.value.pos == 0
 
 
+@pytest.mark.parametrize("text", ["-" * 5000 + "a*a",
+                                  "(" * 2000 + "a*a" + ")" * 2000])
+def test_deep_nesting_is_a_parse_error(text):
+    # deeper than the recursive descent reaches: an error, not a crash
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(text, ("a",))
+    assert parse("-" * 50 + "a*a", ("a",)) == parse("a*a", ("a",))
+    assert parse("(" * 50 + "a*a" + ")" * 50, ("a",)) == parse("a*a", ("a",))
+
+
 def test_format_round_trip_catalog():
     for entry in catalog():
         again = parse(entry.poly.format(), entry.variables)

@@ -1,8 +1,10 @@
+import importlib.util
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,35 @@ def test_certificate_on_other_indices(A):
         assert got.witness.rows == want.witness.rows
         assert is_ideal(B, got.witness)
         assert all(k in B.position for e in got.witness.basis_elements() for k in e)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2),
+                                  (7, 2)])
+def test_projective_points_in_lex_order_of_the_filtered_tuples(p, k):
+    # the representatives come out as the filtered product gave them: every
+    # tuple whose first nonzero coefficient is 1, in lex order
+    f, rng = Field.prime(p), random.Random(p * 10 + k)
+    vectors = [[rng.randrange(p) for _ in range(k + 2)] for _ in range(k)]
+    want = [[sum(c * x for c, x in zip(coeffs, col)) % p
+             for col in zip(*vectors)]
+            for coeffs in itertools.product(range(p), repeat=k)
+            if next((c for c in coeffs if c), None) == 1]
+    got = idealtool._projective_points(f, vectors)
+    assert not isinstance(got, list)  # generated lazily
+    assert list(got) == want and len(want) == (p ** k - 1) // (p - 1)
+
+
+def test_kernel_point_count_matches_the_benchmark_pattern():
+    # perfbench/spans.py sums the counts that this pattern finds in audits
+    spans = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parent.parent
+        / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spans)
+    spans.loader.exec_module(module)
+    cert = certify_simplicity(plus(osborn(1, 1, 3, 2)))
+    found = [int(n) for line in cert.audit
+             for n in module._KERNEL_POINTS.findall(line)]
+    assert found == [(3 ** 3 - 1) // (3 - 1)]
 
 
 NORTON_1 = "norton: singular operator with nullity 1, 1 kernel points"

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -10,9 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deg4_reference import (REFERENCE_DEG4_MATRIX, REFERENCE_DEG4_SOLUTIONS,
+                            REFERENCE_MU_RELATIONS, frozen_audit)
 from dense_rref import dense_mul_vec, dense_nullspace, dense_rref
 from tortken import idealtool, identcheck
-from tortken.exactnum import Field
+from tortken.exactnum import Field, Matrix
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
                               OutOfWindowError, UnsoundWitnessError,
                               derivation_novikov,
@@ -25,8 +28,7 @@ from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
 from tortken.freepoly import (FreePoly, catalog, catalog_entry,
                               multilinear_monomials, mu_vector, parse,
                               symmetry_blocks)
-from tortken.identcheck import (FAILS, HOLDS, INCONCLUSIVE,
-                                REFERENCE_DEG4_MATRIX, check_identity,
+from tortken.identcheck import (FAILS, HOLDS, INCONCLUSIVE, check_identity,
                                 check_identity_windowed, degree3_system,
                                 evaluate, identity_space,
                                 reference_deg4_report,
@@ -278,6 +280,75 @@ def test_verify_rejects_perturbation():
     rep = reference_deg4_report()
     rep.matrix.data[0][0] += 1
     assert not verify_reference_solutions(rep)
+
+
+def _audit_cases(rep):
+    """The report, then copies with the matrix perturbed, a nullspace vector
+    moved outside the kernel, and a nullspace vector dropped, each with the
+    verdict the frozen-table audit gave it."""
+    f = rep.matrix.field
+    cases = [(rep, True)]
+    bumped = copy.deepcopy(rep)
+    bumped.matrix.data[0][0] = f.coerce(bumped.matrix.data[0][0] + 1)
+    cases.append((bumped, False))
+    moved = copy.deepcopy(rep)  # plus e_0, which is no identity
+    moved.nullspace[0][0] = f.coerce(moved.nullspace[0][0] + 1)
+    cases.append((moved, False))
+    dropped = copy.deepcopy(rep)
+    dropped.nullspace.pop()
+    cases.append((dropped, False))
+    return cases
+
+
+def _osborn_plus_deg4_report():
+    A = plus(osborn(1, 1, 3, 1))
+    return identity_space(4, A, [tuple(A.basis(i) for i in t) for t in
+                                 itertools.product(A.indices, repeat=4)],
+                          "balanced_first")
+
+
+@pytest.mark.parametrize("make", [reference_deg4_report, _osborn_plus_deg4_report],
+                         ids=["reference", "osborn_plus_F3"])
+def test_verify_gives_the_frozen_audit_verdict(make):
+    # the audit on the catalog laws answers as the audit on the frozen
+    # solutions and coordinate relations did, which now live in the tests
+    for rep, want in _audit_cases(make()):
+        assert frozen_audit(rep) is want
+        assert verify_reference_solutions(rep) is want
+
+
+def test_verify_reads_the_laws_in_the_report_order():
+    # a canonical-order report of the reference algebra has the same kernel
+    # in other coordinates; the frozen tables, in balanced_first coordinates,
+    # could not audit it
+    A = identcheck.reference_deg4_algebra()
+    rep = identity_space(4, A, [tuple(A.basis(i) for i in s) for s in
+                                identcheck.REFERENCE_DEG4_SUBSTITUTIONS])
+    assert rep.order == "canonical" and rep.nullity == 5
+    assert verify_reference_solutions(rep)
+    assert not frozen_audit(rep)
+    with pytest.raises(identcheck.ReportMismatchError):
+        verify_reference_solutions(identity_space(3, A, []))
+
+
+def test_frozen_deg4_tables_agree_with_the_catalog_laws():
+    # the solutions and the coordinate relations moved into the tests
+    # describe the kernel spanned by deg4_basis_1..5, over Q and every F_p
+    laws = [mu_vector(catalog_entry(f"deg4_basis_{i}").poly,
+                      multilinear_monomials(4, "balanced_first"))
+            for i in range(1, 6)]
+    sols = [list(v) for v in REFERENCE_DEG4_SOLUTIONS]
+    free = (8, 11, 12, 13, 14)
+    for f in (Field.rationals(), Field.prime(2), F3, F5):
+        assert Matrix(f, laws).rank() == Matrix(f, sols).rank() == 5
+        assert Matrix(f, laws + sols).rank() == 5
+    # one unimodular block on the free coordinates: independent mod every p
+    assert abs(Matrix(Field.rationals(),
+                      [[v[c] for c in free] for v in laws]).det()) == 1
+    for v in sols + laws:
+        for dep, combo in REFERENCE_MU_RELATIONS.items():
+            assert v[dep] == sum(sign * v[c] for c, sign in combo)
+    assert sorted(set(range(15)) - set(REFERENCE_MU_RELATIONS)) == list(free)
 
 
 def test_identity_space_nullspace_consistency():
