@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactnum import Field, Matrix, binomial, is_prime
+from .exactnum import Echelon, Field, Matrix, binomial, is_prime
 from .freepoly import catalog_entry
 
 
@@ -474,6 +474,8 @@ def osborn_plus_explicit(alpha, beta, p: int, m: int) -> FiniteAlgebra:
     if p <= 2:
         raise ValueError("osborn needs characteristic p > 2")
     field = Field.prime(p)
+    if m < 1:
+        raise ValueError("need m >= 1")
     alpha = field.coerce(alpha)
     beta = field.coerce(beta)
     dim = p**m
@@ -758,22 +760,26 @@ def random_commutative(dim: int, field: Field, seed: int) -> FiniteAlgebra:
 def subalgebra_on_basis(A: Algebra, elements: Sequence[dict], name: str,
                         labels: Sequence[str] | None = None) -> FiniteAlgebra:
     """The span of the given independent elements, with its product re-expressed
-    in that basis; raises NotClosedError if some product leaves the span."""
-    f = A.field
-    rows = [A.dense(e) for e in elements]
-    if Matrix(f, rows).rank() != len(rows):
+    in that basis; raises NotClosedError if some product leaves the span.
+
+    One echelon holds the rows [e_i | unit vector i] in dim + k columns, so
+    that a vector [w | 0] reduces to [w - sum c_i e_i | -c]: to [0 | -c]
+    exactly when w = sum c_i e_i lies in the span."""
+    f, n, k = A.field, A.dim, len(elements)
+    ech = Echelon(f, n + k)
+    for t, e in enumerate(elements):
+        ech.add(A.dense(e) + [1 if s == t else 0 for s in range(k)])
+    if any(c >= n for c in ech.pivots):
         raise ValueError("basis elements are dependent")
-    bt = Matrix(f, rows).transpose()
-    k = len(elements)
     table = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            lam = bt.solve(A.dense(A.mul(elements[i], elements[j])))
-            if lam is None:
+            r = ech.reduce(A.dense(A.mul(elements[i], elements[j])) + [0] * k)
+            if any(r[:n]):
                 raise NotClosedError(f"product of basis elements {i},{j} "
                                      "leaves the span")
-            table[i][j] = list(enumerate(lam))  # the table drops the zeros
-    return FiniteAlgebra(name, f, k, table, labels)
+            table[i][j] = [(t, f.neg(x)) for t, x in enumerate(r[n:])]
+    return FiniteAlgebra(name, f, k, table, labels)  # the table drops the zeros
 
 
 # -- CLI-facing builtin registry ---------------------------------------------

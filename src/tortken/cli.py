@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import algebras, idealtool
 from .algebras import Algebra, builtin_algebra, algebra_from_spec
-from .freepoly import DegreeOutOfRangeError, catalog_entry, parse
+from .freepoly import (DegreeOutOfRangeError, PolarizationTooLargeError,
+                       catalog_entry, parse)
 from .identcheck import (FAILS, HOLDS, INCONCLUSIVE, check_identity,
                          check_identity_windowed, degree3_system, evaluate,
                          identity_space, reference_deg4_report,
@@ -463,7 +464,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, DegreeOutOfRangeError) as exc:
+    except (UsageError, DegreeOutOfRangeError,
+            PolarizationTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ only at evaluation time.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -32,6 +33,16 @@ class AmbiguousProductError(ParseError):
 
 class DegreeOutOfRangeError(ValueError):
     pass
+
+
+class PolarizationTooLargeError(ValueError):
+    """Polarizing a law would expand more than POLARIZE_BOUND namings."""
+
+
+# The most injective namings that `polarize` expands: a one-variable law of
+# degree 7 takes 7! = 5040 per monomial and the largest catalog law 12; one
+# monomial of degree 8 takes 40320, about 6 s of a `check`.
+POLARIZE_BOUND = 20000
 
 
 def tree_degree(t: Tree) -> int:
@@ -467,7 +478,9 @@ def polarize(poly: FreePoly) -> list[FreePoly]:
     and each monomial becomes the sum of its injective namings: every leaf
     takes a fresh name of its variable, no name twice.  Over char 0 (or char
     > degree) the input is an identity iff all outputs are.  Multilinear
-    input is returned unchanged.
+    input is returned unchanged.  The namings are counted first, a monomial
+    of variable degrees d_v taking prod d_v! of them, and more than
+    POLARIZE_BOUND in all raise PolarizationTooLargeError.
     """
     if poly.is_multilinear():
         return [poly]
@@ -476,6 +489,12 @@ def polarize(poly: FreePoly) -> list[FreePoly]:
         leaves = tree_leaves(t)
         sig = tuple(leaves.count(v) for v in poly.variables)
         groups.setdefault(sig, {})[t] = c
+    count = sum(len(terms) * math.prod(map(math.factorial, sig))
+                for sig, terms in groups.items())
+    if count > POLARIZE_BOUND:
+        raise PolarizationTooLargeError(
+            f"polarizing the law expands {count} namings of its monomials, "
+            f"more than {POLARIZE_BOUND}")
     out = []
     for sig in sorted(groups):
         ends = list(itertools.accumulate(sig, initial=0))

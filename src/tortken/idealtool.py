@@ -5,17 +5,21 @@ under all left- and right-multiplication operators, so closure is operator
 spinning on an incremental echelon basis, and simplicity is module
 irreducibility.  A "Simple" verdict is only ever produced by one sound
 argument: Norton's irreducibility criterion on a singular operator of the
-multiplication envelope.  Over a small finite field the zero operator is the
-last candidate, so that every projective point is spun.  Once the closure of
-a basis element e_k is known to be all of A, any later spin whose span
-reaches a multiple of e_k stops there with "whole algebra", as its ideal then
-contains I(e_k) = A; only proper spins run to the end.
+unital multiplication envelope, over F_p mostly one of the MeatAxe's seeded
+random draws (see `_norton_candidates`; the audit names the draw).  Over a
+small finite field the zero operator is the last candidate, so that every
+projective point is spun.  Once the closure of a basis element e_k is known
+to be all of A, any later spin whose span reaches a multiple of e_k stops
+there with "whole algebra", as its ideal then contains I(e_k) = A; only
+proper spins run to the end.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import operator
+import random
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from typing import Collection, Sequence
@@ -216,25 +220,77 @@ def _projective_points(field: Field, vectors: Sequence[Sequence]):
         yield from span(vectors[z], z + 1)
 
 
+# The seed of the random envelope draws that `_norton_candidates` makes over
+# F_p, and their number.
+NORTON_SEED, NORTON_DRAWS = 1, 8
+
+
+def _envelope_draws(ops: list, p: int):
+    """The draws T = U + U V of `_norton_candidates`, each as dense columns
+    mod p: U and V are combinations of the basis operators with every
+    coefficient drawn from `random.Random(NORTON_SEED)`."""
+    rng = random.Random(NORTON_SEED)
+    n = len(ops[0])
+
+    def combination():
+        cols = [[0] * n for _ in range(n)]
+        for op in ops:
+            a = rng.randrange(p)
+            for col, image in zip(cols, op):
+                for i, x in image:
+                    col[i] += a * x
+        return cols
+
+    for _ in range(NORTON_DRAWS):
+        u, v = combination(), combination()
+        rows = list(zip(*u))  # entry i of column j of U V is row i of U . v[j]
+        yield [[(x + sum(map(operator.mul, row, vj))) % p
+                for x, row in zip(uj, rows)] for uj, vj in zip(u, v)]
+
+
 def _norton_candidates(ops: list, field: Field):
-    """Operators of the multiplication envelope to try for Norton's
-    criterion, in a fixed order: the basis operators, the sums and
-    differences of pairs of them until there are more than 200 operators,
-    then 100 products of pairs, and last, over F_p when F_p^n has at most
-    FULL_SWEEP_BOUND projective points, the zero operator, whose kernel
-    points are all of them.  A column may repeat a position; its entries
-    add up."""
-    yield from ops
+    """Operators of the unital multiplication envelope to try for Norton's
+    criterion, each with the audit line that names it (None but for the
+    draws), in a fixed order: the basis operators; over F_p with
+    NORTON_DRAWS * p <= FULL_SWEEP_BOUND, for each of NORTON_DRAWS seeded
+    draws T (see `_envelope_draws`), T - lam I for lam = 0, 1, ..., p - 1;
+    the sums and differences of pairs of basis operators until there are
+    more than 200 operators, then 100 products of pairs; and last, over F_p
+    when F_p^n has at most FULL_SWEEP_BOUND projective points, the zero
+    operator, whose kernel points are all of them.  A column may repeat a
+    position; its entries add up.
+
+    Every candidate is sound.  A spin of v under the basis operators
+    contains v, so the subspaces it finds, the ideals, are the invariant
+    subspaces of the unital envelope too, and T - lam I lies in that
+    envelope.  Norton's criterion holds for any singular element T of it.
+    A proper nonzero ideal W that meets ker T holds a kernel point, whose
+    spin stays in W.  If W meets ker T trivially, T maps W onto W, so every
+    vector of ker T^t vanishes on W: it lies in W^perp, which the transposed
+    operators keep, and one dual spin is proper.  The draws are dense: a
+    random element of the envelope often has an eigenvalue of nullity 1
+    (the MeatAxe), where the sparse basis operators and their sums rarely
+    do.  Over Q an eigenvalue is rarely rational, so no draws are made and
+    the sums and products are the candidates that can be singular."""
+    for op in ops:
+        yield op, None
+    p, n = field.char, len(ops[0])
+    if p and NORTON_DRAWS * p <= FULL_SWEEP_BOUND:
+        for d, t in enumerate(_envelope_draws(ops, p), 1):
+            cols = [[(i, x) for i, x in enumerate(col) if x] for col in t]
+            for lam in range(p):
+                yield ([[*col, (j, -lam)] for j, col in enumerate(cols)],
+                       f"norton: T - {lam}*I for envelope draw {d} "
+                       f"of seed {NORTON_SEED}")
     pairs = max(1, (202 - len(ops)) // 2)  # the fewest that pass 200 operators
     for x, y in itertools.islice(itertools.combinations(ops, 2), pairs):
-        yield [a + b for a, b in zip(x, y)]
-        yield [a + [(i, -c) for i, c in b] for a, b in zip(x, y)]
+        yield [a + b for a, b in zip(x, y)], None
+        yield [a + [(i, -c) for i, c in b] for a, b in zip(x, y)], None
     for x, y in itertools.islice(itertools.product(ops, repeat=2), 100):
         # column j of the composite is y applied to column j of x
-        yield [[(i, c * d) for t, c in col for i, d in y[t]] for col in x]
-    p, n = field.char, len(ops[0])
+        yield [[(i, c * d) for t, c in col for i, d in y[t]] for col in x], None
     if p and (p ** n - 1) // (p - 1) <= FULL_SWEEP_BOUND:
-        yield [[] for _ in range(n)]
+        yield [[] for _ in range(n)], None
 
 
 def certify_simplicity(A: Algebra) -> SimplicityCertificate:
@@ -279,17 +335,19 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
     # module is irreducible iff every kernel point of T spins to the whole
     # space and one kernel point of T^t spins to the whole dual space.
     best = None
-    for op in _norton_candidates(ops, f):
+    for op, route in _norton_candidates(ops, f):
         null = _kernel(A, _transpose(op))  # the rows of T
         if not null or (f.char == 0 and len(null) > 1):
             continue
         if best is None or len(null) < len(best[1]):
-            best = (op, null)
+            best = (op, null, route)
             if len(null) == 1:
                 break
     if best is not None:
-        op, null = best
+        op, null, route = best
         p, k = f.char, len(null)
+        if route is not None:
+            audit.append(route)
         points = [null[0]] if p == 0 else _projective_points(f, null)
         audit.append(f"norton: singular operator with nullity {k}, "
                      f"{1 if p == 0 else (p ** k - 1) // (p - 1)} kernel points")

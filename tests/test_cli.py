@@ -669,3 +669,21 @@ def test_readme_cli_examples(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == want, (line, err)
         assert out
+
+
+@pytest.mark.parametrize("builtin", ["osborn", "osborn-plus"])
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_osborn_needs_m_at_least_one(capsys, builtin, m):
+    code, out, err = run_cli(capsys, "simplicity", "--builtin", builtin,
+                             "--p", "3", "--m", m, "--beta", "1")
+    assert (code, out, err) == (2, "", "error: need m >= 1\n")
+
+
+def test_oversized_polarization_exits_two(capsys):
+    # degree 10 in one variable: 10! namings, refused before any is built
+    code, out, err = run_cli(capsys, "check", "--expr=" + "(" * 9 + "a"
+                             + "*a)" * 9, "--vars", "a", "--builtin",
+                             "gametic", "--dim", "2")
+    assert code == 2 and not out
+    assert err == ("error: polarizing the law expands 3628800 namings of its "
+                   "monomials, more than 20000\n")

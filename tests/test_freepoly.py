@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tortken.freepoly import (AmbiguousProductError, DegreeOutOfRangeError,
-                              FreePoly, ParseError, UnknownVariableError,
+                              FreePoly, ParseError, POLARIZE_BOUND,
+                              PolarizationTooLargeError, UnknownVariableError,
                               canonical_commutative, catalog, catalog_entry,
                               mu_vector, multilinear_monomials, parse,
                               polarize, symmetry_blocks, tree_degree,
@@ -262,6 +263,23 @@ def test_polarize_degree_7():
     x = FreePoly.var("x", ("x",))
     parts = polarize(((x * x) * (x * x)) * ((x * x) * x))
     assert len(parts) == 1 and parts[0].monomial_count() == 5040
+
+
+def test_polarize_refuses_degree_10_before_expanding():
+    # the 10! namings are counted, not built (building them runs out of
+    # memory), and the error names the count
+    x = FreePoly.var("x", ("x",))
+    law = x
+    for _ in range(9):
+        law = law * x
+    with pytest.raises(PolarizationTooLargeError, match=" 3628800 namings"):
+        polarize(law)
+
+
+def test_every_catalog_law_polarizes_within_the_bound():
+    assert POLARIZE_BOUND >= 5040  # a one-variable monomial of degree 7
+    for entry in catalog():
+        assert polarize(entry.poly)
 
 
 def test_mu_vector_deg4_basis():

@@ -3,8 +3,10 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from tortken import idealtool
 from tortken.exactnum import Echelon, Field, OutOfRangeError
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotClosedError,
                               divided_power, gametic, osborn, osborn_bar_finite,
-                              plus, random_commutative)
+                              plus, random_commutative, subalgebra_on_basis)
 from tortken.idealtool import (CannotCertifyError, Subspace,
                                UnsoundWitnessError, certify_simplicity,
                                ideal_closure, is_ideal, psi_char0, psi_charp,
@@ -185,28 +187,39 @@ def test_kernel_point_count_matches_the_benchmark_pattern():
     cert = certify_simplicity(plus(osborn(1, 1, 3, 2)))
     found = [int(n) for line in cert.audit
              for n in module._KERNEL_POINTS.findall(line)]
-    assert found == [(3 ** 3 - 1) // (3 - 1)]
+    assert found == [1]  # one line counted, the draw's line not
+    cert = certify_simplicity(F25)
+    found = [int(n) for line in cert.audit
+             for n in module._KERNEL_POINTS.findall(line)]
+    assert found == [(5 ** 2 - 1) // (5 - 1)]
 
 
 NORTON_1 = "norton: singular operator with nullity 1, 1 kernel points"
 
 
+def draw(lam, d):
+    return f"norton: T - {lam}*I for envelope draw {d} of seed 1"
+
+
 @pytest.mark.parametrize("A, verdict, audit, rows", [
     (osborn_bar_finite(0, 3, 1), "not_simple",
      ["closure of basis element x^(0) is proper (1-dimensional)"], ((1, 0),)),
-    # no candidate has nullity 1: the first of least nullity is used
+    # no basis operator has nullity 1, and the second draw has an eigenvalue
+    # of nullity 1
     (plus(osborn(1, 1, 3, 2)), "simple",
-     ["all 9 basis closures are full",
-      "norton: singular operator with nullity 3, 13 kernel points",
+     ["all 9 basis closures are full", draw(1, 2), NORTON_1,
       "norton criterion passed"], None),
-    (KXK, "not_simple", ["all 2 basis closures are full", NORTON_1,
-                         "kernel point spans a proper ideal"], ((1, 4),)),
+    (KXK, "not_simple", ["all 2 basis closures are full", draw(0, 1),
+                         NORTON_1, "kernel point spans a proper ideal"],
+     ((1, 1),)),  # K x K has the two ideals K x 0 and 0 x K
     (gametic(3, F3), "not_simple",
-     ["all 3 basis closures are full", NORTON_1,
+     ["all 3 basis closures are full", draw(0, 2), NORTON_1,
       "dual kernel point spans a proper invariant subspace"],
      ((1, 0, 2), (0, 1, 2))),
-    # no envelope operator is singular: the zero operator comes last
-    (F25, "simple", ["all 2 basis closures are full",
+    # the envelope is the field F_25: the singular operators are 0 only, and
+    # the third draw is the scalar 4, so T - 4I is the zero operator, ahead
+    # of the last candidate
+    (F25, "simple", ["all 2 basis closures are full", draw(4, 3),
                      "norton: singular operator with nullity 2, 6 kernel points",
                      "norton criterion passed"], None),
     # over Q with no candidate of nullity 1 the basis differences decide
@@ -374,11 +387,8 @@ def test_early_exit_spin_matches_oracle(f, dim, commutative, seed):
             assert span.dim < dim and span.rows == want
 
 
-def test_dim25_certificate_and_its_work(monkeypatch):
-    # every kernel point spin stops at the first basis element it reaches, as
-    # all 25 basis closures are full: 11938 inserts, against 140627 for
-    # spins run to full dimension
-    A = plus(osborn(1, 0, 5, 2))
+def _counted_certificate(monkeypatch, A):
+    """The certificate of A and the number of `Echelon.insert` calls."""
     inserts = 0
     insert = Echelon.insert
 
@@ -388,12 +398,32 @@ def test_dim25_certificate_and_its_work(monkeypatch):
         return insert(self, v)
 
     monkeypatch.setattr(Echelon, "insert", counted)
-    cert = certify_simplicity(A)
+    return certify_simplicity(A), inserts
+
+
+def test_dim25_certificate_and_its_work(monkeypatch):
+    # the fourth envelope draw has an eigenvalue of nullity 1, so one kernel
+    # point is spun, not the 781 of the best nullity-5 operator of the fixed
+    # list: 1795 inserts, against 11938 for those with early-exit spins and
+    # 140627 for spins run to full dimension
+    cert, inserts = _counted_certificate(monkeypatch, plus(osborn(1, 0, 5, 2)))
     assert (cert.verdict, cert.audit) == ("simple", [
-        "all 25 basis closures are full",
-        "norton: singular operator with nullity 5, 781 kernel points",
+        "all 25 basis closures are full", draw(1, 4), NORTON_1,
         "norton criterion passed"])
-    assert inserts < 20000
+    assert inserts < 2500
+
+
+def test_dim27_certificate_and_its_work(monkeypatch):
+    # the best operator of the fixed list has nullity 9 and 9841 kernel
+    # points; the third draw has an eigenvalue of nullity 1 (2011 inserts)
+    A = plus(osborn(1, 1, 3, 3))
+    start = time.perf_counter()
+    cert = certify_simplicity(A)
+    assert time.perf_counter() - start < 1
+    assert (cert.verdict, cert.audit) == ("simple", [
+        "all 27 basis closures are full", draw(1, 3), NORTON_1,
+        "norton criterion passed"])
+    assert _counted_certificate(monkeypatch, A)[1] < 2500
 
 
 def _sweep_verdict(A):
@@ -418,6 +448,57 @@ def test_certificate_matches_exhaustive_sweep(f, dim, commutative, seed):
     assert cert.verdict == _sweep_verdict(A)
     if cert.verdict == "not_simple":
         assert 0 < cert.witness.dim < A.dim and is_ideal(A, cert.witness)
+
+
+def _rotated_dim5(f, commutative, rng):
+    """A random algebra on F_p^5 with the ideal span{e_k, ..., e_4} for a
+    random k (no ideal is built in for k = 5), rewritten on a random basis,
+    so that its basis operators are dense."""
+    p, n = f.char, 5
+    k = rng.randrange(1, n + 1)
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i if commutative else 0, n):
+            lo = k if max(i, j) >= k else 0
+            table[i][j] = {c: x for c in range(lo, n) if (x := rng.randrange(p))}
+            if commutative:
+                table[j][i] = table[i][j]
+    A = FiniteAlgebra("random", f, n, table)
+    while True:
+        basis = [{j: x for j in range(n) if (x := rng.randrange(p))}
+                 for _ in range(n)]
+        try:
+            return subalgebra_on_basis(A, basis, "rotated")
+        except ValueError:  # a dependent basis: draw again
+            pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS[:2]), st.booleans(), st.integers(0, 2**32))
+def test_draw_route_matches_exhaustive_sweep(f, commutative, seed):
+    # the certificate as it is, and with the basis operators dropped from
+    # the candidates, so that the envelope draws decide every Norton step
+    A = _rotated_dim5(f, commutative, random.Random(seed))
+    candidates = idealtool._norton_candidates
+    want = _sweep_verdict(A)
+    for skip in (0, len(idealtool._operators(A))):
+        with mock.patch.object(
+                idealtool, "_norton_candidates", lambda ops, field:
+                itertools.islice(candidates(ops, field), skip, None)):
+            cert = certify_simplicity(A)
+        assert cert.verdict == want
+        if cert.verdict == "not_simple":
+            assert 0 < cert.witness.dim < A.dim and is_ideal(A, cert.witness)
+
+
+def test_draws_stop_at_large_characteristic():
+    # NORTON_DRAWS * p above FULL_SWEEP_BOUND: walking every lam would take
+    # too long, so no draw is made; p = 2011 is still walked
+    for p, drawn in ((2011, True), (2503, False), (2**61 - 1, False)):
+        ops = idealtool._operators(random_commutative(3, Field.prime(p), 0))
+        routes = [route for _, route in idealtool._norton_candidates(
+            ops, Field.prime(p)) if route is not None]
+        assert len(routes) == (idealtool.NORTON_DRAWS * p if drawn else 0)
 
 
 def test_psi_char0():
