@@ -11,7 +11,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 
 from . import algebras, idealtool
 from .algebras import Algebra, builtin_algebra, algebra_from_spec
@@ -390,7 +389,7 @@ def _reproduce_psi() -> str:
     for i in range(-6, 7):
         for j in range(-6, 7):
             for s in range(-6, 7):
-                want = Fraction(2 if i + j + s == 1 else 0)
+                want = 2 if i + j + s == 1 else 0
                 if idealtool.psi_cyclic_char0(i, j, s) != want:
                     bad += 1
     lines.append(f"  equals 2*[i+j+s=1] everywhere: {bad == 0}")
@@ -459,9 +458,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_ranges(argv: list) -> list:
+    """argv with `--window -4..8` and `--range -1..3` joined into the one
+    token `--window=-4..8`: argparse takes a separate value that starts with
+    '-' and is no plain number for a flag, so both forms parse the same."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in ("--window", "--range") and arg[:1] == "-"
+                and arg[1:2].isdigit()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_ranges(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (UsageError, DegreeOutOfRangeError,

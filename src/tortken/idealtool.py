@@ -392,11 +392,10 @@ def psi_char0(i: int, j: int) -> Fraction:
 def psi_cyclic_char0(i: int, j: int, s: int) -> Fraction:
     """Cyclic sum psi({x^i,x^j}, x^s) + psi({x^j,x^s}, x^i) + psi({x^s,x^i}, x^j)
     under the jordan product {x^u, x^v} = (u+v) x^(u+v-1); equals
-    2 [i+j+s = 1]."""
-    total = Fraction(0)
-    for a, b, c in ((i, j, s), (j, s, i), (s, i, j)):
-        total += (a + b) * psi_char0(a + b - 1, c)
-    return total
+    2 [i+j+s = 1].  Each term is an int, (a+b) [a+b-1+c = 0] by psi_char0,
+    so the sum is exact in ints and one `Fraction` is built."""
+    return Fraction(sum((a + b) * (a + b - 1 + c == 0)
+                        for a, b, c in ((i, j, s), (j, s, i), (s, i, j))))
 
 
 def psi_charp(p: int, m: int, i: int, j: int) -> int:

@@ -18,6 +18,8 @@ against the catalog laws deg4_basis_1..5, the one copy of the kernel.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -442,8 +444,26 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     renamed by t_i -> t_pos(i), takes at r; and it stores escaped cells
     symmetrically, so an orbit escapes as a whole.  Row x is row r with each
     column c read from c', by a map composed from the adjacent
-    transpositions' maps, kept per permutation.  A row set already inserted,
-    known by its tuple of monomial value ids, is not inserted again.
+    transpositions' maps, kept per permutation.
+
+    A complete orbit, whose substitutions hold all n!/prod(mult!) distinct
+    arrangements of r, enters the echelon as a spin: r's rows are inserted,
+    then each residue that `Echelon.insert` returns is pushed through the n-1
+    adjacent transpositions' maps, until nothing new enters.  Sound: the
+    column maps compose as an action of S_n on rows (the map of a product of
+    transpositions is the composite of their maps, as `colmap` builds it),
+    and the adjacent transpositions generate S_n.  So the span of the rows
+    of all arrangements, the S_n-module that r's rows generate, is the
+    smallest subspace that contains r's rows and is closed under the n-1
+    maps.  Each residue lies in that span and the residues span what
+    entered, so closing them under the maps closes the span and adds nothing
+    outside the module.  A symmetric table makes an orbit escape as a whole,
+    so a complete orbit is evaluated or skipped whole.  Complete orbits spin
+    before any other row enters, so every residue stays in a sum of modules.
+    Incomplete orbits then insert each distinct row set of their
+    arrangements, known by its tuple of monomial value ids, once.  A
+    non-commutative A has one-element orbits and spins nothing.  The RREF is
+    unique, so the order of insertion changes neither rank, kernel nor flags.
     """
     monomials = multilinear_monomials(degree, order)
     f, n, zero = A.field, degree, A.field.zero
@@ -481,9 +501,12 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         x = [element_id(e) for e in sub]
         at = sorted(range(n), key=x.__getitem__) if commutative else range(n)
         pos = tuple(sorted(range(n), key=at.__getitem__))  # x_i = r_pos(i)
-        return reps.setdefault(r := tuple(x[i] for i in at), r), colmap(pos)
+        if (got := reps.get(r := tuple(x[i] for i in at))) is None:
+            got = reps[r] = (r, set())
+        got[1].add(pos)
+        return got[0], colmap(pos)
 
-    reps: dict = {}  # one tuple per representative, shared by its orbit
+    reps: dict = {}  # representative -> (itself, its arrangements' pos)
     orbits = [orbit(sub) for sub in substitutions]
     todo = sorted(reps)  # lex order shares the most prefixes
     known = {}  # representative -> (monomial value ids, rows) unless escaped
@@ -495,13 +518,24 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
                         [[e.get(k, zero) for e in evals]
                          for k in sorted(set().union(*evals))]
                         or [[zero] * len(monomials)])
-    echelon, rows, inserted = Echelon(f, len(monomials)), [], set()
+    echelon = Echelon(f, len(monomials))
+    spun = {r for r in known if commutative and len(reps[r][1])  # complete
+            == math.factorial(n) // math.prod(
+                map(math.factorial, Counter(r).values()))}
+    spin = [[(c, x) for c, x in enumerate(row) if x]
+            for r in sorted(spun) for row in known[r][1]]
+    for v in spin:  # spin grows while it is read, breadth first
+        if (new := echelon.insert(v)) is not None:
+            # a transposition's map is its own inverse: entry c moves to s[c]
+            spin += [[(s[c], x) for c, x in new] for s in swaps]
+    rows, inserted = [], set()
     for r, cmap in orbits:
         if r in known:
             vals, got = known[r]
             got = [[row[c] for c in cmap] for row in got]
             rows += got
-            if (vals := tuple([vals[c] for c in cmap])) not in inserted:
+            if r not in spun and (
+                    vals := tuple([vals[c] for c in cmap])) not in inserted:
                 inserted.add(vals)
                 for row in got:
                     echelon.insert([(c, x) for c, x in enumerate(row) if x])

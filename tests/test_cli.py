@@ -30,14 +30,23 @@ def run_cli(capsys, *argv):
 
 def check_schema(schema: dict, obj) -> None:
     """Minimal structural validator for the checked-in schemas."""
-    types = {"object": dict, "string": str, "integer": int, "array": list}
+    types = {"object": dict, "string": str, "integer": int, "array": list,
+             "boolean": bool, "null": type(None)}
     if "type" in schema:
-        assert isinstance(obj, types[schema["type"]]), (schema["type"], obj)
+        kinds = schema["type"] if isinstance(schema["type"], list) else [
+            schema["type"]]
+        assert isinstance(obj, tuple(types[k] for k in kinds)), (kinds, obj)
     for key in schema.get("required", ()):
         assert key in obj, f"missing {key}"
     for key, sub in schema.get("properties", {}).items():
         if key in obj:
             check_schema(sub, obj[key])
+    if "additionalProperties" in schema:
+        for key in obj.keys() - schema.get("properties", {}).keys():
+            check_schema(schema["additionalProperties"], obj[key])
+    if "items" in schema:
+        for item in obj:
+            check_schema(schema["items"], item)
     if "enum" in schema:
         assert obj in schema["enum"]
 
@@ -206,6 +215,44 @@ def test_idspace_degree3_laurent(capsys):
     assert code == 0
     assert "rank: 3" in out
     assert "nullspace dimension: 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--identity", "tortken", "--builtin", "osborn-laurent",
+     "--alpha", "1", "--beta", "0"),
+    ("idspace", "--degree", "3", "--builtin", "osborn-laurent", "--alpha", "0",
+     "--beta", "0")])
+def test_negative_window_and_range_parse_in_both_forms(capsys, argv):
+    # a value that starts with '-' after --window or --range is that flag's
+    # value, as with --window=-4..8
+    joined = run_cli(capsys, *argv, "--window=-4..8", "--range=-1..3")
+    assert joined[0] == 0
+    for window, rng in ((("--window", "-4..8"), ("--range", "-1..3")),
+                        (("--window=-4..8",), ("--range", "-1..3")),
+                        (("--window", "-4..8"), ("--range=-1..3",))):
+        assert run_cli(capsys, *argv, *window, *rng) == joined
+
+
+def test_range_flag_without_a_value_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["idspace", "--degree", "3", "--builtin", "osborn-laurent",
+              "--window", "-4..8", "--range"])
+    assert exc.value.code == 2
+    assert "--range: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--degree", "3", "--builtin", "gametic", "--dim", "2"),
+    ("--degree", "3", "--builtin", "osborn-laurent", "--alpha", "0",
+     "--beta", "0", "--window", "-4..8", "--range", "-1..3"),
+    ("--reference-deg4",)])
+def test_idspace_json_schema(capsys, argv):
+    schema = json.loads((SCHEMAS / "idspace.schema.json").read_text())
+    code, out, _ = run_cli(capsys, "idspace", *argv, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    check_schema(schema, report)
+    assert len(report["nullspace"]) == len(report["monomials"]) - report["rank"]
 
 
 def test_idspace_degree_out_of_range(capsys):

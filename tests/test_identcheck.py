@@ -1036,6 +1036,96 @@ def test_memoized_identity_space_matches_per_substitution_runs(
     assert rep.nullspace == dense_nullspace(f, M, len(M[0]))
 
 
+def _matches_dense_elimination(rep):
+    """Rank, nullspace and flags of rep are those of the dense reference
+    elimination of its matrix (its distinct rows: the same row space)."""
+    f, M = rep.matrix.field, rep.matrix.data
+    rows = list(map(list, dict.fromkeys(map(tuple, M))))
+    assert rep.rank == dense_rref(f, rows)[1]
+    assert rep.nullspace == dense_nullspace(f, rows, rep.matrix.cols)
+    for name, flag in rep.flags.items():
+        vec = [f.coerce(c) for c in
+               mu_vector(catalog_entry(name).poly, rep.monomials)]
+        want = (all(f.is_zero(x) for x in dense_mul_vec(f, rows, vec))
+                if rep.substitution_count else None)
+        assert flag is want, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((Field.prime(2), F3, F5, Field.rationals(), "laurent")),
+       st.integers(2, 4), st.integers(2, 5), st.integers(0, 2**32))
+def test_spun_orbits_match_dense_elimination(f, dim, degree, seed):
+    # complete S_n orbits (every distinct arrangement of a multiset of pool
+    # elements) are spun; the same list with random arrangements removed
+    # leaves incomplete orbits that are inserted row by row.  On a
+    # commutative table, or a commutative Laurent window where products of
+    # high degree escape.
+    rng = random.Random(seed)
+    if f == "laurent":
+        A = osborn_laurent(1, 1, -3, 3, "jordan")
+        pool = [A.basis(i) for i in range(-2, 3)]
+    else:
+        A = _random_table(f, dim, True, rng)
+        pool = [A.basis(i) for i in range(dim)]
+        pool.append({i: c for i in range(dim)
+                     if (c := A.field.coerce(rng.randint(-2, 2)))})
+    assert A.is_commutative()
+    multisets = [sorted(rng.choices(range(len(pool)), k=degree))
+                 for _ in range(rng.randint(1, 2))]
+    full = [a for m in multisets
+            for a in dict.fromkeys(itertools.permutations(m))]
+    rng.shuffle(full)
+    part = [a for a in full if rng.random() < 0.7]
+    for arrangements in (full, part):
+        subs = [tuple(pool[i] for i in a) for a in arrangements]
+        _matches_dense_elimination(identity_space(degree, A, subs))
+
+
+def test_a_single_arrangement_is_not_spun():
+    # one arrangement of three distinct elements gives one row; its S_3
+    # orbit gives three independent rows, so a spin of the incomplete orbit
+    # would raise the rank from 1 to 3
+    A = plus(osborn(1, 1, 5, 1))
+    one = [(A.basis(0), A.basis(1), A.basis(2))]
+    rep = identity_space(3, A, one)
+    assert rep.rank == 1
+    _matches_dense_elimination(rep)
+    assert identity_space(3, A, list(itertools.permutations(one[0]))).rank == 3
+
+
+def _counted_identity_space(monkeypatch, degree, A, indices):
+    """The identity space of A on every substitution from the basis indices,
+    and the number of `Echelon.insert` calls it made."""
+    inserts = 0
+    insert = identcheck.Echelon.insert
+
+    def counted(self, v):
+        nonlocal inserts
+        inserts += 1
+        return insert(self, v)
+
+    monkeypatch.setattr(identcheck.Echelon, "insert", counted)
+    subs = [tuple(A.basis(i) for i in t)
+            for t in itertools.product(indices, repeat=degree)]
+    return identity_space(degree, A, subs), inserts
+
+
+def test_spun_identity_space_insert_counts(monkeypatch):
+    # complete orbits enter as the module their representative's rows
+    # generate: 279 inserts for the degree-5 rank-35 space on dim 5 (815
+    # with one insert per distinct permuted row set), 88 for the Laurent
+    # window (464); the non-commutative integration product spins nothing
+    A = plus(osborn(1, 1, 5, 1))
+    rep, inserts = _counted_identity_space(monkeypatch, 5, A, range(5))
+    assert rep.rank == 35 and inserts <= 300
+    L = osborn_laurent(1, 0, -6, 6, "jordan")
+    rep, inserts = _counted_identity_space(monkeypatch, 4, L, range(-2, 3))
+    assert rep.rank == 10 and inserts <= 100
+    rep, inserts = _counted_identity_space(
+        monkeypatch, 4, integration_product(12), range(5))
+    assert rep.rank == 14 and inserts <= 435
+
+
 def test_identity_space_computes_each_product_once(monkeypatch):
     # every basis substitution on dim 5: a product is computed once per pair
     # of operand values, not once per substitution (20625 and 687500) or per
