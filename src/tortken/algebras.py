@@ -817,24 +817,46 @@ def _divided_kind(product: Callable | None = None) -> Callable:
     return build
 
 
-# kind -> builder; a builder's keyword parameters are the kind's parameters
+_COMMUTATIVE = ("commutative", ("commutativity",))
+# the laws of plus(A) for every Novikov A, the paper's theorem
+TORTKEN_LAWS = [_COMMUTATIVE, ("tortken", ("tortken",))]
+_NOVIKOV = [("novikov", ("right_symmetric", "left_commutative"))]
+
+# kind -> (constructor, laws); a constructor's keyword parameters are the
+# kind's parameters, and laws, or laws(**params), are the (tag, catalog law
+# names) pairs its algebras satisfy
 _BUILTINS = {
-    "divided-power": _divided_kind(),
-    "derivation-novikov": _divided_kind(derivation_novikov),
-    "derivation-symmetric": _divided_kind(derivation_symmetric),
-    "osborn": lambda p, m, alpha=0, beta=0: osborn(alpha, beta, p, m),
-    "osborn-plus": lambda p, m, alpha=0, beta=0: osborn_plus_explicit(
-        alpha, beta, p, m),
-    "osborn-laurent": lambda lo, hi, alpha=0, beta=0, variant="jordan":
-        osborn_laurent(alpha, beta, lo, hi, variant),
-    "osborn-bar": osborn_bar,
-    "gametic": lambda dim, char=0: gametic(dim, Field(char or 0)),
-    "integration": lambda N: integration_product(N),
-    "square-product": square_product,
-    "p2-product": p2_product,
-    "random-commutative": lambda dim, char=0, seed=0: random_commutative(
-        dim, Field(char or 0), seed),
+    "divided-power": (_divided_kind(), [
+        ("assoc-commutative", ("commutativity", "associativity"))]),
+    "derivation-novikov": (_divided_kind(derivation_novikov), _NOVIKOV),
+    "derivation-symmetric": (_divided_kind(derivation_symmetric), TORTKEN_LAWS),
+    "osborn": (lambda p, m, alpha=0, beta=0: osborn(alpha, beta, p, m),
+               _NOVIKOV),
+    "osborn-plus": (lambda p, m, alpha=0, beta=0: osborn_plus_explicit(
+        alpha, beta, p, m), TORTKEN_LAWS),
+    "osborn-laurent": (lambda lo, hi, alpha=0, beta=0, variant="jordan":
+                       osborn_laurent(alpha, beta, lo, hi, variant),
+                       lambda variant=None, **_:
+                       _NOVIKOV if variant == "novikov" else TORTKEN_LAWS),
+    "osborn-bar": (osborn_bar, [_COMMUTATIVE]),
+    "gametic": (lambda dim, char=0: gametic(dim, Field(char or 0)),
+                [("novikov", ("left_commutative", "associativity"))]),
+    "integration": (lambda N: integration_product(N), [
+        ("leibniz-dual", ("leibniz_dual_left", "right_commutative"))]),
+    # tortken if k = l, or p = 2 and l = k + 1 (`reproduce counterexample`)
+    "square-product": (square_product, lambda p, k, l, **_: TORTKEN_LAWS
+                       if k == l or (p == 2 and l == k + 1) else [_COMMUTATIVE]),
+    "p2-product": (p2_product, TORTKEN_LAWS),
+    "random-commutative": (lambda dim, char=0, seed=0: random_commutative(
+        dim, Field(char or 0), seed), [_COMMUTATIVE]),
 }
+
+
+def builtin_laws(kind: str, params: dict) -> list:
+    """The (tag, catalog law names) pairs that the kind's algebra on params
+    satisfies; commutativity for a structure-constants spec."""
+    laws = _BUILTINS[kind][1] if kind in _BUILTINS else [_COMMUTATIVE]
+    return laws(**params) if callable(laws) else laws
 
 
 def builtin_algebra(kind: str, **kw) -> Algebra:
@@ -842,7 +864,8 @@ def builtin_algebra(kind: str, **kw) -> Algebra:
     and beta given as an int or an "a/b" string."""
     if kind not in _BUILTINS:
         raise ValueError(f"unknown builtin algebra {kind!r}")
-    _check_params(_BUILTINS[kind], f"builtin {kind!r}", kw)
+    build = _BUILTINS[kind][0]
+    _check_params(build, f"builtin {kind!r}", kw)
     frac = Field.rationals().parse  # no floats
-    return _BUILTINS[kind](**{k: frac(v) if k in ("alpha", "beta") else v
-                              for k, v in kw.items()})
+    return build(**{k: frac(v) if k in ("alpha", "beta") else v
+                    for k, v in kw.items()})

@@ -165,39 +165,14 @@ def cmd_algebra(args) -> int:
     return _validate_algebra(args, A, spec)
 
 
-_VALIDATION_TAGS = {
-    "divided-power": [("assoc-commutative", ("commutativity", "associativity"))],
-    "derivation-novikov": [("novikov", ("right_symmetric", "left_commutative"))],
-    "derivation-symmetric": [("commutative", ("commutativity",)),
-                             ("tortken", ("tortken",))],
-    "osborn": [("novikov", ("right_symmetric", "left_commutative"))],
-    "osborn-plus": [("commutative", ("commutativity",)),
-                    ("tortken", ("tortken",))],
-    "gametic": [("novikov", ("left_commutative", "associativity"))],
-    "integration": [("leibniz-dual", ("leibniz_dual_left", "right_commutative"))],
-    "square-product": [("commutative", ("commutativity",))],
-    "p2-product": [("commutative", ("commutativity",)), ("tortken", ("tortken",))],
-    "osborn-laurent": [("commutative", ("commutativity",)),
-                       ("tortken", ("tortken",))],
-    "osborn-bar": [("commutative", ("commutativity",))],
-    "random-commutative": [("commutative", ("commutativity",))],
-}
-
-
 def _validate_algebra(args, A: Algebra, spec: dict | None) -> int:
     kind, params = args.builtin, vars(args)
     if spec is not None:  # the laws of the spec's own kind
         kind, params = spec.get("kind"), spec.get("params", {})
-    tags = list(_VALIDATION_TAGS.get(kind, [("commutative", ("commutativity",))]))
-    if kind == "square-product":
-        p, k, l = params["p"], params["k"], params["l"]
-        if k == l or (p == 2 and l == k + 1):
-            tags.append(("tortken", ("tortken",)))
-    if kind == "osborn-laurent" and params.get("variant") == "novikov":
-        tags = [("novikov", ("right_symmetric", "left_commutative"))]
+    tags = algebras.builtin_laws(kind, params)
     # plus(Novikov) is tortken, the paper's theorem; a commutative A is A^op
     if args.transform == "plus" and tags[0][0] == "novikov":
-        tags = _VALIDATION_TAGS["osborn-plus"]
+        tags = algebras.TORTKEN_LAWS
     elif args.transform and (args.transform, tags[0][0]) != ("opposite",
                                                              "commutative"):
         raise UsageError(f"algebra validate has no laws for {kind} under "

@@ -44,32 +44,27 @@ _MR_BOUND = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Exact primality: Miller-Rabin to the bases `_MR_BASES` below
-    `_MR_BOUND`, trial division above it."""
+    `_MR_BOUND`; OutOfRangeError above it unless a base divides n."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n < _MR_BOUND:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in _MR_BASES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    d = _MR_BASES[-1] + 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise OutOfRangeError(f"primality is decided only below {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -528,10 +523,6 @@ class Matrix:
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, [[0] * cols for _ in range(rows)])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)])
 
     def mul_vec(self, v: Sequence) -> list:
         if len(v) != self.cols:

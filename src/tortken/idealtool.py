@@ -409,11 +409,3 @@ def psi_charp(p: int, m: int, i: int, j: int) -> int:
     if i + j != p**m:
         return 0
     return binom_p_quotient(p, m, i)
-
-
-def psi_form(variant: str, i: int, j: int, p: int = 0, m: int = 0):
-    if variant == "char0":
-        return psi_char0(i, j)
-    if variant == "charp":
-        return psi_charp(p, m, i, j)
-    raise ValueError(f"unknown psi variant {variant!r}")

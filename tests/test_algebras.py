@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tortken.exactnum import Field, binomial
 from tortken.freepoly import catalog_entry, parse
 from tortken.identcheck import evaluate
+from tortken import algebras
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotADerivationError,
                               NotClosedError, OutOfWindowError,
                               PrereqIdentityFailsError, algebra_from_spec,
@@ -347,6 +348,29 @@ def test_builtin_registry():
         builtin_algebra("gametic", dim=2, p=3)
     with pytest.raises(ValueError, match="'m'"):
         builtin_algebra("osborn", p=3)
+
+
+# both branches of each kind whose promised laws depend on its parameters
+_LAW_BRANCHES = {
+    "osborn-laurent": ({"variant": None}, {"variant": "novikov"}),
+    "square-product": ({"p": 3, "k": 0, "l": 1}, {"p": 2, "k": 0, "l": 1}),
+}
+
+
+def test_every_promised_law_is_in_the_catalog():
+    # a misspelt law name fails here, not in a user's `algebra validate`
+    promised = [algebras.TORTKEN_LAWS,
+                algebras.builtin_laws("structure_constants", {})]
+    for kind in algebras._BUILTINS:
+        branches = [algebras.builtin_laws(kind, params)
+                    for params in _LAW_BRANCHES.get(kind, ({},))]
+        assert len(branches) == len({str(laws) for laws in branches}), kind
+        promised += branches
+    for laws in promised:
+        assert laws and all(tag and names for tag, names in laws)
+        for _, names in laws:
+            for name in names:
+                assert catalog_entry(name).name == name
 
 
 def test_subalgebra_on_basis_not_closed():

@@ -112,6 +112,39 @@ def test_algebra_validate(capsys):
     assert "novikov: OK" in out
 
 
+_COMM_TORTKEN = "commutative: OK\ntortken: OK\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    ("divided-power --p 3 --m 1", "assoc-commutative: OK\n"),
+    ("derivation-novikov --p 3 --m 1", "novikov: OK\n"),
+    ("derivation-symmetric --p 3 --m 1", _COMM_TORTKEN),
+    ("osborn --p 3 --m 1 --alpha 1", "novikov: OK\n"),
+    ("osborn-plus --p 3 --m 1 --alpha 1 --beta 1", _COMM_TORTKEN),
+    ("osborn-laurent --alpha 1 --window=-3..3", _COMM_TORTKEN),
+    ("osborn-laurent --alpha 1 --variant novikov --window=-3..3",
+     "novikov: OK\n"),
+    ("osborn-bar --variant finite_beta --beta 1 --p 3 --m 1",
+     "commutative: OK\n"),
+    ("osborn-bar --variant laurent_alpha --alpha 1 --window=-3..3",
+     "commutative: OK\n"),
+    ("osborn-bar --variant laurent_beta --beta 1 --window=-3..3",
+     "commutative: OK\n"),
+    ("gametic --dim 3", "novikov: OK\n"),
+    ("integration --N 4", "leibniz-dual: OK\n"),
+    ("square-product --p 3 --k 1 --l 1 --m 1", _COMM_TORTKEN),
+    ("square-product --p 2 --k 0 --l 1 --m 2", _COMM_TORTKEN),
+    ("square-product --p 3 --k 0 --l 1 --m 1", "commutative: OK\n"),
+    ("p2-product --k 1 --m 2", _COMM_TORTKEN),
+    ("random-commutative --dim 3 --char 5 --seed 1", "commutative: OK\n"),
+])
+def test_algebra_validate_every_kind(capsys, argv, out):
+    # the laws each builtin kind promises, on both branches of the ones that
+    # depend on the parameters (square-product's tortken, the Laurent variant)
+    assert run_cli(capsys, "algebra", "validate", "--builtin",
+                   *shlex.split(argv)) == (0, out, "")
+
+
 def test_algebra_validate_catches_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "algebra", "validate", "--builtin",
                            "random-commutative", "--dim", "3", "--char", "5",
@@ -439,6 +472,23 @@ def test_console_entry_point():
     assert "verdict: holds" in proc.stdout
 
 
+def test_characteristic_above_the_primality_bound_exits_two(tmp_path, capsys):
+    # 2^89 - 1 is prime but above the Miller-Rabin bound: a usage error, not
+    # a trial division that never ends
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    char = str(2**89 - 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tortken", "algebra", "show", "--builtin",
+         "gametic", "--dim", "2", "--char", char],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    spec = _spec_file(tmp_path, _dim2([[0, 0, 0, 0]], char=2**89 - 1))
+    code, out, err = run_cli(capsys, "algebra", "show", "--spec", spec)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+
+
 def test_check_output_is_deterministic():
     # two fresh interpreters print the same failing verdict and witness
     env = dict(os.environ)
@@ -521,7 +571,8 @@ def test_builtin_rejects_parameters_it_does_not_take(capsys, argv, named):
 def test_every_builtin_parameter_has_a_cli_flag():
     # every parameter of every builder (the osborn-bar variants included) is
     # a flag, but lo and hi, which --window gives; every flag is one's
-    builders = [*algebras._BUILTINS.values(), *algebras._OSBORN_BAR.values()]
+    builders = [*(build for build, _ in algebras._BUILTINS.values()),
+                *algebras._OSBORN_BAR.values()]
     params = {name for b in builders
               for name, par in inspect.signature(b).parameters.items()
               if par.kind is not par.VAR_KEYWORD} - {"lo", "hi"}

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from dense_rref import (dense_det, dense_mul_vec, dense_nullspace, dense_rref,
                         dense_solve)
+from tortken import exactnum
 from tortken.algebras import osborn
 from tortken.exactnum import (Echelon, Field, Matrix, NotDivisibleError,
                               NotSquareError, OutOfRangeError,
-                              binom_p_quotient, binomial, lucas_binomial)
+                              binom_p_quotient, binomial, is_prime,
+                              lucas_binomial)
 
 Q = Field.rationals()
 F3 = Field.prime(3)
@@ -91,6 +93,30 @@ def test_field_construction():
     with pytest.raises(ValueError):
         Field(4)
     assert Field(7).char == 7
+
+
+def test_is_prime_matches_a_sieve_below_200000():
+    # the sieve crosses off the multiples that trial division would find
+    n = 200000
+    sieve = [False, False] + [True] * (n - 2)
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, n, q))
+    assert [is_prime(k) for k in range(n)] == sieve
+
+
+def test_is_prime_large_values(monkeypatch):
+    # strong pseudoprimes to the first 9, 11 and 13 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**64 + 13)
+    # at or above the Miller-Rabin bound only a small factor decides; a
+    # lowered bound keeps a search for factors that never ends out of reach
+    assert not is_prime(3 * 2**89)
+    monkeypatch.setattr(exactnum, "_MR_BOUND", 10**6)
+    assert is_prime(999983)
+    with pytest.raises(OutOfRangeError, match="1000000"):
+        is_prime(1000003)
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)

@@ -20,7 +20,7 @@ from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotClosedError,
 from tortken.idealtool import (CannotCertifyError, Subspace,
                                UnsoundWitnessError, certify_simplicity,
                                ideal_closure, is_ideal, psi_char0, psi_charp,
-                               psi_cyclic_char0, psi_form)
+                               psi_cyclic_char0)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -522,10 +522,3 @@ def test_psi_charp_oracle():
         psi_charp(3, 1, 0, 3)
     with pytest.raises(OutOfRangeError):
         psi_charp(3, 1, 3, 0)
-
-
-def test_psi_form_dispatch():
-    assert psi_form("char0", 2, -2) == 1
-    assert psi_form("charp", 3, 6, p=3, m=2) == 1
-    with pytest.raises(ValueError):
-        psi_form("weird", 0, 0)
