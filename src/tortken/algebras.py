@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactnum import Echelon, Field, Matrix, binomial, is_prime
+from .exactnum import Echelon, Field, Matrix, OutOfRangeError, binomial, is_prime
 from .freepoly import catalog_entry
 
 
@@ -41,6 +41,19 @@ class NotClosedError(ValueError):
 
 class UnsoundWitnessError(RuntimeError):
     """A witness (an ideal, a failing assignment) failed its re-check."""
+
+
+# The most cells of a product table that any builder makes: dim 512, where
+# `gametic` takes about 2.5 s and 140 MB; tests and benchmark reach dim 41.
+TABLE_BUDGET = 1 << 18
+
+
+def _budget(dim: int, what: str) -> int:
+    """dim, checked before a table of dim^2 cells is made (OutOfRangeError)."""
+    if dim * dim > TABLE_BUDGET:
+        raise OutOfRangeError(f"{what}: a table of at least {dim}^2 products "
+                              f"exceeds TABLE_BUDGET = {TABLE_BUDGET}")
+    return dim
 
 
 class PrereqIdentityFailsError(ValueError):
@@ -94,8 +107,8 @@ class Algebra:
                  rule: Callable, label: Callable):
         self.name = name
         self.field = field
+        self.dim = _budget(len(indices), name)  # before a range is expanded
         self.indices = tuple(indices)
-        self.dim = len(self.indices)
         if not self.indices:
             raise ValueError("empty window")
         self.position = {k: t for t, k in enumerate(self.indices)}
@@ -314,6 +327,7 @@ class FiniteAlgebra(Algebra):
         dim = spec["dim"]
         if type(dim) is not int or dim < 1:
             raise ValueError(f"dim {dim!r} is not a positive int")
+        _budget(dim, f"structure constants of dim {dim}")
         labels = spec.get("labels")
         if labels is not None and not (isinstance(labels, list) and
                                        all(isinstance(s, str) for s in labels)):
@@ -382,7 +396,8 @@ def divided_power(p: int, m: int) -> Algebra:
     if m < 1:
         raise ValueError("need m >= 1")
     field = Field.prime(p)
-    dim = p**m
+    # p^m >= 2^m: an m past the budget's bit length fails with no power taken
+    dim = _budget(p ** min(m, TABLE_BUDGET.bit_length()), f"divided_power({p},{m})")
     table = [[{i + j: binomial(i + j, i)} if i + j < dim else {}
               for j in range(dim)] for i in range(dim)]  # reduced by the table
     return FiniteAlgebra(f"divided_power({p},{m})", field, dim, table,
@@ -478,43 +493,40 @@ def osborn_plus_explicit(alpha, beta, p: int, m: int) -> FiniteAlgebra:
         raise ValueError("need m >= 1")
     alpha = field.coerce(alpha)
     beta = field.coerce(beta)
-    dim = p**m
-    table = [[[] for _ in range(dim)] for _ in range(dim)]  # pairs add up
-    for i in range(dim):
-        for j in range(dim):
-            ent = table[i][j]
-            if 0 <= i + j - 1 < dim:
-                ent.append((i + j - 1, binomial(i + j, j)))
-            if i == 0 and j == 0:
-                ent += [(dim - 2, 2 * beta), (dim - 1, 2 * alpha)]
-            if (i, j) in ((0, 1), (1, 0)):
-                ent.append((dim - 1, -2 * beta))
+    dim = _budget(p ** min(m, TABLE_BUDGET.bit_length()), f"osborn_plus({p},{m})")
+    table = [[[(i + j - 1, binomial(i + j, j))] if 0 < i + j <= dim else []
+              for j in range(dim)] for i in range(dim)]  # pairs add up
+    table[0][0] += [(dim - 2, 2 * beta), (dim - 1, 2 * alpha)]
+    table[0][1].append((dim - 1, -2 * beta))
+    table[1][0].append((dim - 1, -2 * beta))
     return FiniteAlgebra(
         f"osborn_plus({field.fmt(alpha)},{field.fmt(beta)},{p},{m})",
         field, dim, table, [f"x^({i})" for i in range(dim)])
 
 
-def osborn_laurent(alpha, beta, lo: int, hi: int,
-                   variant: str = "jordan") -> GradedAlgebra:
-    """Char-0 Laurent-window osborn algebra.
+def _laurent_rule(alpha, beta, variant: str) -> Callable:
+    """The char-0 Laurent osborn product of x^i and x^j as pairs:
 
     novikov: x^i . x^j = (i + alpha) x^(i+j-1) + beta x^(i+j-2)
     jordan:  x^i * x^j = (i + j + 2 alpha) x^(i+j-1) + 2 beta x^(i+j-2)
     """
+    if variant == "novikov":
+        return lambda i, j: ((i + j - 1, i + alpha), (i + j - 2, beta))
+    if variant == "jordan":
+        return lambda i, j: ((i + j - 1, i + j + 2 * alpha), (i + j - 2, 2 * beta))
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def osborn_laurent(alpha, beta, lo: int, hi: int,
+                   variant: str = "jordan") -> GradedAlgebra:
+    """Char-0 Laurent-window osborn algebra of the variant's `_laurent_rule`."""
     if lo > hi:
         raise ValueError(f"bad window [{lo},{hi}]")
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if variant == "novikov":
-        rule = lambda i, j: ((i + j - 1, i + alpha), (i + j - 2, beta))
-    elif variant == "jordan":
-        rule = lambda i, j: ((i + j - 1, i + j + 2 * alpha), (i + j - 2, 2 * beta))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    drops = (1, 2) if beta else (1, 1)
+    alpha, beta = Fraction(alpha), Fraction(beta)
     return GradedAlgebra(
         f"osborn_laurent({alpha},{beta},{variant})", Field.rationals(),
-        range(lo, hi + 1), rule, drop_bounds=drops)
+        range(lo, hi + 1), _laurent_rule(alpha, beta, variant),
+        drop_bounds=(1, 2) if beta else (1, 1))
 
 
 def osborn_bar_laurent(alpha, lo: int, hi: int) -> GradedAlgebra:
@@ -528,12 +540,12 @@ def osborn_bar_laurent(alpha, lo: int, hi: int) -> GradedAlgebra:
     if (2 * alpha).denominator != 1:
         raise ValueError("osborn_bar_laurent needs alpha in (1/2)Z")
     excluded = int(-2 * alpha - 1)
+    _budget(hi - lo, f"osborn_bar_laurent({alpha})")  # dim >= hi - lo
     indices = [i for i in range(lo, hi + 1) if i != excluded]
     if not indices:
         raise ValueError(f"bad window [{lo},{hi}]")
-    rule = lambda i, j: ((i + j - 1, i + j + 2 * alpha),)
     A = GradedAlgebra(f"osborn_bar_laurent({alpha})", Field.rationals(),
-                      indices, rule)
+                      indices, _laurent_rule(alpha, 0, "jordan"))
     for i in indices:
         for j in indices:
             if any(k == excluded for k, _ in A.product(i, j)):
@@ -569,46 +581,28 @@ def osborn_bar_laurent_beta(beta, lo: int, hi: int) -> GradedAlgebra:
         raise ValueError(f"bad window [{lo},{hi}]")
     beta = Fraction(beta)
     f = Field.rationals()
+    _budget(hi - lo, f"osborn_bar_laurent_beta({beta})")  # dim >= hi - lo
     indices = [i for i in range(lo, hi + 1) if i != -1]
     if not indices:
         raise ValueError("window excludes every basis index")
-
-    def in_x(i: int) -> dict:
-        if i < -1:
-            return {i: Fraction(1)}
-        return ({i: Fraction(1), i - 1: 2 * beta / (i + 1)} if beta
-                else {i: Fraction(1)})
-
-    def star(u: int, v: int) -> dict:
-        out = {u + v - 1: Fraction(u + v)}
-        if beta:
-            out[u + v - 2] = 2 * beta
-        return {k: c for k, c in out.items() if c}
+    star = _laurent_rule(0, beta, "jordan")
+    c = lambda t: 2 * beta / (t + 1) if t > -1 else 0  # y^t = x^t + c_t x^(t-1)
 
     def rule(i, j):
         prod: dict = {}
-        for u, cu in in_x(i).items():
-            for v, cv in in_x(j).items():
-                for k, c in star(u, v).items():
-                    prod[k] = prod.get(k, Fraction(0)) + cu * cv * c
-        prod = {k: c for k, c in prod.items() if c}
-        if not prod:
-            return ()
-        # triangular solve from the top: x-coefficient at t is
-        # lambda_t + lambda_{t+1} c_{t+1}, with c_k = 2 beta/(k+1) for k > -1
-        lam: dict = {}
-        for t in range(max(prod), min(prod) - 1, -1):
-            if t == -1:
-                continue
-            up = lam.get(t + 1, Fraction(0))
-            c_up = 2 * beta / (t + 2) if t + 1 > -1 else Fraction(0)
-            v = prod.get(t, Fraction(0)) - up * c_up
-            if v:
-                lam[t] = v
-        residue = prod.get(-1, Fraction(0)) - lam.get(0, Fraction(0)) * 2 * beta
-        if residue:
+        for u, cu in ((i, 1), (i - 1, c(i))):
+            for v, cv in ((j, 1), (j - 1, c(j))):
+                for k, x in star(u, v):
+                    prod[k] = prod.get(k, 0) + cu * cv * x
+        # the x^t coefficient of sum lambda_s y^s is lambda_t + lambda_t+1 c_t+1;
+        # solved from the top down to t = -1, where c_t and so the carry end
+        lam, up = {}, 0
+        for t in range(max(prod), min(*prod, -1) - 1, -1):
+            lam[t] = prod.get(t, 0) - up
+            up = lam[t] * c(t)
+        if lam.pop(-1, 0):  # there is no y^-1
             raise NotClosedError(f"x^-1 leakage in product ({i},{j})")
-        return tuple(lam.items())
+        return lam.items()
 
     return GradedAlgebra(f"osborn_bar_laurent_beta({beta})", f, indices, rule,
                          label_fn=lambda i: f"y^{i}")
@@ -634,6 +628,7 @@ def gametic(n: int, field: Field | None = None) -> FiniteAlgebra:
     if n < 1:
         raise ValueError("need dimension >= 1")
     field = field or Field.rationals()
+    _budget(n, f"gametic({n})")
     table = [[{j: field.one} for j in range(n)] for _ in range(n)]
     return FiniteAlgebra(f"gametic({n})", field, n, table,
                          [f"e{i + 1}" for i in range(n)])
@@ -742,6 +737,7 @@ def tensor_leibniz(g: Algebra, R: Algebra) -> Algebra:
 def random_commutative(dim: int, field: Field, seed: int) -> FiniteAlgebra:
     """Seeded random symmetric structure constants (identity-check controls)."""
     rng = random.Random(seed)
+    _budget(dim, f"random_commutative({dim})")
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):

@@ -360,13 +360,8 @@ def _reproduce_simplicity_table() -> str:
 
 def _reproduce_psi() -> str:
     lines = ["cyclic sum psi({x^i,x^j},x^s) + cyc over [-6,6]^3:"]
-    bad = 0
-    for i in range(-6, 7):
-        for j in range(-6, 7):
-            for s in range(-6, 7):
-                want = 2 if i + j + s == 1 else 0
-                if idealtool.psi_cyclic_char0(i, j, s) != want:
-                    bad += 1
+    bad = sum(idealtool.psi_cyclic_char0(i, j, s) != 2 * (i + j + s == 1)
+              for i, j, s in itertools.product(range(-6, 7), repeat=3))
     lines.append(f"  equals 2*[i+j+s=1] everywhere: {bad == 0}")
     lines.append("char-3 values psi(x^(i), x^(9-i)) for m=2:")
     for i in range(1, 9):

@@ -29,7 +29,7 @@ class NotSquareError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Argument outside the documented domain of a combinatorial map."""
+    """Argument outside the documented domain of a map or a table builder."""
 
 
 class NotDivisibleError(ArithmeticError):

@@ -8,6 +8,7 @@ only at evaluation time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as _dc_field
@@ -384,40 +385,71 @@ def _commutative_trees(leaves: tuple) -> list[Tree]:
     return out
 
 
-def multilinear_monomials(n: int, order: str = "canonical") -> list[Tree]:
-    """The multilinear degree-n monomials in t1..tn modulo commutativity.
+class CommutativeBasis:
+    """The multilinear degree-n monomials in t1..tn modulo commutativity,
+    with the action of S_n on their columns; one per (n, order), from
+    `commutative_basis`, and every field a tuple.
 
-    One `canonical_commutative` representative per orbit under swapping
-    product factors, (2n-3)!! of them, sorted by `tree_key`.
+    `monomials` holds one `canonical_commutative` representative per orbit
+    under swapping product factors, (2n-3)!! of them, sorted by `tree_key`;
     ``order="balanced_first"`` (n = 4 only) lists the three balanced
     products (t1t2)(t3t4), (t1t3)(t2t4), (t1t4)(t2t3) and then the twelve
-    left-combed ((ti tj) tk) tl in lexicographic order, matching the column
-    convention of the degree-4 identity-space reports.
+    left-combed ((ti tj) tk) tl in lexicographic order, the column
+    convention of the degree-4 identity-space reports.  `swaps[k]` maps each
+    column to the column of its monomial under t_k+1 <-> t_k+2, and `laws`
+    pairs each multilinear degree-n catalog law with its `mu_vector`.
     """
-    if not 1 <= n <= 6:
-        raise DegreeOutOfRangeError(f"degree must be in 1..6, got {n}")
-    if order == "balanced_first":
-        if n != 4:
+
+    __slots__ = ("monomials", "swaps", "laws", "_maps")
+
+    def __init__(self, n: int, order: str):
+        if not 1 <= n <= 6:
+            raise DegreeOutOfRangeError(f"degree must be in 1..6, got {n}")
+        names = [f"t{i}" for i in range(1, n + 1)]
+        if order == "balanced_first" and n != 4:
             raise ValueError("balanced_first ordering is defined for degree 4")
-        return list(BALANCED_FIRST_DEG4)
-    if order != "canonical":
-        raise ValueError(f"unknown ordering {order!r}")
-    return sorted(_commutative_trees(tuple(f"t{i}" for i in range(1, n + 1))),
-                  key=tree_key)
+        if order not in ("canonical", "balanced_first"):
+            raise ValueError(f"unknown ordering {order!r}")
+        self.monomials = monomials = BALANCED_FIRST_DEG4 if order == "balanced_first" \
+            else tuple(sorted(_commutative_trees(tuple(names)), key=tree_key))
+        column = {canonical_commutative(m): c for c, m in enumerate(monomials)}
+        self.swaps = tuple(
+            tuple(column[canonical_commutative(rename_tree(m, {a: b, b: a}))]
+                  for m in monomials) for a, b in zip(names, names[1:]))
+        self.laws = tuple((e.name, tuple(mu_vector(e.poly, monomials)))
+                          for e in catalog() if e.degree == n == len(e.variables)
+                          and e.poly.is_multilinear())
+        self._maps = {tuple(range(n)): range(len(monomials))}
+
+    def colmap(self, pos: tuple) -> Sequence[int]:
+        """The column map of the permutation pos, composed from `swaps` and
+        kept: column c of the row at x_i = r_pos(i) is column colmap(pos)[c]
+        of the row at r, for a symmetric product."""
+        if (got := self._maps.get(pos)) is None:  # undo the first adjacent inversion
+            k = next(k for k in range(len(pos) - 1) if pos[k] > pos[k + 1])
+            prev = self.colmap(pos[:k] + (pos[k + 1], pos[k]) + pos[k + 2:])
+            got = self._maps[pos] = tuple([prev[c] for c in self.swaps[k]])
+        return got
 
 
-def _deg4_balanced_first() -> list[Tree]:
-    t1, t2, t3, t4 = "t1", "t2", "t3", "t4"
-    balanced = [((t1, t2), (t3, t4)), ((t1, t3), (t2, t4)), ((t1, t4), (t2, t3))]
-    combed = []
-    for i, j in itertools.combinations((t1, t2, t3, t4), 2):
-        rest = [v for v in (t1, t2, t3, t4) if v not in (i, j)]
-        for k, l in (rest, rest[::-1]):
-            combed.append((((i, j), k), l))
-    return balanced + combed
+def commutative_basis(n: int, order: str = "canonical") -> CommutativeBasis:
+    """The one `CommutativeBasis` of degree n in the given order."""
+    return _commutative_basis(n, order)  # one cache key however it is called
 
 
-BALANCED_FIRST_DEG4: tuple[Tree, ...] = tuple(_deg4_balanced_first())
+_commutative_basis = functools.lru_cache(maxsize=None)(CommutativeBasis)
+
+
+def multilinear_monomials(n: int, order: str = "canonical") -> list[Tree]:
+    """A fresh list of `commutative_basis(n, order).monomials`."""
+    return list(commutative_basis(n, order).monomials)
+
+
+_T4 = ("t1", "t2", "t3", "t4")
+BALANCED_FIRST_DEG4: tuple[Tree, ...] = tuple(
+    [(("t1", b), tuple(v for v in _T4[1:] if v != b)) for b in _T4[1:]]
+    + [(((i, j), k), l) for i, j in itertools.combinations(_T4, 2)
+       for k, l in itertools.permutations([v for v in _T4 if v not in (i, j)])])
 
 
 def mu_vector(poly: FreePoly, monomials: Sequence[Tree]) -> list[Fraction]:
@@ -426,7 +458,6 @@ def mu_vector(poly: FreePoly, monomials: Sequence[Tree]) -> list[Fraction]:
     Variables are renamed positionally to t1..tn first, then every monomial is
     matched through its commutative canonical form.
     """
-    n = len(poly.variables)
     renamed = poly.rename_variables(
         {v: f"t{i + 1}" for i, v in enumerate(poly.variables)})
     index = {canonical_commutative(m): i for i, m in enumerate(monomials)}
@@ -626,24 +657,20 @@ _CATALOG_SPEC = [
      "basis of the degree-4 identity space", ()),
 ]
 
-_CATALOG: list[CatalogEntry] | None = None
+
+@functools.lru_cache(maxsize=None)
+def _catalog() -> tuple[CatalogEntry, ...]:
+    entries = tuple(CatalogEntry(name, tuple(vars_.split()),
+                                 parse(expr, vars_.split()), notes, frozenset(bad))
+                    for name, vars_, expr, notes, bad in _CATALOG_SPEC)
+    if len({e.name for e in entries}) != len(entries):
+        raise ValueError("catalog identity names repeat")
+    return entries
 
 
 def catalog() -> list[CatalogEntry]:
     """The named identity catalog, fully expanded to monomial form."""
-    global _CATALOG
-    if _CATALOG is None:
-        entries = []
-        for name, vars_, expr, notes, bad in _CATALOG_SPEC:
-            variables = tuple(vars_.split())
-            entries.append(CatalogEntry(name, variables,
-                                        parse(expr, variables), notes,
-                                        frozenset(bad)))
-        names = [e.name for e in entries]
-        if len(names) != len(set(names)):
-            raise ValueError("catalog identity names repeat")
-        _CATALOG = entries
-    return list(_CATALOG)
+    return list(_catalog())
 
 
 def catalog_entry(name: str) -> CatalogEntry:

@@ -321,6 +321,9 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
         return SimplicityCertificate(A.name, "degenerate", None, ["A*A = 0"])
     if aa.dim < n:  # the product span is itself an ideal
         return not_simple(aa, f"A*A is a proper ideal of dimension {aa.dim}")
+    if n == 1:  # A*A = A, so dimension 1 decides with no operator
+        return SimplicityCertificate(A.name, "simple", None, [
+            "A*A = A in dimension 1, where 0 and A are the only subspaces"])
 
     full = set()  # the positions g with I(e_g) = A, for `_spin` to exit early
     for g, i in enumerate(A.indices):

@@ -27,9 +27,8 @@ from typing import Iterable, Sequence
 from .exactnum import Echelon, Field, Matrix
 from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError,
                        divided_power, derivation_symmetric, standard_derivation)
-from .freepoly import (FreePoly, canonical_commutative, catalog, catalog_entry,
-                       multilinear_monomials, mu_vector, polarize, rename_tree,
-                       symmetry_blocks, tree_format, tree_leaves)
+from .freepoly import (FreePoly, catalog_entry, commutative_basis, mu_vector,
+                       polarize, symmetry_blocks, tree_format, tree_leaves)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -443,8 +442,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     monomial m takes at x the value that column c', the canonical form of m
     renamed by t_i -> t_pos(i), takes at r; and it stores escaped cells
     symmetrically, so an orbit escapes as a whole.  Row x is row r with each
-    column c read from c', by a map composed from the adjacent
-    transpositions' maps, kept per permutation.
+    column c read from c', by `CommutativeBasis.colmap`.
 
     A complete orbit, whose substitutions hold all n!/prod(mult!) distinct
     arrangements of r, enters the echelon as a spin: r's rows are inserted,
@@ -465,28 +463,13 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     non-commutative A has one-element orbits and spins nothing.  The RREF is
     unique, so the order of insertion changes neither rank, kernel nor flags.
     """
-    monomials = multilinear_monomials(degree, order)
+    monomials = (basis := commutative_basis(degree, order)).monomials
     f, n, zero = A.field, degree, A.field.zero
     variables = [f"t{i + 1}" for i in range(n)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
     roots = [node for ((_, node),) in prog.terms]  # one term, coefficient 1
     prod = _Products(A)
-    swaps = []  # column map of each adjacent transposition t_k <-> t_k+1
-    if commutative := A.is_commutative():
-        column = {canonical_commutative(m): c for c, m in enumerate(monomials)}
-        for a, b in zip(variables, variables[1:]):
-            swap = {a: b, b: a}
-            swaps.append([column[canonical_commutative(rename_tree(m, swap))]
-                          for m in monomials])
-    maps = {tuple(range(n)): range(len(monomials))}
-
-    def colmap(pos: tuple):
-        if (got := maps.get(pos)) is None:  # undo the first adjacent inversion
-            k = next(k for k in range(n - 1) if pos[k] > pos[k + 1])
-            prev = colmap(pos[:k] + (pos[k + 1], pos[k]) + pos[k + 2:])
-            got = maps[pos] = [prev[c] for c in swaps[k]]
-        return got
-
+    commutative = A.is_commutative()
     raw: dict = {}  # a raw element's typed items -> id; 1.0 == 1 but no hit
 
     def element_id(e: dict) -> int:
@@ -504,7 +487,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
         if (got := reps.get(r := tuple(x[i] for i in at))) is None:
             got = reps[r] = (r, set())
         got[1].add(pos)
-        return got[0], colmap(pos)
+        return got[0], basis.colmap(pos)
 
     reps: dict = {}  # representative -> (itself, its arrangements' pos)
     orbits = [orbit(sub) for sub in substitutions]
@@ -527,7 +510,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     for v in spin:  # spin grows while it is read, breadth first
         if (new := echelon.insert(v)) is not None:
             # a transposition's map is its own inverse: entry c moves to s[c]
-            spin += [[(s[c], x) for c, x in new] for s in swaps]
+            spin += [[(s[c], x) for c, x in new] for s in basis.swaps]
     rows, inserted = [], set()
     for r, cmap in orbits:
         if r in known:
@@ -541,14 +524,9 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
                     echelon.insert([(c, x) for c, x in enumerate(row) if x])
     used = sum(r in known for r, _ in orbits)
     matrix = Matrix.of_canonical(f, rows or [[zero] * len(monomials)])  # canonical
-    flags = {}
-    for entry in catalog():
-        if (entry.degree != degree or len(entry.variables) != degree
-                or not entry.poly.is_multilinear()):
-            continue
-        vec = [f.coerce(c) for c in mu_vector(entry.poly, monomials)]
-        flags[entry.name] = echelon.annihilates(vec) if used else None
-    return IdentitySpaceReport(degree, order, monomials, getattr(A, "name", "?"),
+    flags = {name: echelon.annihilates([f.coerce(c) for c in vec]) if used
+             else None for name, vec in basis.laws}
+    return IdentitySpaceReport(degree, order, list(monomials), getattr(A, "name", "?"),
                                used, len(orbits) - used, matrix, echelon.dim,
                                echelon.nullspace(), flags)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tortken.exactnum import Field, binomial
+from tortken.exactnum import Field, OutOfRangeError, binomial
 from tortken.freepoly import catalog_entry, parse
 from tortken.identcheck import evaluate
 from tortken import algebras
@@ -202,6 +202,31 @@ def test_osborn_bar_laurent_beta_closure():
         for j in Z.indices:
             if abs(i + j - 1) <= 5 and i + j - 1 != -1:
                 assert dict(Z.product(i, j)) == dict(L.product(i, j))
+
+
+@pytest.mark.parametrize("beta", [Fraction(1), Fraction(-5, 2), Fraction(0)])
+def test_osborn_bar_laurent_beta_solves_in_the_y_basis(beta):
+    # each product, expanded back through y^t = x^t + 2b/(t+1) x^(t-1) for
+    # t > -1, is the alpha = 0 jordan product of the two expansions
+    A = osborn_bar_laurent_beta(beta, -6, 5)
+    L = osborn_laurent(0, beta, -20, 20, "jordan")
+    in_x = lambda t: L.element({t: 1, t - 1: 2 * beta / (t + 1)} if t > -1
+                               else {t: 1})
+    for i in A.indices:
+        for j in A.indices:
+            got = {}
+            for t, c in A.product(i, j):
+                got = el_add(Q, got, el_scale(Q, c, in_x(t)))
+            assert got == L.mul(in_x(i), in_x(j)), (i, j)
+
+
+def test_osborn_bar_laurent_beta_checks_closure(monkeypatch):
+    # at alpha = 1 the y basis is not closed, and the solve must say so
+    rule = algebras._laurent_rule
+    monkeypatch.setattr(algebras, "_laurent_rule",
+                        lambda alpha, beta, variant: rule(1, beta, variant))
+    with pytest.raises(NotClosedError, match="x\\^-1 leakage"):
+        osborn_bar_laurent_beta(1, -3, 3)
 
 
 def test_osborn_bar_dispatcher():
@@ -552,3 +577,38 @@ def test_tensor_leibniz_matches_its_definition(n, finite):
             else:
                 with pytest.raises(OutOfWindowError):
                     T.mul(a, b)
+
+
+# just above the budget: 513^2 and 521^2 cells exceed 2^18 = 512^2 (521 is
+# prime), and each builder refuses before any table is made
+@pytest.mark.parametrize("build", [
+    lambda: gametic(513),
+    lambda: random_commutative(513, Q, 0),
+    lambda: divided_power(521, 1),
+    lambda: divided_power(3, 10**9),  # no power 3^(10^9) is taken
+    lambda: divided_power(0, 512),
+    lambda: osborn(1, 1, 521, 1),
+    lambda: osborn_plus_explicit(1, 1, 521, 1),
+    lambda: osborn_bar_finite(1, 521, 1),
+    lambda: square_product(521, 0, 0, 1),
+    lambda: osborn_laurent(1, 0, 0, 512),
+    lambda: osborn_bar_laurent(1, 0, 513),
+    lambda: osborn_bar_laurent_beta(1, 0, 513),
+    lambda: integration_product(512),
+    lambda: algebra_from_spec({"kind": "structure_constants",
+                               "field": {"char": 0}, "dim": 513, "table": []}),
+    lambda: builtin_algebra("gametic", dim=10**6),
+], ids=["gametic", "random", "divided-power", "divided-power-huge-m",
+        "divided-power-Q", "osborn", "osborn-plus", "osborn-bar-finite",
+        "square-product", "laurent", "bar-laurent", "bar-laurent-beta",
+        "integration", "spec", "builtin"])
+def test_table_budget_refuses_every_builder(build):
+    with pytest.raises(OutOfRangeError, match="TABLE_BUDGET = 262144"):
+        build()
+
+
+def test_table_budget_admits_its_bound():
+    assert algebras.TABLE_BUDGET == 512 ** 2
+    assert algebras._budget(512, "dim 512") == 512
+    with pytest.raises(OutOfRangeError):
+        algebras._budget(513, "dim 513")

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -313,6 +314,27 @@ def test_simplicity_cannot_certify_exits_three(capsys):
     assert err.startswith("inconclusive: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--builtin", "gametic", "--dim", "1"],
+    ["--builtin", "gametic", "--dim", "1", "--char", "5"],
+    ["--builtin", "random-commutative", "--dim", "1"],
+    ["--spec", "DIM1"],
+    ["--spec", "DIM1_F7"],
+], ids=["gametic-Q", "gametic-F5", "random-Q", "spec-Q", "spec-F7"])
+def test_simplicity_in_dimension_one(tmp_path, capsys, flags):
+    # x*x = 3x: A*A = A, and 0 and A are the only subspaces of a line
+    specs = {"DIM1": 0, "DIM1_F7": 7}
+    if flags[-1] in specs:
+        flags = ["--spec", _spec_file(tmp_path, {
+            "kind": "structure_constants", "field": {"char": specs[flags[-1]]},
+            "dim": 1, "table": [[0, 0, 0, "3"]]})]
+    code, out, err = run_cli(capsys, "simplicity", *flags)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "verdict: simple",
+        "audit: A*A = A in dimension 1, where 0 and A are the only subspaces"]
+
+
 def test_simplicity_inconclusive_json(capsys):
     code, out, err = run_cli(capsys, "simplicity", "--builtin",
                              "random-commutative", "--dim", "4", "--seed", "3",
@@ -487,6 +509,43 @@ def test_characteristic_above_the_primality_bound_exits_two(tmp_path, capsys):
     spec = _spec_file(tmp_path, _dim2([[0, 0, 0, 0]], char=2**89 - 1))
     code, out, err = run_cli(capsys, "algebra", "show", "--spec", spec)
     assert (code, out) == (2, "") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "algebra show --builtin gametic --dim 513",
+    "algebra show --builtin gametic --dim 100000",
+    "algebra show --builtin divided-power --p 521 --m 1",
+    "algebra show --builtin divided-power --p 3 --m 12",
+    "algebra show --builtin divided-power --p 3 --m 100000000",
+    "algebra show --spec SPEC513",
+    "algebra show --spec SPEC100000",
+    "check --identity tortken --builtin osborn-laurent --window 0..512 "
+    "--range 0..3",
+    "check --identity tortken --builtin osborn-laurent --window 0..20000 "
+    "--range 0..3",
+    "simplicity --builtin random-commutative --dim 513",
+    "idspace --degree 2 --builtin osborn-bar --variant laurent_alpha "
+    "--alpha 1 --window 0..10000000000 --range 0..1",
+])
+def test_table_budget_exits_two(tmp_path, argv):
+    # each table just above (or far above) the budget is refused before it
+    # is made: one error line naming the budget, under a 400 MB address
+    # space in which the large tables would end in a MemoryError
+    for dim in (513, 100000):
+        spec = tmp_path / f"spec{dim}.json"
+        spec.write_text(json.dumps({"kind": "structure_constants", "dim": dim,
+                                    "field": {"char": 0}, "table": []}))
+        argv = argv.replace(f"SPEC{dim}", str(spec))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    limit = (400 << 20, 400 << 20)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tortken", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "TABLE_BUDGET = 262144" in proc.stderr
 
 
 def test_check_output_is_deterministic():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from tortken.freepoly import (AmbiguousProductError, DegreeOutOfRangeError,
                               FreePoly, ParseError, POLARIZE_BOUND,
                               PolarizationTooLargeError, UnknownVariableError,
                               canonical_commutative, catalog, catalog_entry,
-                              mu_vector, multilinear_monomials, parse,
-                              polarize, symmetry_blocks, tree_degree,
+                              commutative_basis, mu_vector,
+                              multilinear_monomials, parse, polarize,
+                              rename_tree, symmetry_blocks, tree_degree,
                               tree_format, tree_key, tree_leaves,
                               BALANCED_FIRST_DEG4)
 
@@ -144,6 +146,52 @@ def test_balanced_first_ordering():
     assert {canonical_commutative(t) for t in ms} == canon
     with pytest.raises(ValueError):
         multilinear_monomials(3, order="balanced_first")
+
+
+BASES = [(4, "canonical"), (5, "canonical"), (4, "balanced_first")]
+
+
+@pytest.mark.parametrize("n,order", BASES)
+def test_colmap_is_the_direct_renaming(n, order):
+    # for every permutation pos, column c at x_i = r_pos(i) reads the column
+    # of monomial c renamed by t_i -> t_pos(i), looked up directly
+    B = commutative_basis(n, order)
+    column = {canonical_commutative(m): c for c, m in enumerate(B.monomials)}
+    perms = list(itertools.permutations(range(n)))
+    assert len(perms) == math.factorial(n)
+    for pos in perms:
+        rename = {f"t{i + 1}": f"t{pos[i] + 1}" for i in range(n)}
+        assert list(B.colmap(pos)) == [
+            column[canonical_commutative(rename_tree(m, rename))]
+            for m in B.monomials], pos
+
+
+@pytest.mark.parametrize("n,order", BASES + [(1, "canonical"),
+                                             (2, "canonical"), (3, "canonical")])
+def test_basis_law_vectors_are_mu_vector(n, order):
+    B = commutative_basis(n, order)
+    want = {e.name: tuple(mu_vector(e.poly, B.monomials)) for e in catalog()
+            if e.degree == n == len(e.variables) and e.poly.is_multilinear()}
+    assert dict(B.laws) == want
+    assert [name for name, _ in B.laws] == list(want)  # catalog order
+    if n >= 4:
+        assert {"alt_right_mult", "deg4_basis_1", "deg5_i"} & set(want)
+
+
+def test_commutative_basis_is_one_read_only_object():
+    B = commutative_basis(5)
+    assert B is commutative_basis(5, "canonical") is commutative_basis(
+        n=5, order="canonical")
+    assert commutative_basis(4, "balanced_first") is not commutative_basis(4)
+    assert all(isinstance(x, tuple)
+               for x in (B.monomials, B.swaps, B.laws, *B.swaps))
+    ms = multilinear_monomials(5)
+    ms.clear()
+    assert multilinear_monomials(5) == list(B.monomials) and len(B.monomials) == 105
+    with pytest.raises(ValueError):
+        commutative_basis(5, "balanced_first")
+    with pytest.raises(ValueError):
+        commutative_basis(4, "nope")
 
 
 @settings(max_examples=60)

@@ -195,6 +195,7 @@ def test_kernel_point_count_matches_the_benchmark_pattern():
 
 
 NORTON_1 = "norton: singular operator with nullity 1, 1 kernel points"
+DIM1 = "A*A = A in dimension 1, where 0 and A are the only subspaces"
 
 
 def draw(lam, d):
@@ -226,8 +227,14 @@ def draw(lam, d):
     (plus(gametic(3)), "not_simple",
      ["all 3 basis closures are full",
       "closure of e1 - e2 is proper (1-dimensional)"], ((1, -1, 0),)),
+    # in dimension 1, A*A = A leaves no subspace between 0 and A, over every
+    # field (over Q there is no Norton candidate)
+    (gametic(1), "simple", [DIM1], None),
+    (gametic(1, F5), "simple", [DIM1], None),
+    (random_commutative(1, Q, 0), "simple", [DIM1], None),
+    (FiniteAlgebra("zero", Q, 1, [[{}]]), "degenerate", ["A*A = 0"], None),
 ], ids=["bar-0-3-1", "plus-osborn-1-1-3-2", "kxk", "gametic3-F3", "f25",
-        "plus-gametic3-Q"])
+        "plus-gametic3-Q", "dim1-Q", "dim1-F5", "dim1-random-Q", "dim1-zero"])
 def test_certificate_routes(A, verdict, audit, rows):
     cert = certify_simplicity(A)
     assert (cert.verdict, cert.audit) == (verdict, audit)

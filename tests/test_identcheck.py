@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from deg4_reference import (REFERENCE_DEG4_MATRIX, REFERENCE_DEG4_SOLUTIONS,
                             REFERENCE_MU_RELATIONS, frozen_audit)
 from dense_rref import dense_mul_vec, dense_nullspace, dense_rref
-from tortken import idealtool, identcheck
+from tortken import freepoly, idealtool, identcheck
 from tortken.exactnum import Field, Matrix
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
                               OutOfWindowError, UnsoundWitnessError,
@@ -1229,3 +1229,65 @@ def test_reproduce_without_asserts_matches_golden(target):
     assert proc.returncode == 0, proc.stderr
     golden = Path(__file__).parent / "golden" / f"{target}.txt"
     assert proc.stdout == golden.read_text()
+
+
+def _space(degree, A, indices, order="canonical"):
+    subs = [tuple(A.basis(i) for i in t)
+            for t in itertools.product(indices, repeat=degree)]
+    return identity_space(degree, A, subs, order=order)
+
+
+def test_identity_space_repeats_across_fields():
+    # the cached law vectors are exact; each call coerces them into its field
+    A = plus(osborn(1, 1, 5, 1))
+    L = osborn_laurent(Fraction(1, 2), 0, -6, 6)
+    first = _space(4, A, range(5)).to_json_dict()
+    window = _space(4, L, range(-2, 3))
+    assert (window.nullity, window.to_json_dict()) == (
+        5, _space(4, L, range(-2, 3)).to_json_dict())
+    assert all(window.flags[f"deg4_basis_{i}"] for i in range(1, 6))
+    assert _space(4, A, range(5)).to_json_dict() == first
+
+
+def test_report_monomials_are_a_fresh_list():
+    A = plus(osborn(1, 1, 3, 1))
+    report = _space(3, A, range(3))
+    want = report.to_json_dict()
+    report.monomials.reverse()
+    report.monomials.append("t9")
+    assert _space(3, A, range(3)).to_json_dict() == want
+    assert multilinear_monomials(3) == list(freepoly.commutative_basis(3).monomials)
+
+
+def test_each_basis_is_built_once(monkeypatch):
+    built = []
+    init = freepoly.CommutativeBasis.__init__
+
+    def counted(self, n, order):
+        built.append((n, order))
+        init(self, n, order)
+
+    monkeypatch.setattr(freepoly.CommutativeBasis, "__init__", counted)
+    freepoly._commutative_basis.cache_clear()
+    A = plus(osborn(1, 1, 3, 1))
+    for order in ("canonical", "balanced_first") * 2:
+        _space(4, A, range(3), order)
+    multilinear_monomials(4, order="balanced_first")
+    freepoly.commutative_basis(4)
+    assert built == [(4, "canonical"), (4, "balanced_first")]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("identity_space rebuilt part of the basis")
+
+
+def test_identity_space_reads_the_cached_basis(monkeypatch):
+    # once its basis is built, an identity space builds no column index,
+    # transposition map or catalog vector of its own
+    A = plus(osborn(1, 1, 5, 1))
+    first = _space(5, A, range(3)).to_json_dict()
+    for name in ("canonical_commutative", "rename_tree", "mu_vector",
+                 "catalog", "multilinear_monomials"):
+        monkeypatch.setattr(freepoly, name, _refuse)
+    monkeypatch.setattr(identcheck, "mu_vector", _refuse)
+    assert _space(5, A, range(3)).to_json_dict() == first
