@@ -254,6 +254,9 @@ def cmd_idspace(args) -> int:
         raise UsageError("graded identity space needs --range lo..hi")
     else:
         idx = A.indices
+    if (count := len(idx) ** args.degree) > algebras.SUBSTITUTION_BUDGET:
+        raise UsageError(f"{len(idx)}^{args.degree} = {count} substitutions exceed "
+                         f"SUBSTITUTION_BUDGET = {algebras.SUBSTITUTION_BUDGET}")
     subs = [tuple(A.basis(i) for i in tup)
             for tup in itertools.product(idx, repeat=args.degree)]
     report = identity_space(args.degree, A, subs, order=args.basis)

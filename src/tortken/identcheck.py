@@ -13,6 +13,19 @@ and products (`_Products`): on many bindings (`_Program.runs`), or binding
 all but the last one at a time and the last at every element (`_sweep`).
 The degree-4 reproduction keeps no frozen data: its report is audited
 against the catalog laws deg4_basis_1..5, the one copy of the kernel.
+
+Over Q a sweep runs on D*A (`_Integral`): A's table times D, the least
+common denominator of its products, in plain ints, which are exact: no
+`Fraction`, modulus or height bound.  Sound: a term of tree degree d has
+d - 1 products, so on D*A, with the elements scaled by one E that clears
+their coordinates, it takes D^(d-1) E^d times its value in A.  With term
+t's coefficient scaled by L (DE)^(top - d_t), L clearing the law's
+denominators and top its largest term degree, the law takes L D^(top-1)
+E^top times its value in A.  That factor is nonzero and Z has no zero
+divisors, so every support, escape and vanishing is as in A: checked,
+skipped, orbits and the lex-least witness are unchanged, and a failing value
+is divided back into A.  Identity spaces stay on Q: their report matrix
+holds Q entries.
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from .exactnum import Echelon, Field, Matrix
 from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError,
                        divided_power, derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog_entry, commutative_basis, mu_vector,
-                       polarize, symmetry_blocks, tree_format, tree_leaves)
+                       polarize, symmetry_blocks, tree_degree, tree_format,
+                       tree_leaves)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -110,7 +124,7 @@ class _Program:
         val = list(elements) + [None] * len(self.products)
         for i, l, r in self.products:
             val[i] = A.mul(val[l], val[r])
-        return [_combine(terms, val, A.field) for terms in self.terms]
+        return [_combine(terms, val, A.field.canonical) for terms in self.terms]
 
     def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
@@ -135,20 +149,21 @@ _ESCAPED = object()  # the cached product of a pair that leaves the window
 
 
 class _Products(dict):
-    """One call's products in A on elements interned by canonical value.
+    """One call's products under `mul` (`A.mul`, or `_Integral.mul` on D*A)
+    on elements interned by canonical value.
 
     `intern(e)` is e's id, 0 for the zero element, and `els[id]` the element.
-    A pair of ids maps to the id of their product, from `A.mul` on its first
+    A pair of ids maps to the id of their product, from `mul` on its first
     lookup only, or to `_ESCAPED` if it leaves the window.  A zero operand
-    gives 0 with no lookup: `A.mul` returns {} on it and never raises.
+    gives 0 with no lookup: `mul` returns {} on it and never raises.
     `vector(v)` interns a tuple of ids, one per element of a sweep's list, as
     id ~i of `vecs[i]`; a pair with a vector id maps to the elementwise
     product's, where an escape beats a zero and so reaches every node above."""
 
-    __slots__ = ("A", "ids", "els", "vecs")
+    __slots__ = ("mul", "ids", "els", "vecs")
 
-    def __init__(self, A: Algebra):
-        self.A, self.ids, self.els, self.vecs = A, {frozenset(): 0}, [{}], []
+    def __init__(self, mul):
+        self.mul, self.ids, self.els, self.vecs = mul, {frozenset(): 0}, [{}], []
 
     def intern(self, e: dict) -> int:
         got = self.ids.setdefault(frozenset(e.items()), len(self.els))
@@ -184,20 +199,68 @@ class _Products(dict):
                 for a, b in zip(*map(self.column, pair))]))
         else:
             try:
-                got = self.intern(self.A.mul(*map(self.els.__getitem__, pair)))
+                got = self.intern(self.mul(*map(self.els.__getitem__, pair)))
             except OutOfWindowError:
                 got = _ESCAPED
         self[pair] = got
         return got
 
 
-def _combine(terms: list, val: list, field: Field) -> dict:
-    """The sum of coefficient * val[node] over the terms, canonical."""
+def _combine(terms: list, val: list, canonical) -> dict:
+    """The sum of coefficient * val[node] over the terms, made canonical by
+    `canonical` (a `Field.canonical`, or `_nonzero` on D*A)."""
     acc: dict = {}
     for c, i in terms:
         for k, v in val[i].items():
             acc[k] = acc.get(k, 0) + c * v
-    return field.canonical(acc)
+    return canonical(acc)
+
+
+def _nonzero(sums: dict) -> dict:
+    """The canonical form of int sums on D*A: the zeros dropped."""
+    return {k: v for k, v in sums.items() if v}
+
+
+class _Integral:
+    """D*A for an algebra A over Q (see the module docstring): A's table
+    times D, the least common denominator of its products (escaped ones
+    included), as int coefficients; `mul` multiplies int elements and
+    raises OutOfWindowError on exactly the basis pairs where A's does."""
+
+    __slots__ = ("A", "D", "table")
+
+    def __init__(self, A: Algebra):
+        self.A = A
+        self.D = D = math.lcm(*(c.denominator for i in A.indices
+                                for j in A.indices for _, c in A.product(i, j)))
+        self.table = {i: {j: None if ent is None
+                          else tuple([(k, (c * D).numerator) for k, c in ent])
+                          for j, ent in row.items()} for i, row in A.table.items()}
+
+    def mul(self, a: dict, b: dict) -> dict:
+        table, out = self.table, {}
+        for i, ca in a.items():
+            row = table[i]
+            for j, cb in b.items():
+                if (ent := row[j]) is None:
+                    A = self.A
+                    raise OutOfWindowError(next(k for k, _ in A.product(i, j)
+                                                if k not in A.position), i, j)
+                c = ca * cb
+                for k, ck in ent:
+                    out[k] = out.get(k, 0) + c * ck
+        return _nonzero(out)
+
+    def scaled(self, poly: FreePoly, terms: list, elements: Sequence) -> tuple:
+        """poly's compiled terms and the elements on D*A, in ints, and the
+        factor by which poly's value there exceeds its value in A."""
+        E = math.lcm(*(c.denominator for e in elements for c in e.values()))
+        L = math.lcm(*(c.denominator for c, _ in terms))
+        DE, top = self.D * E, poly.degree()
+        terms = [((c * L).numerator * DE ** (top - tree_degree(t)), i)
+                 for (c, i), (t, _) in zip(terms, poly.sorted_terms())]
+        ints = [{k: (c * E).numerator for k, c in e.items()} for e in elements]
+        return terms, ints, L * self.D ** max(top - 1, 0) * E ** top
 
 
 def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
@@ -210,7 +273,8 @@ def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
     return _Program([poly], A.field).run(A, [els.get(v) for v in poly.variables])[0]
 
 
-def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
+def _sweep(poly: FreePoly, A: Algebra, elements: Sequence,
+           integral: _Integral | None = None) -> CheckOutcome:
     """Exhaustive check over all assignments of `elements` to the variables.
 
     Variables are bound depth first in the given element order, the first
@@ -232,21 +296,29 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     where the sweep ends in lex order (dim^n, or the failing one's 1-based
     rank) less `skipped`, which is 0 on a closed algebra, where nothing
     escapes; a window has no symmetry, so there it equals `orbits`.
+
+    Over Q it runs on D*A in ints (`integral`, built here unless the caller
+    holds one) and divides a failing value back into A (module docstring).
     """
     prog = _Program([poly], A.field)
     n = prog.n
     if n == 0:  # only the zero polynomial has no variables
         return CheckOutcome(HOLDS, 1, 0, orbits=1)
     dim, f = len(elements), A.field
-    prod = _Products(A)
-    ids = [prod.intern(e) for e in elements]
+    terms = prog.terms[0]  # a law that cancels has none
+    if f.char:
+        prod, canonical, ints = _Products(A.mul), f.canonical, elements
+    else:
+        integral = integral or _Integral(A)
+        terms, ints, scale = integral.scaled(poly, terms, elements)
+        prod, canonical = _Products(integral.mul), _nonzero
+    ids = [prod.intern(e) for e in ints]
     after: list = [None] * n  # each position's predecessor in its block
     if A.closed:
         for block in symmetry_blocks(poly, A.is_commutative()):
             for prev, pos in zip(block, block[1:]):
                 after[pos] = prev
     levels = [prog.products[a:b] for a, b in zip(prog.first, prog.first[1:])]
-    terms = prog.terms[0]  # a law that cancels has none
     nodes = [i for _, i in terms]
     vanishing: set = set()  # tuples of term value ids at which the law is 0
     known: dict = {}  # start -> {term ids of a vanishing prefix: counts}
@@ -284,8 +356,11 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
             orbits += 1
             if ts in vanishing:
                 continue
-            value = _combine(terms, {i: prod.els[t] for i, t in zip(nodes, ts)}, f)
+            value = _combine(terms, {i: prod.els[t] for i, t in zip(nodes, ts)},
+                             canonical)
             if value:
+                if not f.char:
+                    value = {k: Fraction(v, scale) for k, v in value.items()}
                 assign[n - 1] = x
                 witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
                 rank = 1 + sum(a * dim ** (n - 1 - t) for t, a in enumerate(assign))
@@ -333,8 +408,9 @@ def _check(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
         caveat += (f" swept on basis elements only ({p}^{slots} assignments "
                    f"of every element exceed {FULL_SWEEP_BOUND})")
     checked = skipped = orbits = 0
+    integral = None if A.field.char else _Integral(A)
     for law in laws:  # to the first failure, counters summed
-        out = _sweep(law, A, els)
+        out = _sweep(law, A, els, integral)
         checked, skipped, orbits = (checked + out.checked, skipped + out.skipped,
                                     orbits + out.orbits)
         if out.verdict == FAILS:
@@ -468,7 +544,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     variables = [f"t{i + 1}" for i in range(n)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
     roots = [node for ((_, node),) in prog.terms]  # one term, coefficient 1
-    prod = _Products(A)
+    prod = _Products(A.mul)
     commutative = A.is_commutative()
     raw: dict = {}  # a raw element's typed items -> id; 1.0 == 1 but no hit
 
@@ -594,11 +670,17 @@ def degree3_system() -> Degree3System:
 
 def _basis_values(poly: FreePoly, A: Algebra, assigns: Iterable) -> Iterable[dict]:
     """poly's value in the closed algebra A at each tuple of basis indices,
-    all on one `_Products` cache."""
-    prog, prod = _Program([poly], A.field), _Products(A)
+    all on one `_Products` cache and combined once per tuple of term values;
+    each is a new dict, which the caller may change."""
+    prog, prod = _Program([poly], A.field), _Products(A.mul)
+    terms = prog.terms[0]
     basis = [prod.intern(A.basis(i)) for i in A.indices]
+    combined: dict = {}  # term value ids -> the value
     for val in prog.runs(prod, ([basis[i] for i in t] for t in assigns)):
-        yield _combine(prog.terms[0], [prod.els[i] for i in val], A.field)
+        if (got := combined.get(at := tuple([val[i] for _, i in terms]))) is None:
+            got = combined[at] = _combine(
+                terms, {i: prod.els[val[i]] for _, i in terms}, A.field.canonical)
+        yield dict(got)
 
 
 def tortken_prime_relation(m: int) -> CheckOutcome:

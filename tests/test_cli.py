@@ -548,6 +548,29 @@ def test_table_budget_exits_two(tmp_path, argv):
     assert "TABLE_BUDGET = 262144" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "idspace --degree 5 --builtin gametic --dim 40",
+    "idspace --degree 5 --builtin gametic --dim 8",
+    "idspace --degree 4 --builtin osborn-laurent --alpha 1 --beta 0 "
+    "--window=-20..20 --range=-20..20",
+])
+def test_substitution_budget_exits_two(argv):
+    # dim^degree substitutions are counted before any is built: one error
+    # line naming the budget, under a 400 MB address space in which the 40^5
+    # tuples would end in a MemoryError; dim 7 at degree 5 stays inside
+    assert 7 ** 5 <= algebras.SUBSTITUTION_BUDGET < 8 ** 5
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    limit = (400 << 20, 400 << 20)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tortken", *argv.split()],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "SUBSTITUTION_BUDGET = 20000" in proc.stderr
+
+
 def test_check_output_is_deterministic():
     # two fresh interpreters print the same failing verdict and witness
     env = dict(os.environ)

@@ -629,11 +629,11 @@ def _outcome_tuple(out):
     return out.verdict, out.checked, out.skipped, out.witness, out.value
 
 
-def _random_table(f, dim, commutative, rng):
+def _random_table(f, dim, commutative, rng, dens=(1, 2)):
     def scalar():
         if f.char:
             return rng.randrange(f.char)
-        return Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        return Fraction(rng.randint(-3, 3), rng.choice(dens))
 
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
@@ -677,10 +677,10 @@ def test_windowed_sweep_matches_naive_oracle(laurent, start, width, law):
     assert _outcome_tuple(out) == _oracle_sweep(poly, A, idx)
 
 
-def _random_window(f, dim, commutative, escapes, rng):
+def _random_window(f, dim, commutative, escapes, rng, dens=(1, 2)):
     """A random table on the indices 10..10+dim-1; with `escapes`, some
     products also name index 99, outside the window."""
-    T = _random_table(f, dim, commutative, rng)
+    T = _random_table(f, dim, commutative, rng, dens)
     out = {(i, j) for i in range(dim) for j in range(dim)
            if escapes and rng.random() < 0.2}
     if commutative:
@@ -769,13 +769,17 @@ def test_orbit_count_is_the_number_of_block_multisets(f, dim, law, windowed,
 
 def test_each_operand_pair_is_multiplied_once(monkeypatch):
     # one product cache per call: no pair of operand values reaches `mul`
-    # twice, an escaping pair included
+    # twice, an escaping pair included; the Q window multiplies on its
+    # integral table, so its pairs are traced there
     pairs = []
-    mul = FiniteAlgebra.mul
 
-    def traced(self, a, b):
-        pairs.append((id(self), frozenset(a.items()), frozenset(b.items())))
-        return mul(self, a, b)
+    def trace(cls):
+        mul = cls.mul
+
+        def traced(self, a, b):
+            pairs.append((id(self), frozenset(a.items()), frozenset(b.items())))
+            return mul(self, a, b)
+        monkeypatch.setattr(cls, "mul", traced)
 
     made = identcheck.derivation_symmetric
 
@@ -787,8 +791,8 @@ def test_each_operand_pair_is_multiplied_once(monkeypatch):
     A = plus(osborn(1, 1, 3, 2))
     B = plus(osborn(1, 1, 5, 1))
     L = osborn_laurent(1, 0, -3, 3, "jordan")
-    monkeypatch.setattr(FiniteAlgebra, "mul", traced)
-    monkeypatch.setattr(GradedAlgebra, "mul", traced)
+    for cls in (FiniteAlgebra, GradedAlgebra, identcheck._Integral):
+        trace(cls)
     monkeypatch.setattr(identcheck, "derivation_symmetric", built)
     calls = [lambda: check_identity(TORTKEN, A),
              lambda: check_identity_windowed(TORTKEN, L, range(-2, 3)),
@@ -913,6 +917,96 @@ def test_window_with_escapes_only_at_the_last_position(f, dim, commutative,
     want = _oracle_sweep(poly, A, idx)
     assert _outcome_tuple(out) == want
     assert out.orbits == _oracle_orbits(poly, A, len(idx), want[1])
+
+
+# Over Q the sweep runs on D*A in ints.  The cases below are where a
+# fixed-width int would overflow or a scale that ignored the terms' degrees
+# would be wrong: a large D, fractional law coefficients, terms of several
+# degrees, and elements with fractional coordinates.
+
+def test_integral_table_scale():
+    # D clears every product of the table, escaped ones included
+    D = lambda A: identcheck._Integral(A).D
+    assert D(integration_product(12)) == 360360
+    assert D(integration_product(30)) == math.lcm(*range(1, 32)) > 2 ** 45
+    assert D(osborn_laurent(Fraction(1, 2), 0, -6, 8, "novikov")) == 2
+    assert D(osborn_laurent(Fraction(-7, 3), Fraction(5, 2), -6, 8, "novikov")) == 6
+    for variant in ("jordan", "novikov"):
+        assert D(osborn_laurent(1, 0, -6, 8, variant)) == 1
+    assert D(osborn_laurent(Fraction(1, 2), 0, -6, 8, "jordan")) == 1  # 2 alpha
+    I = identcheck._Integral(integration_product(3))
+    assert I.mul({0: 6}, {1: 1}) == {2: 6 * 12 // 2}  # D = 12, x^0 x^1 = x^2 / 2
+    with pytest.raises(OutOfWindowError):
+        I.mul({0: 1, 2: 1}, {1: 1})
+
+
+SCALED_LAWS = [parse(e, ("a", "b", "c")) for e in (
+    "1/2*(a*b)*c - 3/4*a*(b*c)",  # fractional coefficients
+    "(a*b)*c - 2*a*b + 1/3*c",    # terms of degree 3, 2 and 1
+    "5/6*(a*c)*(b*c) - c*(a*b)",  # degrees 4 and 3, c twice
+)]
+
+
+@pytest.mark.parametrize("A, idx", [
+    (integration_product(30), range(5, 9)),  # D^3 > 2^135; sums past 30 escape
+    (osborn_laurent(1, 0, -6, 8, "jordan"), range(-2, 2)),  # D = 1
+    (osborn_laurent(Fraction(1, 2), 0, -6, 8, "novikov"), range(-2, 2)),
+    (osborn_laurent(Fraction(-7, 3), Fraction(5, 2), -6, 8, "novikov"),
+     range(-1, 3)),
+], ids=["integration30", "laurent-D1", "laurent-D2", "laurent-D6"])
+@pytest.mark.parametrize("poly", [catalog_entry(name).poly for name in (
+    "tortken", "sokolov", "commutativity", "deg5_i")] + SCALED_LAWS,
+    ids=["tortken", "sokolov", "commutativity", "deg5_i", "fractional",
+         "degrees-3-2-1", "degrees-4-3"])
+def test_q_window_sweep_matches_naive_oracle(A, idx, poly):
+    out = identcheck._sweep(poly, A, [A.basis(i) for i in idx])
+    want = _oracle_sweep(poly, A, idx)
+    assert _outcome_tuple(out) == want
+    assert out.orbits == _oracle_orbits(poly, A, len(idx), want[1])
+    if poly.is_multilinear():  # through `_check`, which re-evaluates on Q
+        assert _outcome_tuple(check_identity_windowed(poly, A, idx)) == want
+
+
+def test_q_window_witness_with_a_fractional_value():
+    # x^5 x^6 - x^6 x^5 = x^12 / 7 - x^12 / 6 on the integration window
+    A = integration_product(30)
+    out = check_identity_windowed(COMM, A, range(5, 9))
+    assert out.verdict == FAILS
+    assert out.value == {12: Fraction(-1, 42)}
+    assert evaluate(COMM, A, out.witness) == out.value
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.booleans(),
+       st.sampled_from(SCALED_LAWS + [catalog_entry("tortken").poly]),
+       st.integers(0, 2**32))
+def test_q_sweep_of_scaled_laws_matches_naive_oracle(dim, commutative, escapes,
+                                                     poly, seed):
+    # tables with denominators up to 7, closed or with escapes
+    rng = random.Random(seed)
+    A = _random_window(Field.rationals(), dim, commutative, escapes, rng,
+                       (1, 2, 3, 5, 7))
+    idx = rng.sample(A.indices, rng.randint(1, dim))
+    out = identcheck._sweep(poly, A, [A.basis(i) for i in idx])
+    want = _oracle_sweep(poly, A, idx)
+    assert _outcome_tuple(out) == want
+    assert out.orbits == _oracle_orbits(poly, A, len(idx), want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.sampled_from(SCALED_LAWS + PARTIAL_LAWS),
+       st.integers(0, 2**32))
+def test_q_sweep_on_fractional_elements_matches_naive_oracle(dim, poly, seed):
+    # elements with fractional coordinates are scaled by one common E
+    rng = random.Random(seed)
+    A = _random_table(Field.rationals(), dim, rng.random() < 0.5, rng,
+                      (1, 2, 3, 5))
+    els = [A.element({i: Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+                      for i in range(dim)}) for _ in range(rng.randint(1, 4))]
+    out = identcheck._sweep(poly, A, els)
+    want = _oracle_sweep_elements(poly, A, els)
+    assert _outcome_tuple(out) == want
+    assert out.orbits == _oracle_orbits(poly, A, len(els), want[1])
 
 
 def test_tortken_sweep_on_dim_27():
