@@ -46,10 +46,6 @@ class UnsoundWitnessError(RuntimeError):
 # The most cells of a product table that any builder makes: dim 512, where
 # `gametic` takes about 2.5 s and 140 MB; tests and benchmark reach dim 41.
 TABLE_BUDGET = 1 << 18
-# The most substitutions `tortken idspace` builds, each a tuple of basis
-# elements: dim 7 at degree 5 (16807) takes about 12 s and 0.9 GB, most of
-# it the printed matrix, and dim 40 would need dim^5 ~ 10^8 tuples.
-SUBSTITUTION_BUDGET = 20000
 
 
 def _budget(dim: int, what: str) -> int:

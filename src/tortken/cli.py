@@ -16,9 +16,9 @@ from . import algebras, idealtool
 from .algebras import Algebra, builtin_algebra, algebra_from_spec
 from .freepoly import (DegreeOutOfRangeError, PolarizationTooLargeError,
                        catalog_entry, parse)
-from .identcheck import (FAILS, HOLDS, INCONCLUSIVE, check_identity,
-                         check_identity_windowed, degree3_system, evaluate,
-                         identity_space, reference_deg4_report,
+from .identcheck import (FAILS, HOLDS, INCONCLUSIVE, SUBSTITUTION_BUDGET,
+                         check_identity, check_identity_windowed, degree3_system,
+                         evaluate, identity_space, reference_deg4_report,
                          tortken_prime_relation, verify_reference_solutions)
 
 
@@ -254,9 +254,9 @@ def cmd_idspace(args) -> int:
         raise UsageError("graded identity space needs --range lo..hi")
     else:
         idx = A.indices
-    if (count := len(idx) ** args.degree) > algebras.SUBSTITUTION_BUDGET:
+    if (count := len(idx) ** args.degree) > SUBSTITUTION_BUDGET:
         raise UsageError(f"{len(idx)}^{args.degree} = {count} substitutions exceed "
-                         f"SUBSTITUTION_BUDGET = {algebras.SUBSTITUTION_BUDGET}")
+                         f"SUBSTITUTION_BUDGET = {SUBSTITUTION_BUDGET}")
     subs = [tuple(A.basis(i) for i in tup)
             for tup in itertools.product(idx, repeat=args.degree)]
     report = identity_space(args.degree, A, subs, order=args.basis)

@@ -596,11 +596,12 @@ class Matrix:
         return cls(field, json.loads(text))
 
     def to_text(self) -> str:
-        cells = [[self.field.fmt(x) for x in row] for row in self.data]
-        widths = [max(len(cells[i][j]) for i in range(self.rows))
-                  for j in range(self.cols)] if self.rows else []
-        return "\n".join(" ".join(c.rjust(w) for c, w in zip(row, widths))
-                         for row in cells)
+        """The rows, each cell right-aligned to its column's widest; the
+        widths come from a first pass, so no cell's string is kept."""
+        fmt = self.field.fmt
+        widths = [max(map(len, map(fmt, col))) for col in zip(*self.data)]
+        return "\n".join(" ".join(fmt(x).rjust(w) for x, w in zip(row, widths))
+                         for row in self.data)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field

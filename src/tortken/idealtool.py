@@ -26,7 +26,6 @@ from typing import Collection, Sequence
 
 from .exactnum import Echelon, Field, OutOfRangeError, binom_p_quotient, is_prime
 from .algebras import Algebra, NotClosedError, UnsoundWitnessError
-from .identcheck import FULL_SWEEP_BOUND
 
 
 class CannotCertifyError(RuntimeError):
@@ -221,8 +220,9 @@ def _projective_points(field: Field, vectors: Sequence[Sequence]):
 
 
 # The seed of the random envelope draws that `_norton_candidates` makes over
-# F_p, and their number.
-NORTON_SEED, NORTON_DRAWS = 1, 8
+# F_p, and their number; and the most lam it walks over all draws, and the
+# most projective points that the zero operator spins.
+NORTON_SEED, NORTON_DRAWS, NORTON_BOUND = 1, 8, 20000
 
 
 def _envelope_draws(ops: list, p: int):
@@ -252,11 +252,11 @@ def _norton_candidates(ops: list, field: Field):
     """Operators of the unital multiplication envelope to try for Norton's
     criterion, each with the audit line that names it (None but for the
     draws), in a fixed order: the basis operators; over F_p with
-    NORTON_DRAWS * p <= FULL_SWEEP_BOUND, for each of NORTON_DRAWS seeded
+    NORTON_DRAWS * p <= NORTON_BOUND, for each of NORTON_DRAWS seeded
     draws T (see `_envelope_draws`), T - lam I for lam = 0, 1, ..., p - 1;
     the sums and differences of pairs of basis operators until there are
     more than 200 operators, then 100 products of pairs; and last, over F_p
-    when F_p^n has at most FULL_SWEEP_BOUND projective points, the zero
+    when F_p^n has at most NORTON_BOUND projective points, the zero
     operator, whose kernel points are all of them.  A column may repeat a
     position; its entries add up.
 
@@ -275,7 +275,7 @@ def _norton_candidates(ops: list, field: Field):
     for op in ops:
         yield op, None
     p, n = field.char, len(ops[0])
-    if p and NORTON_DRAWS * p <= FULL_SWEEP_BOUND:
+    if p and NORTON_DRAWS * p <= NORTON_BOUND:
         for d, t in enumerate(_envelope_draws(ops, p), 1):
             cols = [[(i, x) for i, x in enumerate(col) if x] for col in t]
             for lam in range(p):
@@ -289,7 +289,7 @@ def _norton_candidates(ops: list, field: Field):
     for x, y in itertools.islice(itertools.product(ops, repeat=2), 100):
         # column j of the composite is y applied to column j of x
         yield [[(i, c * d) for t, c in col for i, d in y[t]] for col in x], None
-    if p and (p ** n - 1) // (p - 1) <= FULL_SWEEP_BOUND:
+    if p and (p ** n - 1) // (p - 1) <= NORTON_BOUND:
         yield [[] for _ in range(n)], None
 
 
@@ -382,7 +382,7 @@ def certify_simplicity(A: Algebra) -> SimplicityCertificate:
         f"{A.name}: no usable singular operator, no proper difference "
         f"closure, and over {f!r} in dimension {n} the zero operator is no "
         f"Norton candidate (it needs a prime field with at most "
-        f"{FULL_SWEEP_BOUND} projective points)")
+        f"{NORTON_BOUND} projective points)")
 
 
 # -- the central-extension bilinear form --------------------------------------

@@ -14,7 +14,7 @@ all but the last one at a time and the last at every element (`_sweep`).
 The degree-4 reproduction keeps no frozen data: its report is audited
 against the catalog laws deg4_basis_1..5, the one copy of the kernel.
 
-Over Q a sweep runs on D*A (`_Integral`): A's table times D, the least
+Over Q a sweep runs on D*A (`_integral`): A's table times D, the least
 common denominator of its products, in plain ints, which are exact: no
 `Fraction`, modulus or height bound.  Sound: a term of tree degree d has
 d - 1 products, so on D*A, with the elements scaled by one E that clears
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactnum import Echelon, Field, Matrix
-from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError,
+from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError, _of_class,
                        divided_power, derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog_entry, commutative_basis, mu_vector,
                        polarize, symmetry_blocks, tree_degree, tree_format,
@@ -124,7 +124,7 @@ class _Program:
         val = list(elements) + [None] * len(self.products)
         for i, l, r in self.products:
             val[i] = A.mul(val[l], val[r])
-        return [_combine(terms, val, A.field.canonical) for terms in self.terms]
+        return [_combine(terms, val, A.field) for terms in self.terms]
 
     def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
@@ -149,21 +149,20 @@ _ESCAPED = object()  # the cached product of a pair that leaves the window
 
 
 class _Products(dict):
-    """One call's products under `mul` (`A.mul`, or `_Integral.mul` on D*A)
-    on elements interned by canonical value.
+    """One call's products in A on elements interned by canonical value.
 
     `intern(e)` is e's id, 0 for the zero element, and `els[id]` the element.
-    A pair of ids maps to the id of their product, from `mul` on its first
+    A pair of ids maps to the id of their product, from `A.mul` on its first
     lookup only, or to `_ESCAPED` if it leaves the window.  A zero operand
-    gives 0 with no lookup: `mul` returns {} on it and never raises.
+    gives 0 with no lookup: `A.mul` returns {} on it and never raises.
     `vector(v)` interns a tuple of ids, one per element of a sweep's list, as
     id ~i of `vecs[i]`; a pair with a vector id maps to the elementwise
     product's, where an escape beats a zero and so reaches every node above."""
 
-    __slots__ = ("mul", "ids", "els", "vecs")
+    __slots__ = ("A", "ids", "els", "vecs")
 
-    def __init__(self, mul):
-        self.mul, self.ids, self.els, self.vecs = mul, {frozenset(): 0}, [{}], []
+    def __init__(self, A: Algebra):
+        self.A, self.ids, self.els, self.vecs = A, {frozenset(): 0}, [{}], []
 
     def intern(self, e: dict) -> int:
         got = self.ids.setdefault(frozenset(e.items()), len(self.els))
@@ -199,68 +198,56 @@ class _Products(dict):
                 for a, b in zip(*map(self.column, pair))]))
         else:
             try:
-                got = self.intern(self.mul(*map(self.els.__getitem__, pair)))
+                got = self.intern(self.A.mul(*map(self.els.__getitem__, pair)))
             except OutOfWindowError:
                 got = _ESCAPED
         self[pair] = got
         return got
 
 
-def _combine(terms: list, val: list, canonical) -> dict:
-    """The sum of coefficient * val[node] over the terms, made canonical by
-    `canonical` (a `Field.canonical`, or `_nonzero` on D*A)."""
+def _combine(terms: list, val: list, field: Field) -> dict:
+    """The sum of coefficient * val[node] over the terms, canonical."""
     acc: dict = {}
     for c, i in terms:
         for k, v in val[i].items():
             acc[k] = acc.get(k, 0) + c * v
-    return canonical(acc)
+    return field.canonical(acc)
 
 
-def _nonzero(sums: dict) -> dict:
-    """The canonical form of int sums on D*A: the zeros dropped."""
-    return {k: v for k, v in sums.items() if v}
+class _Integers:
+    """The scalars of D*A: plain ints, canonical once the zeros are dropped."""
+
+    @staticmethod
+    def coerce(c: int) -> int:
+        return c
+
+    @staticmethod
+    def canonical(sums: dict) -> dict:
+        return {k: v for k, v in sums.items() if v}
 
 
-class _Integral:
-    """D*A for an algebra A over Q (see the module docstring): A's table
-    times D, the least common denominator of its products (escaped ones
-    included), as int coefficients; `mul` multiplies int elements and
-    raises OutOfWindowError on exactly the basis pairs where A's does."""
+def _integral(A: Algebra) -> tuple[Algebra, int]:
+    """D*A for an algebra A over Q (see the module docstring) and D, the least
+    common denominator of A's products, escaped ones included: an algebra of
+    A's class over `_Integers`, whose `mul` raises OutOfWindowError on exactly
+    the basis pairs where A's does."""
+    D = math.lcm(*(c.denominator for i in A.indices for j in A.indices
+                   for _, c in A.product(i, j)))
+    rule = lambda i, j: [(k, c.numerator * (D // c.denominator))  # c * D
+                         for k, c in A.product(i, j)]
+    return _of_class(A, f"{D}*{A.name}", _Integers, A.indices, rule, A.label), D
 
-    __slots__ = ("A", "D", "table")
 
-    def __init__(self, A: Algebra):
-        self.A = A
-        self.D = D = math.lcm(*(c.denominator for i in A.indices
-                                for j in A.indices for _, c in A.product(i, j)))
-        self.table = {i: {j: None if ent is None
-                          else tuple([(k, (c * D).numerator) for k, c in ent])
-                          for j, ent in row.items()} for i, row in A.table.items()}
-
-    def mul(self, a: dict, b: dict) -> dict:
-        table, out = self.table, {}
-        for i, ca in a.items():
-            row = table[i]
-            for j, cb in b.items():
-                if (ent := row[j]) is None:
-                    A = self.A
-                    raise OutOfWindowError(next(k for k, _ in A.product(i, j)
-                                                if k not in A.position), i, j)
-                c = ca * cb
-                for k, ck in ent:
-                    out[k] = out.get(k, 0) + c * ck
-        return _nonzero(out)
-
-    def scaled(self, poly: FreePoly, terms: list, elements: Sequence) -> tuple:
-        """poly's compiled terms and the elements on D*A, in ints, and the
-        factor by which poly's value there exceeds its value in A."""
-        E = math.lcm(*(c.denominator for e in elements for c in e.values()))
-        L = math.lcm(*(c.denominator for c, _ in terms))
-        DE, top = self.D * E, poly.degree()
-        terms = [((c * L).numerator * DE ** (top - tree_degree(t)), i)
-                 for (c, i), (t, _) in zip(terms, poly.sorted_terms())]
-        ints = [{k: (c * E).numerator for k, c in e.items()} for e in elements]
-        return terms, ints, L * self.D ** max(top - 1, 0) * E ** top
+def _scaled(poly: FreePoly, terms: list, elements: Sequence, D: int) -> tuple:
+    """poly's compiled terms and the elements on D*A, in ints, and the factor
+    by which poly's value there exceeds its value in A."""
+    E = math.lcm(*(c.denominator for e in elements for c in e.values()))
+    L = math.lcm(*(c.denominator for c, _ in terms))
+    DE, top = D * E, poly.degree()
+    terms = [((c * L).numerator * DE ** (top - tree_degree(t)), i)
+             for (c, i), (t, _) in zip(terms, poly.sorted_terms())]
+    ints = [{k: (c * E).numerator for k, c in e.items()} for e in elements]
+    return terms, ints, L * D ** max(top - 1, 0) * E ** top
 
 
 def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
@@ -273,8 +260,7 @@ def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
     return _Program([poly], A.field).run(A, [els.get(v) for v in poly.variables])[0]
 
 
-def _sweep(poly: FreePoly, A: Algebra, elements: Sequence,
-           integral: _Integral | None = None) -> CheckOutcome:
+def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     """Exhaustive check over all assignments of `elements` to the variables.
 
     Variables are bound depth first in the given element order, the first
@@ -297,8 +283,8 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence,
     rank) less `skipped`, which is 0 on a closed algebra, where nothing
     escapes; a window has no symmetry, so there it equals `orbits`.
 
-    Over Q it runs on D*A in ints (`integral`, built here unless the caller
-    holds one) and divides a failing value back into A (module docstring).
+    Over Q it runs on D*A in ints, built here once, and divides a failing
+    value back into A (module docstring).
     """
     prog = _Program([poly], A.field)
     n = prog.n
@@ -307,11 +293,11 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence,
     dim, f = len(elements), A.field
     terms = prog.terms[0]  # a law that cancels has none
     if f.char:
-        prod, canonical, ints = _Products(A.mul), f.canonical, elements
+        B, ints = A, elements
     else:
-        integral = integral or _Integral(A)
-        terms, ints, scale = integral.scaled(poly, terms, elements)
-        prod, canonical = _Products(integral.mul), _nonzero
+        B, D = _integral(A)
+        terms, ints, scale = _scaled(poly, terms, elements, D)
+    prod = _Products(B)
     ids = [prod.intern(e) for e in ints]
     after: list = [None] * n  # each position's predecessor in its block
     if A.closed:
@@ -357,7 +343,7 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence,
             if ts in vanishing:
                 continue
             value = _combine(terms, {i: prod.els[t] for i, t in zip(nodes, ts)},
-                             canonical)
+                             B.field)
             if value:
                 if not f.char:
                     value = {k: Fraction(v, scale) for k, v in value.items()}
@@ -373,9 +359,7 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence,
                         orbits=orbits)
 
 
-# The most assignments of every element swept in small characteristic; also
-# the most projective points that idealtool's Norton step spins for the zero
-# operator.
+# The most assignments of every element swept in small characteristic.
 FULL_SWEEP_BOUND = 20000
 
 
@@ -408,9 +392,8 @@ def _check(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
         caveat += (f" swept on basis elements only ({p}^{slots} assignments "
                    f"of every element exceed {FULL_SWEEP_BOUND})")
     checked = skipped = orbits = 0
-    integral = None if A.field.char else _Integral(A)
     for law in laws:  # to the first failure, counters summed
-        out = _sweep(law, A, els, integral)
+        out = _sweep(law, A, els)
         checked, skipped, orbits = (checked + out.checked, skipped + out.skipped,
                                     orbits + out.orbits)
         if out.verdict == FAILS:
@@ -445,6 +428,11 @@ def check_identity_windowed(poly: FreePoly, A: Algebra,
 
 
 # -- identity spaces ----------------------------------------------------------
+
+# The most substitutions `tortken idspace` builds, each a tuple of basis
+# elements: dim 6 at degree 5 (7776) takes about 5 s and 240 MB, dim 7
+# (16807) still fits, and dim 40 would need dim^5 ~ 10^8 tuples.
+SUBSTITUTION_BUDGET = 20000
 
 
 @dataclass
@@ -544,7 +532,7 @@ def identity_space(degree: int, A: Algebra, substitutions: Sequence[Sequence[dic
     variables = [f"t{i + 1}" for i in range(n)]
     prog = _Program([FreePoly.monomial(m, variables) for m in monomials], f)
     roots = [node for ((_, node),) in prog.terms]  # one term, coefficient 1
-    prod = _Products(A.mul)
+    prod = _Products(A)
     commutative = A.is_commutative()
     raw: dict = {}  # a raw element's typed items -> id; 1.0 == 1 but no hit
 
@@ -672,14 +660,14 @@ def _basis_values(poly: FreePoly, A: Algebra, assigns: Iterable) -> Iterable[dic
     """poly's value in the closed algebra A at each tuple of basis indices,
     all on one `_Products` cache and combined once per tuple of term values;
     each is a new dict, which the caller may change."""
-    prog, prod = _Program([poly], A.field), _Products(A.mul)
+    prog, prod = _Program([poly], A.field), _Products(A)
     terms = prog.terms[0]
     basis = [prod.intern(A.basis(i)) for i in A.indices]
     combined: dict = {}  # term value ids -> the value
     for val in prog.runs(prod, ([basis[i] for i in t] for t in assigns)):
         if (got := combined.get(at := tuple([val[i] for _, i in terms]))) is None:
             got = combined[at] = _combine(
-                terms, {i: prod.els[val[i]] for _, i in terms}, A.field.canonical)
+                terms, {i: prod.els[val[i]] for _, i in terms}, A.field)
         yield dict(got)
 
 

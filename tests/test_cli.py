@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tortken import algebras, cli
+from tortken import algebras, cli, identcheck
 from tortken.algebras import FiniteAlgebra
 from tortken.cli import main
 
@@ -558,7 +558,7 @@ def test_substitution_budget_exits_two(argv):
     # dim^degree substitutions are counted before any is built: one error
     # line naming the budget, under a 400 MB address space in which the 40^5
     # tuples would end in a MemoryError; dim 7 at degree 5 stays inside
-    assert 7 ** 5 <= algebras.SUBSTITUTION_BUDGET < 8 ** 5
+    assert 7 ** 5 <= identcheck.SUBSTITUTION_BUDGET < 8 ** 5
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
     limit = (400 << 20, 400 << 20)

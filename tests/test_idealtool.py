@@ -499,7 +499,7 @@ def test_draw_route_matches_exhaustive_sweep(f, commutative, seed):
 
 
 def test_draws_stop_at_large_characteristic():
-    # NORTON_DRAWS * p above FULL_SWEEP_BOUND: walking every lam would take
+    # NORTON_DRAWS * p above NORTON_BOUND: walking every lam would take
     # too long, so no draw is made; p = 2011 is still walked
     for p, drawn in ((2011, True), (2503, False), (2**61 - 1, False)):
         ops = idealtool._operators(random_commutative(3, Field.prime(p), 0))

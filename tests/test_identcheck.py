@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from deg4_reference import (REFERENCE_DEG4_MATRIX, REFERENCE_DEG4_SOLUTIONS,
                             REFERENCE_MU_RELATIONS, frozen_audit)
-from dense_rref import dense_mul_vec, dense_nullspace, dense_rref
+from dense_rref import dense_mul_vec, dense_nullspace, dense_rref, rref_nullspace
 from tortken import freepoly, idealtool, identcheck
 from tortken.exactnum import Field, Matrix
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra,
@@ -554,8 +554,9 @@ def test_degree5_identity_space_matches_dense_elimination():
     rep = identity_space(5, A, subs)
     rows = list(map(list, dict.fromkeys(map(tuple, rep.matrix.data))))
     assert (rep.matrix.cols, rep.rank, rep.nullity) == (105, 35, 70)
-    assert dense_rref(A.field, rows)[1] == rep.rank
-    assert rep.nullspace == dense_nullspace(A.field, rows, 105)
+    R, rank, pivots = dense_rref(A.field, rows)
+    assert rank == rep.rank
+    assert rep.nullspace == rref_nullspace(A.field, R, pivots, 105)
 
 
 def test_seeded_random_commutative_fails_tortken_with_witness():
@@ -770,7 +771,7 @@ def test_orbit_count_is_the_number_of_block_multisets(f, dim, law, windowed,
 def test_each_operand_pair_is_multiplied_once(monkeypatch):
     # one product cache per call: no pair of operand values reaches `mul`
     # twice, an escaping pair included; the Q window multiplies on its
-    # integral table, so its pairs are traced there
+    # integral table, an algebra of its class, so its pairs are traced there
     pairs = []
 
     def trace(cls):
@@ -791,7 +792,7 @@ def test_each_operand_pair_is_multiplied_once(monkeypatch):
     A = plus(osborn(1, 1, 3, 2))
     B = plus(osborn(1, 1, 5, 1))
     L = osborn_laurent(1, 0, -3, 3, "jordan")
-    for cls in (FiniteAlgebra, GradedAlgebra, identcheck._Integral):
+    for cls in (FiniteAlgebra, GradedAlgebra):
         trace(cls)
     monkeypatch.setattr(identcheck, "derivation_symmetric", built)
     calls = [lambda: check_identity(TORTKEN, A),
@@ -926,7 +927,7 @@ def test_window_with_escapes_only_at_the_last_position(f, dim, commutative,
 
 def test_integral_table_scale():
     # D clears every product of the table, escaped ones included
-    D = lambda A: identcheck._Integral(A).D
+    D = lambda A: identcheck._integral(A)[1]
     assert D(integration_product(12)) == 360360
     assert D(integration_product(30)) == math.lcm(*range(1, 32)) > 2 ** 45
     assert D(osborn_laurent(Fraction(1, 2), 0, -6, 8, "novikov")) == 2
@@ -934,7 +935,7 @@ def test_integral_table_scale():
     for variant in ("jordan", "novikov"):
         assert D(osborn_laurent(1, 0, -6, 8, variant)) == 1
     assert D(osborn_laurent(Fraction(1, 2), 0, -6, 8, "jordan")) == 1  # 2 alpha
-    I = identcheck._Integral(integration_product(3))
+    I, _ = identcheck._integral(integration_product(3))
     assert I.mul({0: 6}, {1: 1}) == {2: 6 * 12 // 2}  # D = 12, x^0 x^1 = x^2 / 2
     with pytest.raises(OutOfWindowError):
         I.mul({0: 1, 2: 1}, {1: 1})
@@ -1050,8 +1051,9 @@ def test_identity_space_rows_match_naive_oracle(f, dim, commutative, degree,
     f = A.field
     M = rows or [[f.zero] * rep.matrix.cols]
     assert rep.matrix.data == M
-    assert rep.rank == dense_rref(f, M)[1]
-    assert rep.nullspace == dense_nullspace(f, M, len(M[0]))
+    R, rank, pivots = dense_rref(f, M)
+    assert rep.rank == rank
+    assert rep.nullspace == rref_nullspace(f, R, pivots, len(M[0]))
     for name, flag in rep.flags.items():
         try:
             vec = [f.coerce(c) for c in
@@ -1126,8 +1128,9 @@ def test_memoized_identity_space_matches_per_substitution_runs(
     f = A.field
     M = rows or [[f.zero] * rep.matrix.cols]
     assert rep.matrix.data == M
-    assert rep.rank == dense_rref(f, M)[1]
-    assert rep.nullspace == dense_nullspace(f, M, len(M[0]))
+    R, rank, pivots = dense_rref(f, M)
+    assert rep.rank == rank
+    assert rep.nullspace == rref_nullspace(f, R, pivots, len(M[0]))
 
 
 def _matches_dense_elimination(rep):
@@ -1135,8 +1138,9 @@ def _matches_dense_elimination(rep):
     elimination of its matrix (its distinct rows: the same row space)."""
     f, M = rep.matrix.field, rep.matrix.data
     rows = list(map(list, dict.fromkeys(map(tuple, M))))
-    assert rep.rank == dense_rref(f, rows)[1]
-    assert rep.nullspace == dense_nullspace(f, rows, rep.matrix.cols)
+    R, rank, pivots = dense_rref(f, rows)
+    assert rep.rank == rank
+    assert rep.nullspace == rref_nullspace(f, R, pivots, rep.matrix.cols)
     for name, flag in rep.flags.items():
         vec = [f.coerce(c) for c in
                mu_vector(catalog_entry(name).poly, rep.monomials)]

@@ -4,7 +4,11 @@ one of them must fail here, not only in a traced run."""
 import importlib.util
 import inspect
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+from tortken import algebras, identcheck
+from tortken.freepoly import catalog_entry
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -51,3 +55,18 @@ def test_tracer_installs_and_restores_every_wrapped_name():
     after = _namespaces()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_q_window_sweep_products_are_counted():
+    # a Q sweep multiplies on D*A, an algebra of A's class, so the traced
+    # run counts its products through the wrapped `GradedAlgebra.mul`
+    spans = _load_spans()
+    A = algebras.osborn_laurent(Fraction(1, 2), 0, -6, 6)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        identcheck.check_identity_windowed(catalog_entry("tortken").poly, A,
+                                           range(-2, 3))
+    finally:
+        tracer.uninstall()
+    assert tracer.mul_by_module["identcheck"] > 0
