@@ -128,10 +128,12 @@ class _Program:
 
     def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
-        all node values, or None when a product escapes the window.  Only the
-        nodes whose last leaf is at or after the first position that differs
-        from the previous substitution are computed again, in one list that
-        is yielded each time, so read it before the next."""
+        all node values, or None when a product escapes the window.  A
+        position may hold a vector id (`_Products.vector`), on a closed
+        algebra: the nodes above it are then vectors, or 0 on a zero operand.
+        Only the nodes whose last leaf is at or after the first position
+        changed since the previous substitution are computed again, in one
+        list yielded each time: read it before the next."""
         n = self.n
         tails = [self.products[k:] for k in self.first]
         val = [0] * (n + len(self.products))
@@ -656,37 +658,45 @@ def degree3_system() -> Degree3System:
     return Degree3System(m, abs(m.det()), m3, not f3.is_zero(m3.det()))
 
 
-def _basis_values(poly: FreePoly, A: Algebra, assigns: Iterable) -> Iterable[dict]:
-    """poly's value in the closed algebra A at each tuple of basis indices,
-    all on one `_Products` cache and combined once per tuple of term values;
-    each is a new dict, which the caller may change."""
-    prog, prod = _Program([poly], A.field), _Products(A)
-    terms = prog.terms[0]
-    basis = [prod.intern(A.basis(i)) for i in A.indices]
-    combined: dict = {}  # term value ids -> the value
-    for val in prog.runs(prod, ([basis[i] for i in t] for t in assigns)):
-        if (got := combined.get(at := tuple([val[i] for _, i in terms]))) is None:
-            got = combined[at] = _combine(
-                terms, {i: prod.els[val[i]] for _, i in terms}, A.field)
-        yield dict(got)
-
-
 def tortken_prime_relation(m: int) -> CheckOutcome:
     """Exhaustively compare the extra degree-4 polynomial against twice the
     third derivative of the fourfold associative product, over char-3 divided
-    powers of exponent m with the product a*b = D(ab)."""
+    powers of exponent m with the product a*b = D(ab).
+
+    Per prefix (a, b, c) of basis indices in lex order, with d bound to every
+    basis element as one vector on a `_Products` cache per side: a prefix
+    whose vector ids (tortken_prime's terms on A, (ab)(cd) on O) held before
+    holds again, and a new one is walked d by d, each distinct pair of ids
+    combined once, so the first failure met is the lex-least."""
     O = divided_power(3, m)
     A = derivation_symmetric(O, standard_derivation(O))
-    entry = catalog_entry("tortken_prime")
-    v = entry.variables  # the reference side (v0 v1)(v2 v3) is taken in O
+    tp = catalog_entry("tortken_prime").poly
+    v = tp.variables  # the reference side (v0 v1)(v2 v3) is taken in O
     quad = FreePoly.monomial(((v[0], v[1]), (v[2], v[3])), v)
-    assigns = list(itertools.product(range(O.dim), repeat=4))
-    sides = zip(_basis_values(entry.poly, A, assigns), _basis_values(quad, O, assigns))
-    for checked, (assign, (diff, ref)) in enumerate(zip(assigns, sides), 1):
-        for t, c in ref.items():  # minus 2 * D^3(quad)
-            if t >= 3:
-                diff[t - 3] = diff.get(t - 3, 0) - 2 * c
-        if diff := A.field.canonical(diff):
-            witness = {x: A.basis(i) for x, i in zip(v, assign)}
-            return CheckOutcome(FAILS, checked, 0, witness, diff, entry.poly)
-    return CheckOutcome(HOLDS, O.dim ** 4, 0)
+    prefixes = list(itertools.product(range(dim := O.dim), repeat=3))
+
+    def values(poly: FreePoly, B: Algebra):  # terms, cache, node ids per prefix
+        prog, prod = _Program([poly], B.field), _Products(B)
+        ids = [prod.intern(B.basis(i)) for i in B.indices]
+        every = prod.vector(tuple(ids))
+        return prog.terms[0], prod, prog.runs(
+            prod, ([ids[a], ids[b], ids[c], every] for a, b, c in prefixes))
+
+    terms, pa, lhs = values(tp, A)
+    ((_, root),), po, rhs = values(quad, O)
+    nodes = [i for _, i in terms]
+    held, vanishing = set(), set()  # keys and pairs at which the sides agree
+    for n, (la, lo) in enumerate(zip(lhs, rhs)):
+        if (key := (tuple([la[i] for i in nodes]), lo[root])) in held:
+            continue
+        for d, pair in enumerate(zip(zip(*map(pa.column, key[0])), po.column(key[1]))):
+            if pair in vanishing:
+                continue
+            val = {i: pa.els[t] for i, t in zip(nodes, pair[0])}
+            val[-1] = {t - 3: x for t, x in po.els[pair[1]].items() if t >= 3}
+            if diff := _combine(terms + [(-2, -1)], val, A.field):  # - 2 D^3
+                witness = {x: A.basis(i) for x, i in zip(v, (*prefixes[n], d))}
+                return CheckOutcome(FAILS, n * dim + d + 1, 0, witness, diff, tp)
+            vanishing.add(pair)
+        held.add(key)
+    return CheckOutcome(HOLDS, dim ** 4, 0)

@@ -1,6 +1,6 @@
-"""Reference elimination for the tests: the dense, Field-call RREF that
-`Matrix.rref` used before it ran on `exactnum.Echelon`, kept here so the
-kernel is checked against an independent implementation."""
+"""Reference elimination for the tests, written apart from `exactnum.Echelon`
+(dense rows in, dense RREF out, plain Field calls or ints), so the kernel is
+checked against an independent implementation."""
 
 import math
 from fractions import Fraction
@@ -11,43 +11,58 @@ from tortken.exactnum import Field
 def dense_rref(f: Field, data) -> tuple[list, int, tuple]:
     """(R rows, rank, pivot columns) of the matrix with the given rows.
 
-    Deterministic: scan columns left to right, pick the topmost nonzero row.
-    Over Q the rows are eliminated as primitive integer rows, fraction-free,
-    and only the returned R holds `Fraction`s: each row of the RREF is its
-    primitive integer row divided by its pivot entry.
+    Gauss–Jordan one row at a time.  The rows found so far are kept reduced
+    and sparse, by pivot column, each zero at every other pivot column, so a
+    new row is reduced against all of them in one pass: dropped if that
+    leaves it zero, else made a reduced row at its first nonzero column and
+    cleared from the others there.  Over Q the rows are primitive integer
+    rows, fraction-free (one pass scales the new row by the lcm of the pivot
+    entries it meets), and only the returned R holds `Fraction`s: each row
+    of the RREF is its primitive integer row divided by its pivot entry.
     """
     m = [[f.coerce(x) for x in row] for row in data]
-    if not f.char:
-        m = [_primitive([(x * d).numerator for x in row])
+    p, cols = f.char, (len(m[0]) if m else 0)
+    if not p:
+        m = [_primitive([x.numerator * (d // x.denominator) for x in row])
              for row in m for d in [math.lcm(*(x.denominator for x in row))]]
-    rows, cols = len(m), (len(m[0]) if m else 0)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not f.is_zero(m[i][c])), None)
-        if pr is None:
+    reduced: dict = {}  # pivot column -> {column: nonzero entry}
+    for row in m:
+        hits = [(c, row[c]) for c in reduced if row[c]]
+        scale = 1 if p else math.lcm(*(reduced[c][c] for c, _ in hits))
+        row = [scale * x for x in row]
+        for c, q in hits:  # over F_p the pivot entry is 1
+            q = q if p else q * (scale // reduced[c][c])
+            for j, y in reduced[c].items():
+                row[j] -= q * y
+        row = [x % p for x in row] if p else _primitive(row)
+        if (c := next((j for j, x in enumerate(row) if x), None)) is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        if f.char:
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and not f.is_zero(m[i][c]):
-                q = m[i][c]
-                if f.char:
-                    m[i] = [f.sub(x, f.mul(q, y)) for x, y in zip(m[i], m[r])]
-                else:  # pv m_i - q m_r clears column c; pv, q coprime
-                    g = math.gcd(pv := m[r][c], q)
-                    pv, q = pv // g, q // g
-                    m[i] = _primitive([pv * x - q * y for x, y in zip(m[i], m[r])])
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    if not f.char:
-        m = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)] + [
-            [f.zero] * cols for _ in m[len(pivots):]]
-    return m, r, tuple(pivots)
+        if p:
+            inv = f.inv(row[c])
+            row = [inv * x % p for x in row]
+        new = {j: x for j, x in enumerate(row) if x}
+        for k, old in reduced.items():
+            if old.get(c):
+                reduced[k] = _clear(old, new, c, p)
+        reduced[c] = new
+    pivots = tuple(sorted(reduced))
+    R = [[Fraction(reduced[c].get(j, 0), reduced[c][c]) if not p
+          else reduced[c].get(j, 0) for j in range(cols)] for c in pivots]
+    return R + [[f.zero] * cols for _ in m[len(R):]], len(R), pivots
+
+
+def _clear(old: dict, new: dict, c: int, p: int) -> dict:
+    """The reduced row `old` less the multiple of `new` that clears column
+    c: over F_p, where new[c] is 1, or over Q as a primitive integer row."""
+    v, q = 1, old[c]
+    if not p:  # new[c] old - old[c] new, divided by their gcd
+        g = math.gcd(v := new[c], q)
+        v, q = v // g, q // g
+    out = {j: v * old.get(j, 0) - q * new.get(j, 0) for j in old.keys() | new.keys()}
+    if p:
+        return {j: x % p for j, x in out.items() if x % p}
+    g = math.gcd(*out.values())  # out[old's pivot] is not 0
+    return {j: x // g for j, x in out.items() if x}
 
 
 def _primitive(row: list) -> list:
@@ -89,12 +104,13 @@ def dense_solve(f: Field, data, rhs, cols: int):
 
 
 def dense_mul_vec(f: Field, data, v) -> list:
-    """M v with plain Field calls."""
+    """M v with plain Field calls, over the nonzero entries of v."""
+    v = [(j, b) for j, b in enumerate(map(f.coerce, v)) if not f.is_zero(b)]
     out = []
     for row in data:
         acc = f.zero
-        for a, b in zip(row, v):
-            acc = f.add(acc, f.mul(f.coerce(a), f.coerce(b)))
+        for j, b in v:
+            acc = f.add(acc, f.mul(f.coerce(row[j]), b))
         out.append(acc)
     return out
 

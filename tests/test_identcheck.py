@@ -379,6 +379,56 @@ def test_tortken_prime():
     assert evaluate(tp, _dsym(3, 2), out.witness) == out.value
 
 
+def _relation_sides(O, D, tuples):
+    """Per tuple of basis indices, the two sides of the tortken_prime
+    relation, each by one `evaluate`: tortken_prime on a*b = D(ab), and
+    2 D^3((ab)(cd)) in O, with D^3 the shift x^(k) -> x^(k-3)."""
+    A = derivation_symmetric(O, D)
+    entry = catalog_entry("tortken_prime")
+    v = entry.variables
+    quad = FreePoly.monomial(((v[0], v[1]), (v[2], v[3])), v)
+    for t in tuples:
+        lhs = evaluate(entry.poly, A, {x: A.basis(i) for x, i in zip(v, t)})
+        ref = evaluate(quad, O, {x: O.basis(i) for x, i in zip(v, t)})
+        yield t, lhs, O.field.canonical({k - 3: 2 * c for k, c in ref.items()
+                                         if k >= 3})
+
+
+def test_tortken_prime_relation_matches_evaluate():
+    # every basis tuple at m = 1 and a seeded sample at m = 2, both sides on
+    # the one-binding path; the sweep holds on both (test_tortken_prime)
+    rng = random.Random(29)
+    for m, tuples in ((1, itertools.product(range(3), repeat=4)),
+                      (2, [tuple(rng.randrange(9) for _ in range(4))
+                           for _ in range(300)])):
+        O = divided_power(3, m)
+        for t, lhs, rhs in _relation_sides(O, standard_derivation(O), tuples):
+            assert lhs == rhs, t
+
+
+def test_tortken_prime_relation_fails_under_a_doubled_derivation(monkeypatch):
+    # 2D is a derivation too, so derivation_symmetric takes it; the relation
+    # still holds at m = 1 and fails at m = 2 on the lex-least tuple of a
+    # brute-force scan, with `checked` its rank
+    def doubled(O):
+        D = standard_derivation(O)
+        return lambda i: {k: 2 * c for k, c in D(i).items()}
+
+    monkeypatch.setattr(identcheck, "standard_derivation", doubled)
+    assert tortken_prime_relation(1).verdict == HOLDS
+    out = tortken_prime_relation(2)
+    O = divided_power(3, 2)
+    x0, x3 = O.basis(0), O.basis(3)
+    assert (out.verdict, out.checked, out.skipped) == (FAILS, 4, 0)
+    assert out.witness == {"a": x0, "b": x0, "c": x0, "d": x3}
+    assert out.value == {0: 2}  # 2 x^(0)
+    scan = _relation_sides(O, doubled(O), itertools.product(range(9), repeat=4))
+    rank, (t, lhs, rhs) = next((r, s) for r, s in enumerate(scan, 1) if s[1] != s[2])
+    assert (rank, t) == (4, (0, 0, 0, 3))
+    assert O.field.canonical({k: lhs.get(k, 0) - rhs.get(k, 0)
+                              for k in lhs.keys() | rhs.keys()}) == out.value
+
+
 def operator_identity_check(A, a1: dict, a2: dict, a3: dict) -> bool:
     """Whether the alternating sum of composed right multiplications
     r_{s(1)} r_{s(2)} r_{s(3)} over Sym_3 vanishes as an operator (an oracle
@@ -797,7 +847,8 @@ def test_each_operand_pair_is_multiplied_once(monkeypatch):
     monkeypatch.setattr(identcheck, "derivation_symmetric", built)
     calls = [lambda: check_identity(TORTKEN, A),
              lambda: check_identity_windowed(TORTKEN, L, range(-2, 3)),
-             lambda: tortken_prime_relation(1)]
+             lambda: tortken_prime_relation(1),
+             lambda: tortken_prime_relation(2)]
     for degree in (4, 5):
         subs = [tuple(B.basis(i) for i in t)
                 for t in itertools.product(range(B.dim), repeat=degree)]
