@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactnum import Echelon, Field, Matrix, OutOfRangeError, binomial, is_prime
+from .exactnum import Echelon, Field, Matrix, OutOfRangeError, binomial, combine, is_prime
 from .freepoly import catalog_entry
 
 
@@ -66,19 +66,6 @@ class PrereqIdentityFailsError(ValueError):
         self.identity = identity
         self.witness = witness
 
-
-def el_add(field: Field, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return field.canonical(out)
-
-def el_sub(field: Field, a: dict, b: dict) -> dict:
-    return el_add(field, a, el_scale(field, -1, b))
-
-def el_scale(field: Field, c, a: dict) -> dict:
-    c = field.coerce(c)
-    return field.canonical({k: c * v for k, v in a.items()})
 
 class Algebra:
     """An algebra on a finite tuple of basis indices, given by its product
@@ -414,10 +401,7 @@ def standard_derivation(A: Algebra):
 
 
 def _apply(field: Field, D, e: dict) -> dict:
-    out: dict = {}
-    for k, c in e.items():
-        out = el_add(field, out, el_scale(field, c, D(k)))
-    return out
+    return combine(field, ((c, D(k)) for k, c in e.items()))
 
 
 def validate_derivation(A: Algebra, D) -> None:
@@ -433,7 +417,7 @@ def validate_derivation(A: Algebra, D) -> None:
                 continue
             try:
                 lhs = _apply(f, D, A.mul(a, b))
-                rhs = el_add(f, A.mul(da, b), A.mul(a, db))
+                rhs = combine(f, ((1, A.mul(da, b)), (1, A.mul(a, db))))
             except OutOfWindowError:
                 continue
             if lhs != rhs:

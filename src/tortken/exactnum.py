@@ -193,6 +193,19 @@ class Field:
         return "Q" if self.char == 0 else f"F{self.char}"
 
 
+def combine(field, pairs) -> dict:
+    """The sum of c * e over the (scalar, sparse element) pairs, made
+    canonical by `field.canonical`: every linear combination of sparse
+    elements.  Each c is an int or a scalar of the field, as no coercion
+    runs on the sweeps' hot path; only `canonical` is read, so the int
+    scalars of D*A (`identcheck._Integers`) serve as a field too."""
+    acc: dict = {}
+    for c, e in pairs:
+        for k, v in e.items():
+            acc[k] = acc.get(k, 0) + c * v
+    return field.canonical(acc)
+
+
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; 0 outside 0 <= k <= n."""
     if n < 0:

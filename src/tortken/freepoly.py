@@ -304,7 +304,7 @@ class _Parser:
             poly = self.expr()
             self.eat(")")
             return poly
-        if ch.isdigit():
+        if ch.isdecimal():
             return self.number()
         if ch.isalpha() or ch == "_":
             return self.name()
@@ -312,15 +312,15 @@ class _Parser:
 
     def number(self) -> Fraction:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         num = int(self.text[start:self.pos])
         save = self.pos
         if self.peek() == "/":
             self.eat("/")
-            if self.peek().isdigit():
+            if self.peek().isdecimal():
                 dstart = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                     self.pos += 1
                 den = int(self.text[dstart:self.pos])
                 if not den:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import Echelon, Field, Matrix
+from .exactnum import Echelon, Field, Matrix, combine
 from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError, _of_class,
                        divided_power, derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog_entry, commutative_basis, mu_vector,
@@ -124,7 +124,8 @@ class _Program:
         val = list(elements) + [None] * len(self.products)
         for i, l, r in self.products:
             val[i] = A.mul(val[l], val[r])
-        return [_combine(terms, val, A.field) for terms in self.terms]
+        return [combine(A.field, ((c, val[i]) for c, i in terms))
+                for terms in self.terms]
 
     def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
@@ -205,15 +206,6 @@ class _Products(dict):
                 got = _ESCAPED
         self[pair] = got
         return got
-
-
-def _combine(terms: list, val: list, field: Field) -> dict:
-    """The sum of coefficient * val[node] over the terms, canonical."""
-    acc: dict = {}
-    for c, i in terms:
-        for k, v in val[i].items():
-            acc[k] = acc.get(k, 0) + c * v
-    return field.canonical(acc)
 
 
 class _Integers:
@@ -307,7 +299,7 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
             for prev, pos in zip(block, block[1:]):
                 after[pos] = prev
     levels = [prog.products[a:b] for a, b in zip(prog.first, prog.first[1:])]
-    nodes = [i for _, i in terms]
+    coefs, nodes = [c for c, _ in terms], [i for _, i in terms]
     vanishing: set = set()  # tuples of term value ids at which the law is 0
     known: dict = {}  # start -> {term ids of a vanishing prefix: counts}
     val: list = [0] * (n + len(prog.products))
@@ -344,8 +336,7 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
             orbits += 1
             if ts in vanishing:
                 continue
-            value = _combine(terms, {i: prod.els[t] for i, t in zip(nodes, ts)},
-                             B.field)
+            value = combine(B.field, zip(coefs, map(prod.els.__getitem__, ts)))
             if value:
                 if not f.char:
                     value = {k: Fraction(v, scale) for k, v in value.items()}
@@ -419,13 +410,14 @@ def check_identity(poly: FreePoly, A: Algebra) -> CheckOutcome:
 
 def check_identity_windowed(poly: FreePoly, A: Algebra,
                             index_range: Iterable) -> CheckOutcome:
-    """`check_identity` over the span of the window indices in index_range:
-    escaping assignments are skipped and counted, and the verdict is
-    Inconclusive when nothing was evaluable."""
+    """`check_identity` over the span of the window indices in index_range,
+    each named once: escaping assignments are skipped and counted, and the
+    verdict is Inconclusive when nothing was evaluable."""
     idx = list(index_range)
-    bad = [i for i in idx if i not in A.position]
-    if bad:
+    if bad := [i for i in idx if i not in A.position]:
         raise ValueError(f"indices {bad} outside the window")
+    if twice := [i for i, k in Counter(idx).items() if k > 1]:
+        raise ValueError(f"indices {twice} repeated in the window range")
     return _check(poly, A, idx)
 
 
@@ -684,7 +676,7 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
 
     terms, pa, lhs = values(tp, A)
     ((_, root),), po, rhs = values(quad, O)
-    nodes = [i for _, i in terms]
+    coefs, nodes = [c for c, _ in terms] + [-2], [i for _, i in terms]  # -2 D^3
     held, vanishing = set(), set()  # keys and pairs at which the sides agree
     for n, (la, lo) in enumerate(zip(lhs, rhs)):
         if (key := (tuple([la[i] for i in nodes]), lo[root])) in held:
@@ -692,9 +684,9 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
         for d, pair in enumerate(zip(zip(*map(pa.column, key[0])), po.column(key[1]))):
             if pair in vanishing:
                 continue
-            val = {i: pa.els[t] for i, t in zip(nodes, pair[0])}
-            val[-1] = {t - 3: x for t, x in po.els[pair[1]].items() if t >= 3}
-            if diff := _combine(terms + [(-2, -1)], val, A.field):  # - 2 D^3
+            shifted = {t - 3: x for t, x in po.els[pair[1]].items() if t >= 3}
+            els = [*map(pa.els.__getitem__, pair[0]), shifted]
+            if diff := combine(A.field, zip(coefs, els)):
                 witness = {x: A.basis(i) for x, i in zip(v, (*prefixes[n], d))}
                 return CheckOutcome(FAILS, n * dim + d + 1, 0, witness, diff, tp)
             vanishing.add(pair)

@@ -1,20 +1,20 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tortken.exactnum import Field, OutOfRangeError, binomial
+from tortken.exactnum import Field, OutOfRangeError, binomial, combine
 from tortken.freepoly import catalog_entry, parse
-from tortken.identcheck import evaluate
+from tortken.identcheck import _integral, evaluate
 from tortken import algebras
 from tortken.algebras import (FiniteAlgebra, GradedAlgebra, NotADerivationError,
                               NotClosedError, OutOfWindowError,
                               PrereqIdentityFailsError, algebra_from_spec,
                               builtin_algebra, derivation_novikov,
-                              derivation_symmetric, divided_power, el_add,
-                              el_scale, el_sub,
-                              gametic, integration_product, minus, opposite,
+                              derivation_symmetric, divided_power, gametic,
+                              integration_product, minus, opposite,
                               osborn, osborn_bar, osborn_bar_finite,
                               osborn_bar_laurent, osborn_bar_laurent_beta,
                               osborn_laurent, osborn_plus_explicit, p2_product,
@@ -214,9 +214,7 @@ def test_osborn_bar_laurent_beta_solves_in_the_y_basis(beta):
                                else {t: 1})
     for i in A.indices:
         for j in A.indices:
-            got = {}
-            for t, c in A.product(i, j):
-                got = el_add(Q, got, el_scale(Q, c, in_x(t)))
+            got = combine(Q, ((c, in_x(t)) for t, c in A.product(i, j)))
             assert got == L.mul(in_x(i), in_x(j)), (i, j)
 
 
@@ -282,8 +280,7 @@ def test_plus_minus_opposite():
     for i in range(3):
         for j in range(3):
             assert doubled.mul(doubled.basis(i), doubled.basis(j)) == \
-                el_add(O.field, O.mul(O.basis(i), O.basis(j)),
-                       O.mul(O.basis(i), O.basis(j)))
+                combine(O.field, [(2, O.mul(O.basis(i), O.basis(j)))])
     zero = minus(O)
     assert all(zero.mul(zero.basis(i), zero.basis(j)) == {}
                for i in range(3) for j in range(3))
@@ -467,8 +464,8 @@ def test_functors_match_their_definitions(pair):
     A, W = pair
     f = A.field
     ab = lambda i, j: W.mul(W.basis(i), W.basis(j))
-    _assert_agrees(plus(A), A, lambda i, j: el_add(f, ab(i, j), ab(j, i)))
-    _assert_agrees(minus(A), A, lambda i, j: el_sub(f, ab(i, j), ab(j, i)))
+    _assert_agrees(plus(A), A, lambda i, j: combine(f, [(1, ab(i, j)), (1, ab(j, i))]))
+    _assert_agrees(minus(A), A, lambda i, j: combine(f, [(1, ab(i, j)), (-1, ab(j, i))]))
     _assert_agrees(opposite(A), A, lambda i, j: ab(j, i))
     assert plus(A).labels == A.labels
     assert A.closed == all(all(k in A.position for k in ab(i, j))
@@ -534,12 +531,15 @@ def test_sparse_sums_are_canonical_and_match_a_dense_oracle(case):
 
     X, Y, Z = map(A.dense, (x, y, z))
     got = [(A.mul(x, y), mul(X, Y)),
-           (el_add(f, x, y), [f.add(a, b) for a, b in zip(X, Y)]),
-           (el_sub(f, x, y), [f.sub(a, b) for a, b in zip(X, Y)]),
-           (el_scale(f, c, x), [f.mul(f.coerce(c), a) for a in X]),
-           (el_sub(f, x, x), [f.zero] * n),  # these four cancel
-           (el_add(f, x, el_scale(f, -1, x)), [f.zero] * n),
-           (el_scale(f, 0, x), [f.zero] * n),
+           (combine(f, [(1, x), (1, y)]), [f.add(a, b) for a, b in zip(X, Y)]),
+           (combine(f, [(1, x), (-1, y)]), [f.sub(a, b) for a, b in zip(X, Y)]),
+           (combine(f, [(c, x)]), [f.mul(f.coerce(c), a) for a in X]),
+           (combine(f, ((c, e) for e in (x, y, z))),  # a generator
+            [f.mul(f.coerce(c), f.add(f.add(a, b), d)) for a, b, d in zip(X, Y, Z)]),
+           (combine(f, []), [f.zero] * n),  # the empty sum, then four that cancel
+           (combine(f, [(1, x), (-1, x)]), [f.zero] * n),
+           (combine(f, [(1, x), (1, combine(f, [(-1, x)]))]), [f.zero] * n),
+           (combine(f, [(0, x)]), [f.zero] * n),
            (evaluate(_SUM_POLYS[0], A, {"a": x, "b": x}), [f.zero] * n)]
     for poly in _SUM_POLYS:
         at = {"a": x, "b": y, "c": z}
@@ -548,6 +548,14 @@ def test_sparse_sums_are_canonical_and_match_a_dense_oracle(case):
     for e, dense in [(x, X), (y, Y), (z, Z)] + got:
         assert _is_canonical(f, e), e
         assert e == {k: v for k, v in enumerate(dense) if not f.is_zero(v)}
+    if not f.char:  # over the int scalars of D*A a sum stays in plain ints
+        E = math.lcm(*(v.denominator for v in X + Y))
+        XI, YI = ([(v * E).numerator for v in V] for V in (X, Y))
+        e = combine(_integral(A)[0].field,
+                    [(c.numerator, dict(enumerate(XI))), (-2, dict(enumerate(YI)))])
+        assert all(type(v) is int for v in e.values()), e
+        assert e == {k: v for k, v in enumerate(c.numerator * a - 2 * b
+                                                  for a, b in zip(XI, YI)) if v}
 
 
 def _truncated_integration(n: int) -> FiniteAlgebra:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import inspect
 import io
@@ -849,6 +850,15 @@ def test_readme_cli_examples(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == want, (line, err)
         assert out
+
+
+def test_no_assert_in_the_library():
+    # python -O strips asserts, so every check in src/tortken raises explicitly
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
 
 
 @pytest.mark.parametrize("builtin", ["osborn", "osborn-plus"])

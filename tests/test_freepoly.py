@@ -71,6 +71,16 @@ def test_parse_errors():
     assert err.value.pos == 0
 
 
+@pytest.mark.parametrize("text, pos", [("2\u00b2*a", 1), ("\u00b2*a", 0),
+                                       ("a*a + 1/2\u00b9*a", 9)])
+def test_digits_int_rejects_are_parse_errors(text, pos):
+    # superscripts are digits to str.isdigit but not to int(): a ParseError
+    # with its position, not int()'s bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse(text, ("a",))
+    assert err.value.pos == pos
+
+
 @pytest.mark.parametrize("text", ["-" * 5000 + "a*a",
                                   "(" * 2000 + "a*a" + ")" * 2000])
 def test_deep_nesting_is_a_parse_error(text):

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -85,6 +86,16 @@ def test_check_identity_windowed():
     assert out.verdict == INCONCLUSIVE and out.checked == 0 and out.skipped == 16
     with pytest.raises(ValueError):
         check_identity_windowed(TORTKEN, I, [40])
+
+
+@pytest.mark.parametrize("index_range, repeated", [([0, 0], [0]),
+                                                    ([0, 1, 2, 2], [2]),
+                                                    ([3, 1, 3, 1], [3, 1])])
+def test_check_identity_windowed_rejects_repeated_indices(index_range, repeated):
+    # a repeated index would sweep its basis element twice and inflate
+    # checked (16 on the 1-dimensional span of [0, 0])
+    with pytest.raises(ValueError, match=re.escape(f"indices {repeated} repeated")):
+        check_identity_windowed(TORTKEN, integration_product(12), index_range)
 
 
 def test_check_identity_on_a_window_is_window_relative():
