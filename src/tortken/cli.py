@@ -14,8 +14,8 @@ import sys
 
 from . import algebras, idealtool
 from .algebras import Algebra, builtin_algebra, algebra_from_spec
-from .freepoly import (DegreeOutOfRangeError, PolarizationTooLargeError,
-                       catalog_entry, parse)
+from .exactnum import OutOfRangeError
+from .freepoly import DegreeOutOfRangeError, catalog_entry, parse
 from .identcheck import (FAILS, HOLDS, INCONCLUSIVE, SUBSTITUTION_BUDGET,
                          check_identity, check_identity_windowed, degree3_system,
                          evaluate, identity_space, reference_deg4_report,
@@ -211,8 +211,6 @@ def cmd_check(args) -> int:
                  f"scope: {scope}",
                  f"verdict: {out.verdict} (checked {out.checked}, "
                  f"skipped {out.skipped})"]
-        if out.caveat:
-            lines.append(f"caveat: {out.caveat}")
         if law:
             lines.append(f"law: {law}")
         if out.witness is not None:
@@ -450,8 +448,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(_join_ranges(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
-    except (UsageError, DegreeOutOfRangeError,
-            PolarizationTooLargeError) as exc:
+    except (UsageError, DegreeOutOfRangeError, OutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,9 @@
 """Identity checking: evaluation, exhaustive sweeps, identity spaces.
 
 Every polynomial law is decided by `check_identity` (or, on part of a window,
-`check_identity_windowed`) with one deterministic sweep: where polarization is
-exact (multilinear law, char 0, char > degree) each full polarization is swept
-on basis tuples; otherwise the law itself is swept on every element of a small
-span, or on basis tuples with `inconclusive` where they do not decide.  Every
-failing witness is re-evaluated.  Verdicts on graded windows are always
+`check_identity_windowed`): a multilinear law by one sweep of basis tuples,
+any other, in every characteristic, by its coordinate expansion (`_expand`).
+Every failing witness is re-evaluated.  Verdicts on graded windows are always
 window-relative.
 Every evaluation runs one compiled form, `_Program`, either on one binding of
 all variables (`_Program.run`), or on the ids of a per-call cache of values
@@ -32,17 +30,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field as _dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import Echelon, Field, Matrix, combine
+from .exactnum import Echelon, Field, Matrix, OutOfRangeError, combine
 from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError, _of_class,
                        divided_power, derivation_symmetric, standard_derivation)
-from .freepoly import (FreePoly, catalog_entry, commutative_basis, mu_vector,
-                       polarize, symmetry_blocks, tree_degree, tree_format,
-                       tree_leaves)
+from .freepoly import (FreePoly, catalog_entry, commutative_basis,
+                       multidegree_components, mu_vector, relabel_leaves,
+                       symmetry_blocks, tree_degree, tree_format, tree_leaves)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -62,7 +60,6 @@ class CheckOutcome:
     witness: dict | None = None          # variable name -> element
     value: dict | None = None            # the nonzero evaluation
     witness_poly: FreePoly | None = None  # what the witness falsifies
-    caveat: str | None = None
     orbits: int = 0  # assignments evaluated; `checked` counts whole orbits
 
     @property
@@ -73,8 +70,6 @@ class CheckOutcome:
         fmt = A.fmt_element if A is not None else (lambda e: repr(e))
         out = {"verdict": self.verdict, "checked": self.checked,
                "skipped": self.skipped}
-        if self.caveat:
-            out["caveat"] = self.caveat
         if self.witness is not None:
             out["witness"] = {v: fmt(e) for v, e in self.witness.items()}
             out["value"] = fmt(self.value)
@@ -352,51 +347,162 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
                         orbits=orbits)
 
 
-# The most assignments of every element swept in small characteristic.
-FULL_SWEEP_BOUND = 20000
+def _nonzero_point(classes: dict, f: Field, tries: int) -> tuple[dict, dict]:
+    """A point where sum c^m classes[m] is nonzero, and the sum there; a
+    monomial m is a frozenset of (coordinate, exponent) pairs.  Each
+    coordinate in turn takes the least t in range(tries) that keeps the sum
+    nonzero, which exists when tries exceeds every exponent, or is p over
+    F_p with every exponent below p (Alon, Lemma 2.1)."""
+    point: dict = {}
+    for at in sorted({c for m in classes for c, _ in m}):
+        for t in range(tries):
+            rest = defaultdict(list)  # the sum with c_at = t, by monomial
+            for m, value in classes.items():
+                e = dict(m).get(at, 0)
+                rest[m - {(at, e)}].append((t ** e, value))
+            summed = {m: combine(f, pairs) for m, pairs in rest.items()}
+            rest = {m: value for m, value in summed.items() if value}
+            if rest:
+                break
+        point[at], classes = t, rest
+    return point, classes.get(frozenset(), {})
+
+
+def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
+    """Decide a law that is not multilinear by its coordinate expansion.
+
+    Put x_v = sum_i c_(v,i) e_i.  A multidegree component with the k-th leaf
+    of each v renamed to a position of its own is multilinear, and the
+    component is the sum over basis tuples s of c^s times its value at e_s.
+    So each monomial in the c, a class keyed per variable by (basis id,
+    exponent) pairs, has a sum of tuple values as coefficient.  Over F_p the
+    exponents fold, c^k = c^((k - 1) mod (p - 1) + 1), and a polynomial of
+    degree < p in each variable that is 0 on F_p^N is 0 (Alon, Lemma 2.1):
+    the law holds exactly when every class sums to 0.  On a window a class
+    with an escaped tuple is undecided; the law fails when a decided class
+    is nonzero, and holds when none is and each component has one.
+
+    The witness is a point of the law: the failing classes are tried fewest
+    pairs first, then least key, each with no undecided class on its
+    support, at the `_nonzero_point` of the classes on that support; on a
+    window the first point where the law evaluates.  Where none does, it is
+    the least failing class: the part of the law with x_v = v + v' + ...,
+    one name per basis element of v in the class, of the class's degree in
+    each name, at those elements, whose value is the class sum.  Over Q it
+    runs on D*A, each component scaled by `_scaled`."""
+    f, p = A.field, A.field.char
+    parts = sorted(multidegree_components(poly).items())
+    count = sum(len(indices) ** sum(sig) for sig, _ in parts)
+    if count > SUBSTITUTION_BUDGET:
+        raise OutOfRangeError(f"expanding the law takes {count} basis tuples, more "
+                              f"than SUBSTITUTION_BUDGET = {SUBSTITUTION_BUDGET}")
+    els = [A.basis(i) for i in indices]
+    B, D = (A, 1) if p else _integral(A)
+    prod = _Products(B)
+
+    def exponents(ids: tuple) -> tuple:
+        """One variable's (basis id, exponent) pairs over its positions' ids,
+        an exponent k folded to (k - 1) mod (p - 1) + 1 over F_p."""
+        pairs = sorted(Counter(ids).items())
+        return tuple((i, (k - 1) % (p - 1) + 1 if p else k) for i, k in pairs)
+
+    coefs, scales = [], []  # per component, on B, and B's value over A's
+    sums: dict = {}  # class -> {(component, term ids) or None: tuples}
+    for q, (sig, terms) in enumerate(parts):
+        ends = list(itertools.accumulate(sig, initial=0))
+        spans = list(zip(ends, ends[1:]))
+        names = {v: [f"t{k + 1}" for k in range(a, b)]
+                 for v, (a, b) in zip(poly.variables, spans)}
+        part = FreePoly([f"t{k + 1}" for k in range(ends[-1])], {
+            relabel_leaves(t, {v: iter(ns) for v, ns in names.items()}): c
+            for t, c in terms.items()})
+        prog = _Program([part], f)
+        cs, ints, scale = (prog.terms[0], els, 1) if p else _scaled(
+            part, prog.terms[0], els, D)
+        coefs.append([c for c, _ in cs])
+        scales.append(scale)
+        ids = [prod.intern(e) for e in ints]
+        nodes = [i for _, i in prog.terms[0]]
+        per_variable = [[exponents(s) for s in itertools.product(ids, repeat=b - a)]
+                        for a, b in spans]
+        keys = itertools.product(*per_variable)  # in the order of subs
+        subs = itertools.product(ids, repeat=prog.n)
+        for key, val in zip(keys, prog.runs(prod, subs)):
+            got = sums.setdefault(key, {})
+            at = None if val is None else (q, tuple(map(val.__getitem__, nodes)))
+            got[at] = got.get(at, 0) + 1
+
+    values = {}  # each decided class's sum, in A
+    for key, got in sums.items():
+        if None in got:
+            continue
+        pairs = []
+        for (q, ys), n in got.items():
+            pairs += [(n * c, prod.els[y]) for c, y in zip(coefs[q], ys)]
+        value = combine(B.field, pairs)
+        # over Q the exponents are not folded: a class lies in one component
+        values[key] = value if p else {
+            i: Fraction(x, scales[q]) for i, x in value.items()}
+
+    def monomial(key) -> frozenset:  # of ((variable, basis id), exponent)
+        return frozenset(((v, i), e) for v, pairs in enumerate(key) for i, e in pairs)
+
+    def support(key) -> set:
+        return {c for c, _ in monomial(key)}
+
+    skipped = sum(got.get(None, 0) for got in sums.values())
+    checked = count - skipped
+    undecided = [support(key) for key, got in sums.items() if None in got]
+    failing = sorted((key for key, value in values.items() if value),
+                     key=lambda key: (sum(map(len, key)), key))
+    basis = dict(zip(ids, els))  # ids are the same in every component
+    for least in failing:
+        supp = support(least)
+        if any(u <= supp for u in undecided):
+            continue
+        point, value = _nonzero_point({
+            monomial(key): v for key, v in values.items() if support(key) <= supp},
+            f, p or poly.degree() + 1)
+        witness = {x: combine(f, [(t, basis[i]) for (v, i), t in point.items()
+                                  if v == w])
+                   for w, x in enumerate(poly.variables)}
+        try:
+            evaluate(poly, A, witness)
+        except OutOfWindowError:  # a product is taken before its zero factor
+            continue
+        return CheckOutcome(FAILS, checked, skipped, witness, value, poly,
+                            orbits=checked)
+    if failing:  # no point of the law evaluates: the class's linearization
+        least = failing[0]
+        fresh = {(w, i): x + "'" * n for w, x in enumerate(poly.variables)
+                 for n, (i, _) in enumerate(least[w])}
+        linear: Counter = Counter()
+        for sig, component in parts:
+            arrangements = [  # per variable, the orders of its ids in the class
+                [s for s in itertools.product([i for i, _ in least[w]], repeat=d)
+                 if exponents(s) == least[w]] for w, d in enumerate(sig)]
+            for s in itertools.product(*arrangements):
+                for t, c in component.items():
+                    leaves = {x: iter([fresh[w, i] for i in s[w]])
+                              for w, x in enumerate(poly.variables)}
+                    linear[relabel_leaves(t, leaves)] += c
+        witness = {fresh[c]: basis[c[1]] for c in support(least)}
+        return CheckOutcome(FAILS, checked, skipped, witness, values[least],
+                            FreePoly(sorted(fresh.values()), linear),
+                            orbits=checked)
+    decided = {q for key in values for q, _ in sums[key]}
+    verdict = HOLDS if len(decided) == len(parts) else INCONCLUSIVE
+    return CheckOutcome(verdict, checked, skipped, orbits=checked)
 
 
 def _check(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
-    """Decide poly over span(indices), window-relatively on a window.
-
-    Where polarization is exact (a multilinear law, char 0, char > degree)
-    the law holds exactly when each polarization holds on basis elements.
-    Otherwise the law itself is swept over every element of the span if
-    that is at most FULL_SWEEP_BOUND assignments, else over basis elements
-    and then, for a multihomogeneous law, its one polarization: an integer
-    combination of substitutions of the law, so its failure is the law's,
-    but its pass decides nothing.  A failing witness is re-evaluated."""
-    p, d = A.field.char, poly.degree()
-    slots = len(indices) * len(poly.variables)
-    laws, els = [poly], [A.basis(i) for i in indices]
-    decides, caveat = True, f"char {p} <= degree {d}: the law"
-    if poly.is_multilinear() or not 0 < p <= d:
-        laws, caveat = polarize(poly), None
-    elif p ** slots <= FULL_SWEEP_BOUND:
-        els = [{i: c for i, c in zip(indices, cs) if c}
-               for cs in itertools.product(range(p), repeat=len(indices))]
-        caveat += " swept on every element, not its polarizations"
-    else:
-        parts = polarize(poly)
-        if len(parts) == 1:  # multihomogeneous
-            laws.append(parts[0])
-            caveat += " and its polarization"
-        decides = False
-        caveat += (f" swept on basis elements only ({p}^{slots} assignments "
-                   f"of every element exceed {FULL_SWEEP_BOUND})")
-    checked = skipped = orbits = 0
-    for law in laws:  # to the first failure, counters summed
-        out = _sweep(law, A, els)
-        checked, skipped, orbits = (checked + out.checked, skipped + out.skipped,
-                                    orbits + out.orbits)
-        if out.verdict == FAILS:
-            break
-        decides = decides and out.verdict == HOLDS  # each part evaluated
-    else:
-        out.verdict = HOLDS if decides else INCONCLUSIVE
-    out.checked, out.skipped, out.orbits, out.caveat = checked, skipped, orbits, caveat
-    if (out.verdict == FAILS
-            and evaluate(out.witness_poly, A, out.witness) != out.value):
+    """Decide poly over span(indices), window-relatively on a window: a
+    multilinear law by `_sweep` on basis elements, any other by `_expand`,
+    counting basis tuples.  A failing witness is re-evaluated."""
+    out = (_sweep(poly, A, [A.basis(i) for i in indices]) if poly.is_multilinear()
+           else _expand(poly, A, indices))
+    if out.verdict == FAILS and (not out.value or evaluate(
+            out.witness_poly, A, out.witness) != out.value):
         raise UnsoundWitnessError(f"{A.name}: witness of "
                                   f"{out.witness_poly.format()} is unsound")
     return out
@@ -423,9 +529,9 @@ def check_identity_windowed(poly: FreePoly, A: Algebra,
 
 # -- identity spaces ----------------------------------------------------------
 
-# The most substitutions `tortken idspace` builds, each a tuple of basis
-# elements: dim 6 at degree 5 (7776) takes about 5 s and 240 MB, dim 7
-# (16807) still fits, and dim 40 would need dim^5 ~ 10^8 tuples.
+# The most tuples of basis elements that `tortken idspace` substitutes, or a
+# law's coordinate expansion walks: dim 6 at degree 5 (7776) takes about 5 s
+# of `idspace`, dim 7 (16807) still fits, and dim 40 would need 10^8 tuples.
 SUBSTITUTION_BUDGET = 20000
 
 

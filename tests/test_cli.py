@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tortken import algebras, cli, identcheck
+from tortken import algebras, cli, freepoly, identcheck
 from tortken.algebras import FiniteAlgebra
 from tortken.cli import main
 
@@ -43,9 +43,12 @@ def check_schema(schema: dict, obj) -> None:
     for key, sub in schema.get("properties", {}).items():
         if key in obj:
             check_schema(sub, obj[key])
-    if "additionalProperties" in schema:
+    if "additionalProperties" in schema:  # a schema, or a bool
+        extra = schema["additionalProperties"]
         for key in obj.keys() - schema.get("properties", {}).keys():
-            check_schema(schema["additionalProperties"], obj[key])
+            assert extra is not False, f"unknown key {key}"
+            if extra is not True:
+                check_schema(extra, obj[key])
     if "items" in schema:
         for item in obj:
             check_schema(schema["items"], item)
@@ -87,14 +90,26 @@ def test_check_inconclusive_exit_three(capsys):
 
 
 def test_check_json_schema(capsys):
+    # a holds, a multilinear failure, a failure of a law that is not
+    # multilinear, and one on a window read off its component a, where no
+    # point of the law evaluates, all meet the strict schema
     schema = json.loads((SCHEMAS / "check.schema.json").read_text())
-    for args in (("check", "--identity", "tortken", "--builtin", "gametic",
-                  "--dim", "3", "--transform", "plus", "--format", "json"),
-                 ("check", "--identity", "commutativity", "--builtin",
-                  "gametic", "--dim", "2", "--format", "json")):
-        code, out, _ = run_cli(capsys, *args)
+    for args, code_ in (
+            (("--identity", "tortken", "--builtin", "gametic", "--dim", "3",
+              "--transform", "plus"), 0),
+            (("--identity", "commutativity", "--builtin", "gametic", "--dim",
+              "2"), 1),
+            (("--identity", "gametic_jordan", "--builtin", "osborn", "--p",
+              "5", "--m", "1", "--alpha", "1", "--beta", "0"), 1),
+            (("--expr", "a + a*a", "--vars", "a", "--builtin", "integration",
+              "--N", "6", "--range", "5..5"), 1)):
+        code, out, _ = run_cli(capsys, "check", *args, "--format", "json")
         payload = json.loads(out)
+        assert code == code_
         check_schema(schema, payload)
+    assert payload["witness_law"] == "a" and payload["witness"] == {"a": "x^5"}
+    with pytest.raises(AssertionError, match="unknown key caveat"):
+        check_schema(schema, dict(payload, caveat="x"))
 
 
 def test_algebra_show_gametic(capsys):
@@ -348,44 +363,61 @@ def test_simplicity_inconclusive_json(capsys):
     assert "no usable singular operator" in payload["audit"][0]
 
 
-def test_check_names_the_polarized_law(tmp_path, capsys):
-    # a*a fails through its polarization t1*t2 + t2*t1, whose variables the
-    # witness binds; a multilinear law is its own witness law
+def test_check_witness_binds_the_law_variables(tmp_path, capsys):
+    # a*a vanishes on both basis elements but not on their sum: the witness
+    # binds the law's own variable, in text and JSON alike
     spec = _spec_file(tmp_path, _dim2([[0, 1, 0, 1], [1, 0, 0, 1]]))
     code, out, _ = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a",
                            "--spec", spec)
     assert code == 1
-    assert "law: t1*t2 + t2*t1\n  t1 = b0\n  t2 = b1\n" in out
+    assert out.endswith("(checked 4, skipped 0)\n  a = b0 + b1\n"
+                        "  value = 2*b0\n")
     code, out, _ = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a",
                            "--spec", spec, "--format", "json")
     payload = json.loads(out)
     check_schema(json.loads((SCHEMAS / "check.schema.json").read_text()),
                  payload)
-    assert payload["witness_law"] == "t1*t2 + t2*t1"
-    assert payload["witness"] == {"t1": "b0", "t2": "b1"}
-    code, out, _ = run_cli(capsys, "check", "--identity", "commutativity",
-                           "--spec", spec, "--format", "json")
-    assert code == 0 and "witness_law" not in json.loads(out)
-    code, out, _ = run_cli(capsys, "check", "--identity", "commutativity",
-                           "--builtin", "gametic", "--dim", "2")
-    assert code == 1 and "law:" not in out
+    assert payload["witness"] == {"a": "b0 + b1"}
+
+
+def test_check_names_the_component_where_the_law_never_evaluates(capsys):
+    # on x^5 of integration(6) every nonzero a escapes in a*a: the failure
+    # is read off the law's degree-1 component, named on a law: line
+    code, out, _ = run_cli(capsys, "check", "--expr", "a + a*a", "--vars", "a",
+                           "--builtin", "integration", "--N", "6",
+                           "--range", "5..5")
+    assert code == 1 and out.endswith("verdict: fails (checked 1, skipped 1)\n"
+                                      "law: a\n  a = x^5\n  value = x^5\n")
 
 
 def test_check_small_char_is_sound(tmp_path, capsys):
-    # a*a = a holds on F_2 itself: the law is swept on every element, as
-    # its polarization -t1 would fail
+    # a*a = a holds on F_2 itself, as c^2 = c, although its polarization
+    # -t1 would fail: one tuple for each of its two components
     spec = _spec_file(tmp_path, {"kind": "structure_constants",
                                  "field": {"char": 2}, "dim": 1,
                                  "table": [[0, 0, 0, 1]]})
     code, out, _ = run_cli(capsys, "check", "--expr", "a*a - a", "--vars",
                            "a", "--spec", spec)
-    assert code == 0 and "verdict: holds (checked 2," in out
-    assert "caveat: char 2 <= degree 2: the law swept on every element" in out
-    # 3^18 assignments are too many: the law fails on basis elements
+    assert code == 0 and out.endswith("verdict: holds (checked 2, skipped 0)\n")
     code, out, _ = run_cli(capsys, "check", "--identity", "gametic_jordan",
                            "--builtin", "osborn-plus", "--p", "3", "--m", "2",
                            "--alpha", "1", "--beta", "1")
-    assert code == 1 and "basis elements only" in out and "law:" not in out
+    assert code == 1 and out.endswith(
+        "verdict: fails (checked 6561, skipped 0)\n  x = x^(0)\n  y = x^(0)\n"
+        "  value = 2*x^(5) + 2*x^(6)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--identity", "gametic_jordan", "--builtin", "gametic", "--dim", "5",
+     "--char", "3"],
+    ["--identity", "gametic_jordan", "--builtin", "gametic", "--dim", "9",
+     "--char", "3"],
+    ["--expr", "(x*x)*y - y*(x*x)", "--vars", "x,y", "--builtin",
+     "osborn-plus", "--p", "3", "--m", "2"]])
+def test_check_decides_small_char_laws_that_are_not_multilinear(capsys, argv):
+    # char 3 <= degree on closed algebras: decided, never inconclusive
+    code, out, _ = run_cli(capsys, "check", *argv)
+    assert code == 0 and "verdict: holds" in out
 
 
 def test_check_has_no_trials_option(capsys):
@@ -869,11 +901,22 @@ def test_osborn_needs_m_at_least_one(capsys, builtin, m):
     assert (code, out, err) == (2, "", "error: need m >= 1\n")
 
 
-def test_oversized_polarization_exits_two(capsys):
-    # degree 10 in one variable: 10! namings, refused before any is built
-    code, out, err = run_cli(capsys, "check", "--expr=" + "(" * 9 + "a"
-                             + "*a)" * 9, "--vars", "a", "--builtin",
-                             "gametic", "--dim", "2")
+def test_oversized_expansion_exits_two(capsys):
+    # degree 10 in one variable: 2^10 basis tuples are expanded and the
+    # witness re-evaluates; 3^10 are refused before any product is taken
+    expr = "--expr=" + "(" * 9 + "a" + "*a)" * 9
+    code, out, err = run_cli(capsys, "check", expr, "--vars", "a", "--builtin",
+                             "gametic", "--dim", "2", "--format", "json")
+    payload = json.loads(out)
+    assert (code, err, payload["checked"]) == (1, "", 2 ** 10)
+    G, law = algebras.gametic(2), freepoly.parse(expr[7:], ("a",))
+    got = identcheck.check_identity(law, G)
+    assert {v: G.fmt_element(e) for v, e in got.witness.items()} == \
+        payload["witness"]
+    value = identcheck.evaluate(law, G, got.witness)
+    assert value and G.fmt_element(value) == payload["value"]
+    code, out, err = run_cli(capsys, "check", expr, "--vars", "a", "--builtin",
+                             "gametic", "--dim", "3")
     assert code == 2 and not out
-    assert err == ("error: polarizing the law expands 3628800 namings of its "
-                   "monomials, more than 20000\n")
+    assert err == ("error: expanding the law takes 59049 basis tuples, more "
+                   "than SUBSTITUTION_BUDGET = 20000\n")

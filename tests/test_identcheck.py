@@ -99,11 +99,11 @@ def test_check_identity_windowed_rejects_repeated_indices(index_range, repeated)
 
 
 def test_check_identity_on_a_window_is_window_relative():
-    # a non-multilinear law over Q: its polarizations are swept
-    # window-relatively, on basis elements only
+    # a non-multilinear law over Q: its coordinate expansion skips and
+    # counts the basis tuples that escape the window
     poly = parse("(a*b)*a - (a*a)*b", ("a", "b"))
     out = check_identity(poly, integration_product(6))
-    assert out.verdict == HOLDS and out.skipped > 0 and out.caveat is None
+    assert (out.verdict, out.checked, out.skipped) == (HOLDS, 35, 308)
 
 
 def test_windowed_inconclusive_when_a_polarization_part_is_never_evaluable():
@@ -112,6 +112,27 @@ def test_windowed_inconclusive_when_a_polarization_part_is_never_evaluable():
     poly = parse("(a*a)*(a*a) + a*b - b*a", ("a", "b"))
     out = check_identity_windowed(poly, integration_product(6), [1])
     assert (out.verdict, out.checked, out.skipped) == (INCONCLUSIVE, 1, 1)
+
+
+def test_windowed_fails_where_no_point_of_the_law_evaluates():
+    # on x^5 of the 0..6 window every nonzero point of a + a*a escapes in
+    # a*a, but the class of c^1, its degree-1 component, is decided and
+    # nonzero: the witness is that component, a, at a = x^5
+    W = integration_product(6)
+    out = check_identity_windowed(parse("a + a*a", ("a",)), W, [5])
+    assert (out.verdict, out.checked, out.skipped) == (FAILS, 1, 1)
+    assert out.witness_poly == parse("a", ("a",))
+    assert out.witness == {"a": W.basis(5)} and out.value == W.basis(5)
+    # a*(a*a) on x^-1, x^0 of a Laurent window: the one failing class is
+    # c_(-1) c_0^2, with the undecided class of c_0^3 on its support, so
+    # the witness is its linearization in a and a', at a = x^-1, a' = x^0
+    L = osborn_laurent("1/2", 0, -3, 3, "jordan")
+    out = check_identity_windowed(parse("a*(a*a)", ("a",)), L, [-1, 0])
+    assert out.verdict == FAILS
+    assert out.witness_poly == parse("a*(b*b) + b*(a*b) + b*(b*a)",
+                                     ("a", "b")).rename_variables({"b": "a'"})
+    assert out.witness == {"a": L.basis(-1), "a'": L.basis(0)}
+    assert evaluate(out.witness_poly, L, out.witness) == out.value
 
 
 _WINDOWS = {"integration": lambda: integration_product(6),
@@ -158,25 +179,26 @@ def test_multilinear_reduction_consistency():
         assert sampled is expected
 
 
-def test_polarization_path():
-    gj = catalog_entry("gametic_jordan")
-    out = check_identity(gj.poly, plus(gametic(3)))
-    assert out.verdict == HOLDS
-    assert out.caveat is None
-    out = check_identity(gj.poly, osborn(1, 0, 5, 1))
-    assert out.verdict == FAILS
-    # char <= degree records a caveat
-    out = check_identity(gj.poly, plus(osborn(0, 0, 3, 1)))
-    assert out.caveat is not None
+def test_gametic_jordan_verdicts():
+    # the law itself is the witness law, in char > degree and char <= degree
+    gj = catalog_entry("gametic_jordan").poly
+    out = check_identity(gj, plus(gametic(3)))
+    assert (out.verdict, out.checked) == (HOLDS, 3 ** 4)
+    for A in (osborn(1, 0, 5, 1), plus(osborn(0, 0, 3, 1))):
+        out = check_identity(gj, A)
+        assert out.verdict == FAILS and out.witness_poly == gj
+        assert evaluate(gj, A, out.witness) == out.value
 
 
-# Non-multilinear laws of degree <= 4 in <= 2 variables, where polarization
-# is exact only in char > degree.
+# Non-multilinear laws in <= 2 variables, where polarization is exact only
+# in char > degree; ((a*a)*a)*(a*a) - a folds its exponents past p twice,
+# and (a*a)*b - a*b has two multidegree components in two variables.
 SMALL_CHAR_LAWS = [parse(e, v) for e, v in (
     ("a*a - a", ("a",)), ("a*a", ("a",)), ("a*(a*a) - a", ("a",)),
     ("(a*a)*a - a*(a*a)", ("a",)), ("(a*a)*(a*a) - a*a", ("a",)),
     ("(a*a)*b - a*(a*b)", ("a", "b")), ("(a*b)*a - a*(b*a)", ("a", "b")),
-    ("a*b - b*a + a*a", ("a", "b")))] + [catalog_entry("gametic_jordan").poly]
+    ("a*b - b*a + a*a", ("a", "b")), ("((a*a)*a)*(a*a) - a", ("a",)),
+    ("(a*a)*b - a*b", ("a", "b")))] + [catalog_entry("gametic_jordan").poly]
 
 
 def _every_element(A):
@@ -205,6 +227,21 @@ def test_check_identity_matches_brute_force_in_small_char(field, data):
         assert evaluate(out.witness_poly, A, out.witness) == out.value
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((Field.rationals(), Field.prime(7))), st.data())
+def test_check_identity_matches_polarization_above_the_degree(f, data):
+    # in char 0 and char > degree polarization is exact: the expansion's
+    # verdict is that of sweeping every polarization part on basis elements
+    poly = data.draw(st.sampled_from([law for law in SMALL_CHAR_LAWS
+                                      if law.degree() <= 4]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    A = _random_table(f, data.draw(st.integers(1, 3)), rng.random() < 0.5, rng)
+    basis = [A.basis(i) for i in A.indices]
+    holds = all(identcheck._sweep(part, A, basis).verdict == HOLDS
+                for part in freepoly.polarize(poly))
+    assert check_identity(poly, A).verdict == (HOLDS if holds else FAILS)
+
+
 def _boolean_algebra(dim):
     # F_2^dim with e_i e_i = e_i: every element is idempotent
     return FiniteAlgebra("boolean", Field.prime(2), dim,
@@ -212,29 +249,27 @@ def _boolean_algebra(dim):
                           for i in range(dim)])
 
 
-def test_small_char_routes():
-    idem = parse("a*a - a", ("a",))
-    # 2^14 elements are swept: the law holds
-    out = check_identity(idem, _boolean_algebra(14))
-    assert (out.verdict, out.checked) == (HOLDS, 2 ** 14)
-    assert "every element" in out.caveat
-    # 2^15 exceed the bound; basis elements pass, and a law with two
-    # homogeneous parts has no polarization that decides it
-    out = check_identity(idem, _boolean_algebra(15))
-    assert (out.verdict, out.checked) == (INCONCLUSIVE, 15)
-    assert "basis elements only" in out.caveat
-    assert "polarization" not in out.caveat
-    # a*a vanishes on every basis element, but its polarization does not:
-    # a failure of the law at a sum of basis elements
+SQUARE = parse("a*a", ("a",))
+
+
+def _square_algebra():
+    # F_2^15 whose one nonzero product is e_0 e_1 = e_0
     table = [[{} for _ in range(15)] for _ in range(15)]
     table[0][1] = {0: 1}
-    A = FiniteAlgebra("square", Field.prime(2), 15, table)
-    square = parse("a*a", ("a",))
-    out = check_identity(square, A)
-    assert out.verdict == FAILS and out.witness_poly != square
-    assert "and its polarization" in out.caveat
-    assert out.witness == {"t1": A.basis(0), "t2": A.basis(1)}
-    assert evaluate(square, A, {"a": {0: 1, 1: 1}})
+    return FiniteAlgebra("square", Field.prime(2), 15, table)
+
+
+def test_small_char_routes():
+    idem = parse("a*a - a", ("a",))
+    # on F_2^15 every element is idempotent: the classes of a*a and a fold
+    # together (c^2 = c), 15^2 + 15 tuples
+    out = check_identity(idem, _boolean_algebra(15))
+    assert (out.verdict, out.checked, out.skipped) == (HOLDS, 15 ** 2 + 15, 0)
+    # a*a vanishes on every basis element but not on their sum: the witness
+    # is that sum, for the law itself
+    out = check_identity(SQUARE, _square_algebra())
+    assert out.verdict == FAILS and out.witness_poly == SQUARE
+    assert out.witness == {"a": {0: 1, 1: 1}} and out.value == {0: 1}
 
 
 def test_failing_witness_is_rechecked(monkeypatch):
@@ -249,6 +284,35 @@ def test_failing_witness_is_rechecked(monkeypatch):
     monkeypatch.setattr(identcheck, "_sweep", wrong_value)
     with pytest.raises(UnsoundWitnessError):
         check_identity(COMM, gametic(2))
+
+
+def _doubled(out):
+    out.value = {k: 2 * v for k, v in out.value.items()}
+
+
+def _vanishing(out):  # a zero value at a point where a*a vanishes
+    out.witness, out.value = {"a": {0: 1}}, {}
+
+
+@pytest.mark.parametrize("check, corrupt", [
+    (lambda: check_identity(SQUARE, _square_algebra()), _vanishing),
+    (lambda: check_identity(parse("a*a - a", ("a",)), gametic(2)), _doubled),
+    (lambda: check_identity_windowed(parse("a + a*a", ("a",)),
+                                     integration_product(6), [5]), _doubled)],
+    ids=["F2-zero", "Q", "window-component"])
+def test_expansion_witness_is_rechecked(monkeypatch, check, corrupt):
+    # a failure of a law that is not multilinear whose witness does not
+    # re-evaluate to its value, or whose value is 0, is refused
+    expand = identcheck._expand
+
+    def wrong(*args):
+        out = expand(*args)
+        assert out.verdict == FAILS
+        corrupt(out)
+        return out
+    monkeypatch.setattr(identcheck, "_expand", wrong)
+    with pytest.raises(UnsoundWitnessError):
+        check()
 
 
 def test_identity_space_reference():
