@@ -111,6 +111,8 @@ def _range_indices(args, A: Algebra, closed_use: str) -> tuple[tuple, list]:
         raise UsageError(f"--range applies to graded windows; {A.name} "
                          f"is closed and {closed_use}")
     lo, hi = _parse_range(args.range)
+    if lo > hi:
+        raise UsageError(f"bad range {args.range!r}, lo exceeds hi")
     return (lo, hi), [i for i in A.indices if lo <= i <= hi]
 
 

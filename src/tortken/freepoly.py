@@ -365,6 +365,11 @@ class _Parser:
 
 def parse(text: str, variables: Sequence[str]) -> FreePoly:
     """Parse an identity expression into canonical FreePoly form."""
+    # every declared name must be one that `_Parser.factor` and `name` read
+    if bad := [v for v in variables if v in _SHORTHANDS
+               or not (v[:1].isalpha() or v[:1] == "_")
+               or not all(ch.isalnum() or ch == "_" for ch in v)]:
+        raise ValueError(f"variable names {bad} are not names the grammar reads")
     parser = _Parser(text, variables)
     try:
         return parser.parse()

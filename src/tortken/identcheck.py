@@ -5,21 +5,20 @@ Every polynomial law is decided by `check_identity` (or, on part of a window,
 any other, in every characteristic, by its coordinate expansion (`_expand`).
 Every failing witness is re-evaluated.  Verdicts on graded windows are always
 window-relative.
-Every evaluation runs one compiled form, `_Program`, either on one binding of
-all variables (`_Program.run`), or on the ids of a per-call cache of values
-and products (`_Products`): on many bindings (`_Program.runs`), or binding
-all but the last one at a time and the last at every element (`_sweep`).
+Every evaluation runs one compiled form, `_Program`, on the ids of a
+per-call cache of values and products (`_Products`): on given bindings
+(`_Program.runs`), or binding all but the last variable one basis element at
+a time and the last at every basis element at once (`_sweep`).
 The degree-4 reproduction keeps no frozen data: its report is audited
 against the catalog laws deg4_basis_1..5, the one copy of the kernel.
 
 Over Q a sweep runs on D*A (`_integral`): A's table times D, the least
 common denominator of its products, in plain ints, which are exact: no
 `Fraction`, modulus or height bound.  Sound: a term of tree degree d has
-d - 1 products, so on D*A, with the elements scaled by one E that clears
-their coordinates, it takes D^(d-1) E^d times its value in A.  With term
-t's coefficient scaled by L (DE)^(top - d_t), L clearing the law's
-denominators and top its largest term degree, the law takes L D^(top-1)
-E^top times its value in A.  That factor is nonzero and Z has no zero
+d - 1 products, so on D*A, at basis elements, it takes D^(d-1) times its
+value in A.  With term t's coefficient scaled by L D^(top - d_t), L clearing
+the law's denominators and top its largest term degree, the law takes
+L D^(top-1) times its value in A.  That factor is nonzero and Z has no zero
 divisors, so every support, escape and vanishing is as in A: checked,
 skipped, orbits and the lex-least witness are unchanged, and a failing value
 is divided back into A.  Identity spaces stay on Q: their report matrix
@@ -113,15 +112,6 @@ class _Program:
             self.products.append((got, l, r))
         return got
 
-    def run(self, A: Algebra, elements: Sequence) -> list[dict]:
-        """Every polynomial's value in A with position i bound to elements[i]
-        (None where unused), each node computed once."""
-        val = list(elements) + [None] * len(self.products)
-        for i, l, r in self.products:
-            val[i] = A.mul(val[l], val[r])
-        return [combine(A.field, ((c, val[i]) for c, i in terms))
-                for terms in self.terms]
-
     def runs(self, products: _Products, substitutions: Iterable[Sequence]):
         """Per substitution (ids of `products`, one per position), the ids of
         all node values, or None when a product escapes the window.  A
@@ -153,7 +143,7 @@ class _Products(dict):
     A pair of ids maps to the id of their product, from `A.mul` on its first
     lookup only, or to `_ESCAPED` if it leaves the window.  A zero operand
     gives 0 with no lookup: `A.mul` returns {} on it and never raises.
-    `vector(v)` interns a tuple of ids, one per element of a sweep's list, as
+    `vector(v)` interns a tuple of ids, one per basis element of a sweep, as
     id ~i of `vecs[i]`; a pair with a vector id maps to the elementwise
     product's, where an escape beats a zero and so reaches every node above."""
 
@@ -227,16 +217,14 @@ def _integral(A: Algebra) -> tuple[Algebra, int]:
     return _of_class(A, f"{D}*{A.name}", _Integers, A.indices, rule, A.label), D
 
 
-def _scaled(poly: FreePoly, terms: list, elements: Sequence, D: int) -> tuple:
-    """poly's compiled terms and the elements on D*A, in ints, and the factor
-    by which poly's value there exceeds its value in A."""
-    E = math.lcm(*(c.denominator for e in elements for c in e.values()))
+def _scaled(poly: FreePoly, terms: list, D: int) -> tuple:
+    """poly's compiled terms on D*A, in ints, and the factor by which poly's
+    value there on basis elements exceeds its value in A."""
     L = math.lcm(*(c.denominator for c, _ in terms))
-    DE, top = D * E, poly.degree()
-    terms = [((c * L).numerator * DE ** (top - tree_degree(t)), i)
+    top = poly.degree()
+    terms = [((c * L).numerator * D ** (top - tree_degree(t)), i)
              for (c, i), (t, _) in zip(terms, poly.sorted_terms())]
-    ints = [{k: (c * E).numerator for k, c in e.items()} for e in elements]
-    return terms, ints, L * D ** max(top - 1, 0) * E ** top
+    return terms, L * D ** max(top - 1, 0)
 
 
 def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
@@ -246,26 +234,32 @@ def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
     if missing:
         raise ValueError(f"assignment misses variables {missing}")
     els = {v: A.element(e) for v, e in assignment.items()}
-    return _Program([poly], A.field).run(A, [els.get(v) for v in poly.variables])[0]
+    prog, prod = _Program([poly], A.field), _Products(A)
+    sub = [prod.intern(els.get(v, {})) for v in poly.variables]  # {} is 0
+    val = next(prog.runs(prod, [sub]))
+    if val is None:  # raise as the one escaped pair, the first in node order
+        pair = next(k for k, got in prod.items() if got is _ESCAPED)
+        A.mul(*map(prod.els.__getitem__, pair))
+    return combine(A.field, ((c, prod.els[val[i]]) for c, i in prog.terms[0]))
 
 
-def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
-    """Exhaustive check over all assignments of `elements` to the variables.
+def _sweep(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
+    """Exhaustive check over all assignments of basis elements to variables.
 
-    Variables are bound depth first in the given element order, the first
+    Variables are bound depth first in the order of `indices`, the first
     outermost: that is lexicographic order, so the first failure met ends
     the sweep with the least failing assignment.  A product node is computed
     once its last leaf is bound, as an id of one `_Products` cache; one that
     escapes the window before the last level skips and counts every
     completion of the prefix, as the node lies in some term.  The last level
-    is computed once per prefix, as vectors over every element; then the
+    is computed once per prefix, as vectors over the basis; then the
     prefix depends only on its term nodes' ids: a tuple of them that
     vanished before from the same start adds the same counts, and a new one
     is walked x by x, an x with an escaped term skipped and counted.
 
     On a closed algebra, permuting the values within a `symmetry_blocks`
     block changes the value at most by its sign, so each block is bound in
-    non-decreasing element-list order: one assignment per orbit, the
+    non-decreasing index-list order: one assignment per orbit, the
     lex-least, and the least failing assignment is still met first.
     `orbits` counts the assignments evaluated; `checked` is the number up to
     where the sweep ends in lex order (dim^n, or the failing one's 1-based
@@ -279,15 +273,12 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     n = prog.n
     if n == 0:  # only the zero polynomial has no variables
         return CheckOutcome(HOLDS, 1, 0, orbits=1)
-    dim, f = len(elements), A.field
+    dim, f = len(indices), A.field
     terms = prog.terms[0]  # a law that cancels has none
-    if f.char:
-        B, ints = A, elements
-    else:
-        B, D = _integral(A)
-        terms, ints, scale = _scaled(poly, terms, elements, D)
+    B, D = (A, 1) if f.char else _integral(A)
+    terms, scale = (terms, 1) if f.char else _scaled(poly, terms, D)
     prod = _Products(B)
-    ids = [prod.intern(e) for e in ints]
+    ids = [prod.intern({i: 1}) for i in indices]  # the basis, on B too
     after: list = [None] * n  # each position's predecessor in its block
     if A.closed:
         for block in symmetry_blocks(poly, A.is_commutative()):
@@ -301,6 +292,8 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
     val[n - 1] = prod.vector(tuple(ids))
     assign = [0] * n
     skipped = orbits = 0
+    # walked here depth first, not through `_Program.runs`: on it the
+    # benchmark's `sweep` workload measured 18% more wall time
     todo = [iter((0,))]  # the empty prefix, then one iterator per position
     while todo:
         if (x := next(todo[-1], None)) is None:
@@ -336,7 +329,8 @@ def _sweep(poly: FreePoly, A: Algebra, elements: Sequence) -> CheckOutcome:
                 if not f.char:
                     value = {k: Fraction(v, scale) for k, v in value.items()}
                 assign[n - 1] = x
-                witness = {v: elements[a] for v, a in zip(poly.variables, assign)}
+                witness = {v: A.basis(indices[a])
+                           for v, a in zip(poly.variables, assign)}
                 rank = 1 + sum(a * dim ** (n - 1 - t) for t, a in enumerate(assign))
                 return CheckOutcome(FAILS, rank - skipped, skipped, witness, value,
                                     poly, orbits=orbits)
@@ -396,9 +390,9 @@ def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     if count > SUBSTITUTION_BUDGET:
         raise OutOfRangeError(f"expanding the law takes {count} basis tuples, more "
                               f"than SUBSTITUTION_BUDGET = {SUBSTITUTION_BUDGET}")
-    els = [A.basis(i) for i in indices]
     B, D = (A, 1) if p else _integral(A)
     prod = _Products(B)
+    ids = [prod.intern({i: 1}) for i in indices]  # the basis, on B too
 
     def exponents(ids: tuple) -> tuple:
         """One variable's (basis id, exponent) pairs over its positions' ids,
@@ -417,11 +411,9 @@ def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
             relabel_leaves(t, {v: iter(ns) for v, ns in names.items()}): c
             for t, c in terms.items()})
         prog = _Program([part], f)
-        cs, ints, scale = (prog.terms[0], els, 1) if p else _scaled(
-            part, prog.terms[0], els, D)
+        cs, scale = (prog.terms[0], 1) if p else _scaled(part, prog.terms[0], D)
         coefs.append([c for c, _ in cs])
         scales.append(scale)
-        ids = [prod.intern(e) for e in ints]
         nodes = [i for _, i in prog.terms[0]]
         per_variable = [[exponents(s) for s in itertools.product(ids, repeat=b - a)]
                         for a, b in spans]
@@ -455,7 +447,7 @@ def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     undecided = [support(key) for key, got in sums.items() if None in got]
     failing = sorted((key for key, value in values.items() if value),
                      key=lambda key: (sum(map(len, key)), key))
-    basis = dict(zip(ids, els))  # ids are the same in every component
+    basis = {x: A.basis(i) for x, i in zip(ids, indices)}
     for least in failing:
         supp = support(least)
         if any(u <= supp for u in undecided):
@@ -497,10 +489,9 @@ def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
 
 def _check(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     """Decide poly over span(indices), window-relatively on a window: a
-    multilinear law by `_sweep` on basis elements, any other by `_expand`,
-    counting basis tuples.  A failing witness is re-evaluated."""
-    out = (_sweep(poly, A, [A.basis(i) for i in indices]) if poly.is_multilinear()
-           else _expand(poly, A, indices))
+    multilinear law by `_sweep`, any other by `_expand`, both counting basis
+    tuples.  A failing witness is re-evaluated."""
+    out = (_sweep if poly.is_multilinear() else _expand)(poly, A, indices)
     if out.verdict == FAILS and (not out.value or evaluate(
             out.witness_poly, A, out.witness) != out.value):
         raise UnsoundWitnessError(f"{A.name}: witness of "

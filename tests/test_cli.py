@@ -482,9 +482,17 @@ def test_repeated_variable_names_exit_two(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a",
                            "--spec", spec)
     assert code == 1 and "verdict: fails" in out
-    code, _, err = run_cli(capsys, "check", "--expr", "a*a", "--vars", "a,a",
-                           "--spec", spec)
-    assert code == 2 and "repeated variable" in err
+    for expr, names, message in (
+            ("a*a", "a,a", "repeated variable"),
+            # names the grammar cannot read: each was bound as 0 in the witness
+            ("a*b", "a,,b", "variable names ['']"),
+            ("a*b", "a,1x", "variable names ['1x']"),
+            ("a*b", "a,b,comm", "variable names ['comm']")):
+        code, out, err = run_cli(capsys, "check", "--expr", expr, "--vars",
+                                 names, "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_zero_denominator_exits_two(capsys):
@@ -723,6 +731,11 @@ def test_check_range_on_closed_algebra_exits_two(capsys):
      0, "substitutions: 8 (skipped 0)"),
     ("idspace --degree 3 --builtin osborn-laurent --alpha 0 --beta 0 "
      "--window=-4..8", 2, "error: graded identity space needs --range lo..hi"),
+    # a reversed --range, like a reversed --window (it swept nothing, exit 3)
+    ("check --identity tortken --builtin integration --N 6 --range 3..1",
+     2, "error: bad range '3..1', lo exceeds hi"),
+    ("idspace --degree 3 --builtin integration --N 6 --range 3..1",
+     2, "error: bad range '3..1', lo exceeds hi"),
     ("algebra show --builtin derivation-novikov --p 3 --m 1",
      0, "algebra: derivation_novikov(divided_power(3,1)) (dim 3, F3)"),
     ("algebra show --builtin derivation-symmetric --p 3 --m 1",
@@ -732,7 +745,8 @@ def test_check_range_on_closed_algebra_exits_two(capsys):
     ("algebra show --builtin p2-product --k 1 --m 2",
      0, "algebra: p2_product(1,2) (dim 4, F2)"),
 ], ids=["show-window", "idspace-closed", "idspace-window-no-range",
-        "derivation-novikov", "derivation-symmetric", "osborn-bar", "p2-product"])
+        "check-reversed-range", "idspace-reversed-range", "derivation-novikov",
+        "derivation-symmetric", "osborn-bar", "p2-product"])
 def test_cli_paths(capsys, argv, code, line):
     got, out, err = run_cli(capsys, *shlex.split(argv))
     assert got == code and line in (out + err).splitlines()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,10 @@ def test_parse_errors():
     assert err.value.pos == 8
     with pytest.raises(ValueError, match="repeated variable"):
         parse("a*a", ("a", "a"))
+    # declared names that the name rule cannot read, even when unused
+    with pytest.raises(ValueError, match=re.escape(
+            "variable names ['', '1x', 'a-b', 'jord'] are not names")):
+        parse("a*b", ("a", "", "1x", "b", "a-b", "jord", "_c2"))
     with pytest.raises(ParseError,
                        match="assoc takes 3 arguments, got 2") as err:
         parse("assoc(a,b)", ("a", "b"))

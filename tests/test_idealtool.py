@@ -498,6 +498,25 @@ def test_draw_route_matches_exhaustive_sweep(f, commutative, seed):
             assert 0 < cert.witness.dim < A.dim and is_ideal(A, cert.witness)
 
 
+def test_q_norton_step_decided_by_a_difference_of_basis_operators():
+    # a commutative Q algebra with the ideal span{e0 - e1 + e2}, on no basis
+    # element: every basis closure is full, and over Q no draws are made.
+    # L0 and L2 are singular of nullity 2 and L1 is regular, so the first
+    # operator of nullity 1 is L0 - L1, from the sums and differences; its
+    # kernel point spins to A, and the dual spin finds the ideal
+    t = {(0, 0): {2: 1}, (0, 1): {2: 1}, (1, 1): {0: -1}, (1, 2): {1: -1},
+         (2, 2): {1: -1}}
+    A = FiniteAlgebra("dense-ideal", Q, 3, [[t.get((min(i, j), max(i, j)), {})
+                                             for j in range(3)] for i in range(3)])
+    cert = certify_simplicity(A)
+    assert cert.verdict == "not_simple"
+    assert cert.audit == [
+        "all 3 basis closures are full",
+        "norton: singular operator with nullity 1, 1 kernel points",
+        "dual kernel point spans a proper invariant subspace"]
+    assert cert.witness.rows == ((1, -1, 1),) and is_ideal(A, cert.witness)
+
+
 def test_draws_stop_at_large_characteristic():
     # NORTON_DRAWS * p above NORTON_BOUND: walking every lam would take
     # too long, so no draw is made; p = 2011 is still walked
