@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 
 from . import algebras, idealtool
@@ -68,8 +69,9 @@ def _build_algebra(args, spec: dict | None = None) -> Algebra:
             params["lo"], params["hi"] = _parse_range(args.window)
         try:
             A = builtin_algebra(args.builtin, **params)
-        except _BAD_PARAMETERS as exc:
-            raise UsageError(str(exc))
+        except _BAD_PARAMETERS as exc:  # name the flag that gives lo and hi
+            raise UsageError(re.sub(r"argument(:?) 'lo'", r"argument\1 --window",
+                                    str(exc)))
     transform = getattr(args, "transform", None)
     if transform:
         A = {"plus": algebras.plus, "minus": algebras.minus,
@@ -179,16 +181,21 @@ def _validate_algebra(args, A: Algebra, spec: dict | None) -> int:
                                                              "commutative"):
         raise UsageError(f"algebra validate has no laws for {kind} under "
                          f"--transform {args.transform}")
-    ok = True
+    code = 0
     for tag, idents in tags:
-        failures = [name for name in idents
-                    if check_identity(catalog_entry(name).poly, A).verdict == FAILS]
+        verdicts = {name: check_identity(catalog_entry(name).poly, A).verdict
+                    for name in idents}
+        failures = [name for name, v in verdicts.items() if v == FAILS]
+        undecided = [name for name, v in verdicts.items() if v == INCONCLUSIVE]
         if failures:
-            ok = False
+            code = 1
             print(f"{tag}: FAIL ({', '.join(failures)})")
+        elif undecided:
+            code = code or 3  # a FAIL wins
+            print(f"{tag}: INCONCLUSIVE ({', '.join(undecided)})")
         else:
             print(f"{tag}: OK")
-    return 0 if ok else 1
+    return code
 
 
 def cmd_check(args) -> int:

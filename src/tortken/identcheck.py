@@ -3,8 +3,10 @@
 Every polynomial law is decided by `check_identity` (or, on part of a window,
 `check_identity_windowed`): a multilinear law by one sweep of basis tuples,
 any other, in every characteristic, by its coordinate expansion (`_expand`).
-Every failing witness is re-evaluated.  Verdicts on graded windows are always
-window-relative.
+Every failing witness is re-evaluated, its only evaluation.  Verdicts on
+graded windows are always window-relative; as `evaluate` takes no product
+in a term with a variable bound to 0, an expansion witness that is a point
+of the law evaluates inside the window (`_expand`).
 Every evaluation runs one compiled form, `_Program`, on the ids of a
 per-call cache of values and products (`_Products`): on given bindings
 (`_Program.runs`), or binding all but the last variable one basis element at
@@ -228,18 +230,22 @@ def _scaled(poly: FreePoly, terms: list, D: int) -> tuple:
 
 
 def evaluate(poly: FreePoly, A: Algebra, assignment: dict) -> dict:
-    """Exact evaluation of poly under variable -> element substitution."""
+    """Exact evaluation of poly under variable -> element substitution,
+    taking no product in a term with a variable bound to 0."""
     missing = [v for v in poly.variables if v not in assignment
                and any(v in tree_leaves(t) for t in poly.terms)]
     if missing:
         raise ValueError(f"assignment misses variables {missing}")
     els = {v: A.element(e) for v, e in assignment.items()}
+    if zero := {v for v in poly.variables if not els.get(v)}:
+        poly = FreePoly(poly.variables, {t: c for t, c in poly.terms.items()
+                                         if zero.isdisjoint(tree_leaves(t))})
     prog, prod = _Program([poly], A.field), _Products(A)
-    sub = [prod.intern(els.get(v, {})) for v in poly.variables]  # {} is 0
+    sub = [prod.intern(els.get(v, {})) for v in poly.variables]
     val = next(prog.runs(prod, [sub]))
-    if val is None:  # raise as the one escaped pair, the first in node order
+    if val is None:  # raise on the first escaped pair, its keys sorted
         pair = next(k for k, got in prod.items() if got is _ESCAPED)
-        A.mul(*map(prod.els.__getitem__, pair))
+        A.mul(*(dict(sorted(prod.els[i].items())) for i in pair))
     return combine(A.field, ((c, prod.els[val[i]]) for c, i in prog.terms[0]))
 
 
@@ -376,14 +382,15 @@ def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     with an escaped tuple is undecided; the law fails when a decided class
     is nonzero, and holds when none is and each component has one.
 
-    The witness is a point of the law: the failing classes are tried fewest
-    pairs first, then least key, each with no undecided class on its
-    support, at the `_nonzero_point` of the classes on that support; on a
-    window the first point where the law evaluates.  Where none does, it is
-    the least failing class: the part of the law with x_v = v + v' + ...,
-    one name per basis element of v in the class, of the class's degree in
-    each name, at those elements, whose value is the class sum.  Over Q it
-    runs on D*A, each component scaled by `_scaled`."""
+    The witness is a point of the law: the `_nonzero_point` of the classes
+    on the support of the first failing class, fewest pairs first, then
+    least key, that holds no undecided class.  `evaluate` drops the terms
+    with a zero variable, so each product it takes there sums tuple
+    products on the support: none escapes, or a class there is undecided.
+    Else the witness is the least failing class: the part of the law with
+    x_v = v + v' + ..., one name per basis element of v in the class, of
+    the class's degree in each name, at those elements, whose value is the
+    class sum.  Over Q it runs on D*A, each component scaled by `_scaled`."""
     f, p = A.field, A.field.char
     parts = sorted(multidegree_components(poly).items())
     count = sum(len(indices) ** sum(sig) for sig, _ in parts)
@@ -448,8 +455,7 @@ def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
     failing = sorted((key for key, value in values.items() if value),
                      key=lambda key: (sum(map(len, key)), key))
     basis = {x: A.basis(i) for x, i in zip(ids, indices)}
-    for least in failing:
-        supp = support(least)
+    for supp in map(support, failing):
         if any(u <= supp for u in undecided):
             continue
         point, value = _nonzero_point({
@@ -458,13 +464,9 @@ def _expand(poly: FreePoly, A: Algebra, indices: Sequence) -> CheckOutcome:
         witness = {x: combine(f, [(t, basis[i]) for (v, i), t in point.items()
                                   if v == w])
                    for w, x in enumerate(poly.variables)}
-        try:
-            evaluate(poly, A, witness)
-        except OutOfWindowError:  # a product is taken before its zero factor
-            continue
         return CheckOutcome(FAILS, checked, skipped, witness, value, poly,
                             orbits=checked)
-    if failing:  # no point of the law evaluates: the class's linearization
+    if failing:  # each holds an undecided class: the least one's linearization
         least = failing[0]
         fresh = {(w, i): x + "'" * n for w, x in enumerate(poly.variables)
                  for n, (i, _) in enumerate(least[w])}
@@ -756,7 +758,9 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
     basis element as one vector on a `_Products` cache per side: a prefix
     whose vector ids (tortken_prime's terms on A, (ab)(cd) on O) held before
     holds again, and a new one is walked d by d, each distinct pair of ids
-    combined once, so the first failure met is the lex-least."""
+    combined once, so the first failure met is the lex-least.  It is
+    re-verified by `evaluate` on both sides; `value` is the difference there,
+    and `witness_poly` is None, as the relation is no law of one algebra."""
     O = divided_power(3, m)
     A = derivation_symmetric(O, standard_derivation(O))
     tp = catalog_entry("tortken_prime").poly
@@ -774,6 +778,7 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
     terms, pa, lhs = values(tp, A)
     ((_, root),), po, rhs = values(quad, O)
     coefs, nodes = [c for c, _ in terms] + [-2], [i for _, i in terms]  # -2 D^3
+    d3 = lambda e: {t - 3: x for t, x in e.items() if t >= 3}  # D^3 on O
     held, vanishing = set(), set()  # keys and pairs at which the sides agree
     for n, (la, lo) in enumerate(zip(lhs, rhs)):
         if (key := (tuple([la[i] for i in nodes]), lo[root])) in held:
@@ -781,11 +786,16 @@ def tortken_prime_relation(m: int) -> CheckOutcome:
         for d, pair in enumerate(zip(zip(*map(pa.column, key[0])), po.column(key[1]))):
             if pair in vanishing:
                 continue
-            shifted = {t - 3: x for t, x in po.els[pair[1]].items() if t >= 3}
-            els = [*map(pa.els.__getitem__, pair[0]), shifted]
+            els = [*map(pa.els.__getitem__, pair[0]), d3(po.els[pair[1]])]
             if diff := combine(A.field, zip(coefs, els)):
                 witness = {x: A.basis(i) for x, i in zip(v, (*prefixes[n], d))}
-                return CheckOutcome(FAILS, n * dim + d + 1, 0, witness, diff, tp)
+                # O and A share the basis elements
+                if diff != combine(A.field, [(1, evaluate(tp, A, witness)),
+                                             (-2, d3(evaluate(quad, O, witness)))]):
+                    raise UnsoundWitnessError(f"{A.name}: witness of the "
+                                              "tortken_prime relation is unsound")
+                rank = n * dim + d + 1
+                return CheckOutcome(FAILS, rank, 0, witness, diff, orbits=rank)
             vanishing.add(pair)
         held.add(key)
-    return CheckOutcome(HOLDS, dim ** 4, 0)
+    return CheckOutcome(HOLDS, dim ** 4, 0, orbits=dim ** 4)

@@ -162,6 +162,27 @@ def test_algebra_validate_every_kind(capsys, argv, out):
                    *shlex.split(argv)) == (0, out, "")
 
 
+def test_algebra_validate_inconclusive_when_nothing_decides(capsys):
+    # on x^5, x^6 every product escapes: `check` is inconclusive there, and
+    # validate claims no law either
+    assert run_cli(capsys, "algebra", "validate", "--builtin", "osborn-laurent",
+                   "--window", "5..6") == (
+        3, "commutative: INCONCLUSIVE (commutativity)\n"
+           "tortken: INCONCLUSIVE (tortken)\n", "")
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["fail-first", "fail-last"])
+def test_algebra_validate_fail_wins_over_inconclusive(capsys, monkeypatch,
+                                                      order):
+    # on integration(2) commutativity fails and tortken is undecided
+    monkeypatch.setattr(algebras, "builtin_laws",
+                        lambda kind, params: algebras.TORTKEN_LAWS[::order])
+    code, out, _ = run_cli(capsys, "algebra", "validate", "--builtin",
+                           "integration", "--N", "2")
+    assert code == 1 and out.splitlines()[::order] == [
+        "commutative: FAIL (commutativity)", "tortken: INCONCLUSIVE (tortken)"]
+
+
 def test_algebra_validate_catches_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "algebra", "validate", "--builtin",
                            "random-commutative", "--dim", "3", "--char", "5",
@@ -388,6 +409,17 @@ def test_check_names_the_component_where_the_law_never_evaluates(capsys):
                            "--range", "5..5")
     assert code == 1 and out.endswith("verdict: fails (checked 1, skipped 1)\n"
                                       "law: a\n  a = x^5\n  value = x^5\n")
+
+
+def test_check_witness_with_a_zero_variable_is_a_point_of_the_law(capsys):
+    # x^4 x^4 escapes, but at a = x^4, b = 0 every term it lies in has b and
+    # is dropped before any product: the witness is a point of the law
+    code, out, _ = run_cli(capsys, "check", "--expr",
+                           "a + 2*((a*a)*b) + 2*((b*b)*a)", "--vars", "a,b",
+                           "--builtin", "integration", "--N", "6",
+                           "--range", "4..5")
+    assert code == 1 and out.endswith("verdict: fails (checked 2, skipped 16)\n"
+                                      "  a = x^4\n  b = 0\n  value = x^4\n")
 
 
 def test_check_small_char_is_sound(tmp_path, capsys):
@@ -676,11 +708,11 @@ def test_bad_spec_exits_two(tmp_path, capsys, spec):
     ("algebra show --builtin osborn-bar --variant finite_beta --beta 1 --p 3 "
      "--m 1 --alpha 2", "'alpha'"),
     ("algebra show --builtin osborn-bar --variant laurent_beta --beta 1",
-     "'lo'"),
+     "--window"),
     ("simplicity --builtin random-commutative --dim 2 --variant jordan",
      "'variant'"),
     ("idspace --degree 2 --builtin integration --N 3 --window 0..3 "
-     "--range 0..1", "'lo'"),
+     "--range 0..1", "--window"),
 ], ids=["gametic-p", "divided-power-N", "derivation-m", "osborn-bar-alpha",
         "osborn-bar-missing-window", "random-variant", "integration-window"])
 def test_builtin_rejects_parameters_it_does_not_take(capsys, argv, named):
@@ -750,6 +782,20 @@ def test_check_range_on_closed_algebra_exits_two(capsys):
 def test_cli_paths(capsys, argv, code, line):
     got, out, err = run_cli(capsys, *shlex.split(argv))
     assert got == code and line in (out + err).splitlines()
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("check --identity tortken", "need --builtin NAME or --spec FILE"),
+    ("idspace --builtin gametic --dim 2", "need --degree N or --reference-deg4"),
+    ("simplicity --builtin integration --N 4",
+     "simplicity certification needs a finite algebra"),
+    ("check --identity tortken --builtin integration --N 4 --range 1-3",
+     "bad range '1-3', expected lo..hi")],
+    ids=["check-no-algebra", "idspace-no-degree", "simplicity-window",
+         "range-without-dots"])
+def test_missing_or_unusable_input_exits_two(capsys, argv, line):
+    # a usage error is one `error:` line on stderr and nothing on stdout
+    assert run_cli(capsys, *shlex.split(argv)) == (2, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("window", [("4", "3..3"), ("12", "20..30")])

@@ -67,6 +67,9 @@ def test_is_ideal_basics():
     whole = Subspace.from_elements(A, [A.basis(i) for i in range(A.dim)])
     assert is_ideal(A, whole)
     assert not is_ideal(A, Subspace.from_elements(A, [A.basis(0)]))
+    # e_i e_j = e_j: span{e_0} is closed under left multiplication only
+    G = gametic(2)
+    assert not is_ideal(G, Subspace.from_elements(G, [G.basis(0)]))
 
 
 def test_random_line_in_simple_algebra_is_not_ideal():

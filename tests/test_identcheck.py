@@ -66,6 +66,17 @@ def test_evaluate_examples():
         evaluate(parse("(a*a)*b + b", ("a", "b")), W,
                  {"a": W.basis(4), "b": W.basis(1)})
     assert (err.value.index, err.value.operands) == (9, (4, 4))
+    # the escape names the same pair whatever the key order of the operands
+    halves = {6: Fraction(-1, 2), 1: -2}, {1: -2, 6: Fraction(-1, 2)}
+    for a, b in (halves, halves[::-1]):
+        with pytest.raises(OutOfWindowError,
+                           match="^product of 1 and 6 leaves the window at 8$"):
+            evaluate(parse("a*b", ("a", "b")), W, {"a": a, "b": b})
+    # a term with a variable bound to 0 is dropped before any product: x^4
+    # x^4 escapes, but its term is multiplied by b = 0
+    law = parse("a + 2*((a*a)*b) + 2*((b*b)*a)", ("a", "b"))
+    assert evaluate(law, W, {"a": W.basis(4), "b": {}}) == W.basis(4)
+    assert evaluate(law, W, {"a": W.basis(4), "b": {5: 0}}) == W.basis(4)
 
 
 def test_check_identity_verdicts():
@@ -78,6 +89,9 @@ def test_check_identity_verdicts():
     out = check_identity(COMM, gametic(2))
     assert out.verdict == FAILS
     assert out.value == {0: -1, 1: 1}
+    # a law with no variables is the zero polynomial: one empty assignment
+    out = check_identity(FreePoly([]), gametic(2))
+    assert (out.verdict, out.checked, out.skipped) == (HOLDS, 1, 0)
 
 
 def test_check_identity_windowed():
@@ -139,6 +153,25 @@ def test_windowed_fails_where_no_point_of_the_law_evaluates():
                                      ("a", "b")).rename_variables({"b": "a'"})
     assert out.witness == {"a": L.basis(-1), "a'": L.basis(0)}
     assert evaluate(out.witness_poly, L, out.witness) == out.value
+
+
+@pytest.mark.parametrize("law, algebra, index_range", [
+    ("a + 2*((a*a)*b) + 2*((b*b)*a)", lambda: integration_product(6), [4, 5]),
+    ("a*(a*a) + b", lambda: osborn_laurent("1/2", 0, -3, 3, "jordan"), [-1, 0]),
+    ("a*(a*b) - (a*a)*b", lambda: integration_product(4), [0, 1])],
+    ids=["integration-zero-variable", "laurent", "integration"])
+def test_expansion_witness_is_evaluated_once(monkeypatch, law, algebra,
+                                             index_range):
+    # the witness is evaluated only by the re-check in _check: the point of
+    # the first failing class with no undecided class on its support stays
+    # in the window, so _expand evaluates nothing
+    calls = []
+    monkeypatch.setattr(identcheck, "evaluate",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    A, poly = algebra(), parse(law, ("a", "b"))
+    out = check_identity_windowed(poly, A, index_range)
+    assert out.verdict == FAILS and out.witness_poly == poly
+    assert calls == [(poly, A, out.witness)]
 
 
 _WINDOWS = {"integration": lambda: integration_product(6),
@@ -507,6 +540,33 @@ def test_tortken_prime_relation_fails_under_a_doubled_derivation(monkeypatch):
     assert (rank, t) == (4, (0, 0, 0, 3))
     assert O.field.canonical({k: lhs.get(k, 0) - rhs.get(k, 0)
                               for k in lhs.keys() | rhs.keys()}) == out.value
+
+
+@pytest.mark.parametrize("m, checked, tuple_, value", [
+    (1, 6, (0, 0, 1, 2), {0: 1}), (2, 4, (0, 0, 0, 3), {0: 2})])
+def test_tortken_prime_relation_failure_is_reverified(monkeypatch, m, checked,
+                                                      tuple_, value):
+    # with another degree-4 law in tortken_prime's place the relation fails:
+    # value is the difference of the two sides at the lex-least failing
+    # tuple, as evaluate gives them, and no one law is falsified
+    monkeypatch.setattr(identcheck, "catalog_entry", lambda name: catalog_entry(
+        "assoc_jordan_deg4" if name == "tortken_prime" else name))
+    out = tortken_prime_relation(m)
+    assert (out.verdict, out.checked, out.skipped, out.orbits) == (
+        FAILS, checked, 0, checked)
+    O = divided_power(3, m)
+    assert out.witness == {x: O.basis(i) for x, i in zip("abcd", tuple_)}
+    assert out.witness_poly is None and out.value == value
+    law = evaluate(catalog_entry("assoc_jordan_deg4").poly, _dsym(3, m),
+                   out.witness)
+    (_, _, rhs), = _relation_sides(O, standard_derivation(O), [tuple_])
+    assert O.field.canonical({k: law.get(k, 0) - rhs.get(k, 0)
+                              for k in law.keys() | rhs.keys()}) == value
+    # a re-verification that disagrees with the sweep is refused
+    monkeypatch.setattr(identcheck, "evaluate", lambda poly, A, w: {
+        k: 2 * c for k, c in evaluate(poly, A, w).items()})
+    with pytest.raises(UnsoundWitnessError, match="tortken_prime relation"):
+        tortken_prime_relation(m)
 
 
 def operator_identity_check(A, a1: dict, a2: dict, a3: dict) -> bool:
