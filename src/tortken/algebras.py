@@ -11,7 +11,6 @@ detected at evaluation time instead of being silently truncated.
 from __future__ import annotations
 
 import inspect
-import json
 import random
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -231,9 +230,6 @@ class Algebra:
                 "field": {"char": self.field.char}, "dim": self.dim,
                 "labels": list(self.labels), "table": entries}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_spec())
-
     def table_text(self) -> str:
         labels = self.labels
         cells = [[self.fmt_element(dict(self.product(i, j)))
@@ -329,10 +325,6 @@ class FiniteAlgebra(Algebra):
             table[_spec_index(i, dim, "row")][_spec_index(j, dim, "column")].append(
                 (_spec_index(k, dim, "index"), field.parse(c)))
         return cls(spec.get("name", "custom"), field, dim, table, labels)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteAlgebra":
-        return cls.from_spec(json.loads(text))
 
 
 class GradedAlgebra(Algebra):

@@ -201,9 +201,11 @@ def _validate_algebra(args, A: Algebra, spec: dict | None) -> int:
 def cmd_check(args) -> int:
     name, poly, excluded = _get_identity(args)
     A = _build_algebra(args)
-    if A.field.char in excluded:
-        raise UsageError(f"identity {name} is not applicable in "
-                         f"characteristic {A.field.char}")
+    p = A.field.char
+    if p in excluded:
+        raise UsageError(f"identity {name} is not applicable in characteristic {p}")
+    if bad := [c for c in poly.terms.values() if p and c.denominator % p == 0]:
+        raise UsageError(f"coefficient {bad[0]} is not defined in characteristic {p}")
     if args.range:
         rng, idx = _range_indices(args, A, "is checked exhaustively")
         out = check_identity_windowed(poly, A, idx)
@@ -438,14 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _join_ranges(argv: list) -> list:
-    """argv with `--window -4..8` and `--range -1..3` joined into the one
-    token `--window=-4..8`: argparse takes a separate value that starts with
-    '-' and is no plain number for a flag, so both forms parse the same."""
+def _join_values(argv: list) -> list:
+    """argv with a flag's value that starts with one '-', as in `--alpha -1/2`
+    or `--expr -(a*b)`, joined to it into the one token `--alpha=-1/2`:
+    argparse takes a separate value that starts with '-' and is no plain
+    number for a flag, so both forms parse the same."""
     out = []
     for arg in argv:
-        if (out and out[-1] in ("--window", "--range") and arg[:1] == "-"
-                and arg[1:2].isdigit()):
+        if (out and arg[:1] == "-" != arg[1:2] and re.fullmatch(r"--[\w-]+", out[-1])
+                and out[-1] not in ("--reference-deg4", "--help")):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -454,7 +457,7 @@ def _join_ranges(argv: list) -> list:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(_join_ranges(sys.argv[1:] if argv is None else argv))
+    args = ap.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (UsageError, DegreeOutOfRangeError, OutOfRangeError) as exc:

@@ -14,7 +14,6 @@ into one int of fixed-width slots.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import operator
@@ -529,14 +528,6 @@ class Matrix:
         m.field, m.data, m.rows, m.cols = field, data, len(data), len(data[0])
         return m
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
-
     def mul_vec(self, v: Sequence) -> list:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
@@ -600,13 +591,6 @@ class Matrix:
         for pc, row in zip(ech.pivots, ech.rows):
             x[pc] = row[self.cols]
         return x
-
-    def to_json(self) -> str:
-        return json.dumps([[self.field.fmt(x) for x in row] for row in self.data])
-
-    @classmethod
-    def from_json(cls, field: Field, text: str) -> "Matrix":
-        return cls(field, json.loads(text))
 
     def to_text(self) -> str:
         """The rows, each cell right-aligned to its column's widest; the

@@ -113,10 +113,6 @@ class FreePoly:
                     self.terms[t] = c
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "FreePoly":
-        return cls(variables)
-
-    @classmethod
     def var(cls, name: str, variables: Sequence[str]) -> "FreePoly":
         if name not in variables:
             raise ValueError(f"undeclared variable {name!r}")
@@ -167,9 +163,6 @@ class FreePoly:
 
     def degree(self) -> int:
         return max((tree_degree(t) for t in self.terms), default=0)
-
-    def monomial_count(self) -> int:
-        return len(self.terms)
 
     def sorted_terms(self) -> list[tuple[Tree, Fraction]]:
         return sorted(self.terms.items(), key=lambda tc: tree_key(tc[0]))
@@ -292,7 +285,7 @@ class _Parser:
                 polys.append(f)
         if not polys:
             if scalar == 0:
-                return FreePoly.zero(self.variables)
+                return FreePoly(self.variables)
             self.error("constant term without a monomial")
         if len(polys) > 2:
             self.pos = star_positions[-1]
@@ -571,9 +564,6 @@ class CatalogEntry:
     @property
     def degree(self) -> int:
         return self.poly.degree()
-
-    def applies_in_char(self, char: int) -> bool:
-        return char not in self.excluded_chars
 
 
 _CATALOG_SPEC = [

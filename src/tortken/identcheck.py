@@ -67,13 +67,12 @@ class CheckOutcome:
     def holds(self) -> bool:
         return self.verdict == HOLDS
 
-    def to_json_dict(self, A: Algebra | None = None) -> dict:
-        fmt = A.fmt_element if A is not None else (lambda e: repr(e))
+    def to_json_dict(self, A: Algebra) -> dict:
         out = {"verdict": self.verdict, "checked": self.checked,
                "skipped": self.skipped}
         if self.witness is not None:
-            out["witness"] = {v: fmt(e) for v, e in self.witness.items()}
-            out["value"] = fmt(self.value)
+            out["witness"] = {v: A.fmt_element(e) for v, e in self.witness.items()}
+            out["value"] = A.fmt_element(self.value)
         return out
 
 

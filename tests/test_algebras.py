@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -346,7 +347,7 @@ def test_graded_shift_bound_validation():
 def test_finite_algebra_json_round_trip():
     for A in (gametic(3), osborn(1, 1, 3, 1),
               random_commutative(3, F5, seed=2)):
-        B = FiniteAlgebra.from_json(A.to_json())
+        B = FiniteAlgebra.from_spec(json.loads(json.dumps(A.to_spec())))
         assert B == A
         assert B.labels == A.labels and B.name == A.name
 

@@ -200,7 +200,7 @@ def test_algebra_validate_catches_failure(tmp_path, capsys):
 def test_spec_file_round_trip(tmp_path, capsys):
     from tortken.algebras import gametic
     spec = tmp_path / "gametic.json"
-    spec.write_text(gametic(2).to_json())
+    spec.write_text(json.dumps(gametic(2).to_spec()))
     code, out, _ = run_cli(capsys, "check", "--identity", "tortken",
                            "--spec", str(spec), "--transform", "plus")
     assert code == 0 and "verdict: holds" in out
@@ -302,6 +302,24 @@ def test_negative_window_and_range_parse_in_both_forms(capsys, argv):
                         (("--window=-4..8",), ("--range", "-1..3")),
                         (("--window", "-4..8"), ("--range=-1..3",))):
         assert run_cli(capsys, *argv, *window, *rng) == joined
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("check", "--identity", "tortken", "--builtin", "osborn-laurent",
+      "--window", "-3..3"), "--alpha", "-1/2"),
+    (("check", "--identity", "tortken", "--builtin", "osborn-laurent",
+      "--window", "-3..3", "--alpha", "0"), "--beta", "-1/2"),
+    (("check", "--vars", "a,b", "--builtin", "gametic", "--dim", "2"),
+     "--expr", "-(a*b)"),
+    (("check", "--vars", "a,b", "--builtin", "gametic", "--dim", "2"),
+     "--expr", "-a*b+b*a")])
+def test_negative_flag_values_parse_in_both_forms(capsys, argv, flag, value):
+    # every flag that takes a value takes one that starts with '-'
+    joined = run_cli(capsys, *argv, f"{flag}={value}")
+    assert joined[0] in (0, 1) and not joined[2]
+    assert run_cli(capsys, *argv, flag, value) == joined
+    if flag == "--alpha":
+        assert "verdict: holds (checked 605, skipped 1796)" in joined[1]
 
 
 def test_range_flag_without_a_value_is_still_a_usage_error(capsys):
@@ -776,9 +794,12 @@ def test_check_range_on_closed_algebra_exits_two(capsys):
      "--m 1", 0, "algebra: osborn_bar(1,3,1) (dim 2, F3)"),
     ("algebra show --builtin p2-product --k 1 --m 2",
      0, "algebra: p2_product(1,2) (dim 4, F2)"),
+    # 1/2 is 2 in F_3, so the law is 2*(a*b)
+    ("check --expr '1/2*(a*b)' --vars a,b --builtin gametic --dim 2 --char 3",
+     1, "  value = 2*e1"),
 ], ids=["show-window", "idspace-closed", "idspace-window-no-range",
         "check-reversed-range", "idspace-reversed-range", "derivation-novikov",
-        "derivation-symmetric", "osborn-bar", "p2-product"])
+        "derivation-symmetric", "osborn-bar", "p2-product", "half-over-f3"])
 def test_cli_paths(capsys, argv, code, line):
     got, out, err = run_cli(capsys, *shlex.split(argv))
     assert got == code and line in (out + err).splitlines()
@@ -790,9 +811,13 @@ def test_cli_paths(capsys, argv, code, line):
     ("simplicity --builtin integration --N 4",
      "simplicity certification needs a finite algebra"),
     ("check --identity tortken --builtin integration --N 4 --range 1-3",
-     "bad range '1-3', expected lo..hi")],
+     "bad range '1-3', expected lo..hi"),
+    ("check --expr '1/2*(a*b)' --vars a,b --builtin gametic --dim 2 --char 2",
+     "coefficient 1/2 is not defined in characteristic 2"),
+    ("check --expr '1/3*(a*b)' --vars a,b --builtin osborn-plus --p 3 --m 1",
+     "coefficient 1/3 is not defined in characteristic 3")],
     ids=["check-no-algebra", "idspace-no-degree", "simplicity-window",
-         "range-without-dots"])
+         "range-without-dots", "coefficient-over-f2", "coefficient-over-f3"])
 def test_missing_or_unusable_input_exits_two(capsys, argv, line):
     # a usage error is one `error:` line on stderr and nothing on stdout
     assert run_cli(capsys, *shlex.split(argv)) == (2, "", f"error: {line}\n")

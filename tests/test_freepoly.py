@@ -22,7 +22,7 @@ ABCD = ("a", "b", "c", "d")
 
 def test_parse_right_symmetric():
     p = parse("assoc(a,b,c) - assoc(a,c,b)", ABC)
-    assert p.monomial_count() == 4
+    assert len(p.terms) == 4
     assert p == catalog_entry("right_symmetric").poly
 
 
@@ -35,7 +35,7 @@ def test_parse_tortken_expansion():
     p = parse("(a*b)*(c*d) - (a*d)*(c*b) - assoc(a,b,c)*d + assoc(a,d,c)*b",
               ABCD)
     # the two associator terms double; the two leading products stay: 6 monomials
-    assert p.monomial_count() == 6
+    assert len(p.terms) == 6
     assert all(c in (1, -1) for c in p.terms.values())
     assert p == catalog_entry("tortken").poly
 
@@ -246,7 +246,7 @@ def test_catalog_coefficients_are_integers():
 
 def test_deg5_iv_shape():
     entry = catalog_entry("deg5_iv")
-    assert entry.poly.monomial_count() == 6
+    assert len(entry.poly.terms) == 6
     for t in entry.poly.terms:
         # left-combed prefix in x,a,b,c with y outermost
         assert t[1] == "y"
@@ -256,9 +256,9 @@ def test_deg5_iv_shape():
 
 def test_deg5_ii_multilinear():
     entry = catalog_entry("deg5_ii")
-    assert entry.poly.monomial_count() == 6
+    assert len(entry.poly.terms) == 6
     assert entry.poly.is_multilinear()
-    assert 3 in entry.excluded_chars and entry.applies_in_char(5)
+    assert 3 in entry.excluded_chars and 5 not in entry.excluded_chars
 
 
 def test_is_multilinear():
@@ -296,12 +296,12 @@ def _substituted_multilinear_parts(poly):
         names = [f"t{i + 1}" for i in range(sum(sig))]
         fresh = iter(names)
         sums = {v: sum((FreePoly.var(next(fresh), names) for _ in range(d)),
-                       FreePoly.zero(names)) for v, d in zip(poly.variables, sig)}
+                       FreePoly(names)) for v, d in zip(poly.variables, sig)}
 
         def subst(t):
             return sums[t] if isinstance(t, str) else subst(t[0]) * subst(t[1])
 
-        total = FreePoly.zero(names)
+        total = FreePoly(names)
         for t, c in poly.terms.items():
             total = total + subst(t).scale(c)
         part = FreePoly(names, {t: c for t, c in total.terms.items()
@@ -325,7 +325,7 @@ def test_polarize_matches_substitution(items):
 def test_polarize_degree_7():
     x = FreePoly.var("x", ("x",))
     parts = polarize(((x * x) * (x * x)) * ((x * x) * x))
-    assert len(parts) == 1 and parts[0].monomial_count() == 5040
+    assert len(parts) == 1 and len(parts[0].terms) == 5040
 
 
 def test_polarize_refuses_degree_10_before_expanding():
@@ -408,4 +408,4 @@ def test_symmetry_blocks_are_the_signed_transpositions(commutative):
 
 
 def test_symmetry_blocks_of_zero_poly():
-    assert symmetry_blocks(FreePoly.zero(ABC)) == [(0, 1, 2)]
+    assert symmetry_blocks(FreePoly(ABC)) == [(0, 1, 2)]
