@@ -8,6 +8,7 @@ simple; 2 usage or spec error; 3 inconclusive (window-limited).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -397,6 +398,7 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it is: one per process
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tortken",

@@ -496,8 +496,12 @@ class Echelon:
     def annihilates(self, vec: Sequence) -> bool:
         """Whether M vec = 0 for the canonical dense vec and any matrix M
         whose rows span this space (checked on the RREF rows; over Q on
-        d * row, for its numerators over the denominator d)."""
-        p = self._p
+        d * row, for its numerators over the denominator d, and on the
+        int vector D * vec, for the lcm D of vec's denominators, which a
+        row annihilates exactly when it annihilates vec)."""
+        if not (p := self._p):
+            D = math.lcm(*[x.denominator for x in vec])
+            vec = [x.numerator * (D // x.denominator) for x in vec]
         on_free = [vec[j] for j in self._free]
         for c, fr in self._pivots.items():
             fr, d = (fr, 1) if p else fr

@@ -40,7 +40,7 @@ from .exactnum import Echelon, Field, Matrix, OutOfRangeError, combine
 from .algebras import (Algebra, OutOfWindowError, UnsoundWitnessError, _of_class,
                        divided_power, derivation_symmetric, standard_derivation)
 from .freepoly import (FreePoly, catalog_entry, commutative_basis,
-                       multidegree_components, mu_vector, relabel_leaves,
+                       multidegree_components, relabel_leaves,
                        symmetry_blocks, tree_degree, tree_format, tree_leaves)
 
 HOLDS = "holds"
@@ -712,18 +712,25 @@ def verify_reference_solutions(report: IdentitySpaceReport) -> bool:
     """Audit a degree-4 report against the catalog laws deg4_basis_1..5, read
     in its monomial order: its matrix must annihilate the five, which are
     independent, and its 5-dimensional kernel must be their span; and
-    deg4_basis_2 must be tortken in the variable order t1, t3, t2, t4."""
-    if report.degree != 4 or report.matrix.cols != 15:
-        raise ReportMismatchError("need a degree-4 report on the 15-monomial basis")
-    f, M = report.matrix.field, report.matrix
-    laws = [mu_vector(catalog_entry(f"deg4_basis_{i}").poly, report.monomials)
-            for i in range(1, 6)]
+    deg4_basis_2 must be tortken in the variable order t1, t3, t2, t4.  The
+    monomials must be those of `commutative_basis(4, report.order)`, whose
+    law vectors are read; the matrix M through an echelon basis of its
+    rows, as M v = 0 exactly when R v = 0 for the RREF R of M."""
+    if (report.degree != 4 or report.matrix.cols != 15 or tuple(report.monomials)
+            != (basis := commutative_basis(4, report.order)).monomials):
+        raise ReportMismatchError("need a degree-4 report on the 15-monomial "
+                                  "basis of its order")
+    f, vecs = report.matrix.field, dict(basis.laws)
+    laws = [[f.coerce(c) for c in vecs[f"deg4_basis_{i}"]] for i in range(1, 6)]
     tort = catalog_entry("tortken").poly.rename_variables(
         {"a": "t1", "b": "t3", "c": "t2", "d": "t4"})
-    return (not any(x for v in laws for x in M.mul_vec(v))
+    rows, span = Echelon(f, 15), Echelon(f, 15)
+    for row in report.matrix.data:
+        rows.insert(enumerate(row))
+    return (all(map(rows.annihilates, laws))
             and report.nullity == 5 == len(report.nullspace)
-            and Matrix(f, laws).rank() == 5
-            and Matrix(f, laws + report.nullspace).rank() == 5
+            and all(span.add(v) is not None for v in laws)  # independent
+            and not any(map(span.add, report.nullspace))  # in their span
             and tort.terms == catalog_entry("deg4_basis_2").poly.terms)
 
 

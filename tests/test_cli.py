@@ -574,6 +574,52 @@ def test_reproduce_deterministic(capsys):
     assert a == b
 
 
+def _outputs(capsys, argvs) -> list:
+    """(exit code, stdout, stderr) of `main` on each argv in turn, an
+    argparse usage error's SystemExit code included."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        out.append((code, got.out, got.err))
+    return out
+
+
+def test_calls_sharing_one_parser_stay_independent(capsys, monkeypatch):
+    # nothing of one call, its --format or its usage error, stays in the
+    # shared parser: each call prints what it prints on a fresh parser
+    check = ["check", "--identity", "tortken", "--builtin", "osborn-plus",
+             "--p", "3", "--m", "1", "--alpha", "1", "--beta", "1"]
+    argvs = [check + ["--format", "json"], check, check + ["--nope"],
+             ["reproduce", "det54"]]
+    shared = _outputs(capsys, argvs)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert json.loads(shared[0][1])["verdict"] == "holds"
+    assert shared[1][1].startswith("identity: tortken")
+    assert "unrecognized arguments: --nope" in shared[2][2]
+    assert shared[3][1] == (GOLDEN / "det54.txt").read_text()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _outputs(capsys, argvs) == shared
+
+
+def test_two_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "reproduce", "det54")[0] == 0
+    assert built.count("tortken") == 1
+
+
 def test_console_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")

@@ -315,6 +315,44 @@ def test_kernel_matches_dense_reference(case):
             assert d > 0 and math.gcd(d, *nums) == 1
 
 
+@st.composite
+def _annihilator_cases(draw):
+    """(field, rows, vectors): a row space drawn by `_row_spaces`, so that
+    rank-deficient ones occur, and canonical vectors over non-unit
+    denominators that are pairwise coprime: the zero vector, combinations of
+    the dense kernel basis, which the rows annihilate, and free draws."""
+    f, cols, rows, _, _ = draw(_row_spaces())
+    dens = [d for d in (1, 2, 3, 5, 7, 11) if f.char == 0 or d % f.char]
+    scalar = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(dens))
+    null = dense_nullspace(f, rows, cols)
+    vecs = [[f.zero] * cols]
+    for _ in range(draw(st.integers(0, 2))):
+        coefs = draw(st.lists(scalar, min_size=len(null), max_size=len(null)))
+        vecs.append([f.coerce(sum(c * v[j] for c, v in zip(coefs, null)))
+                     for j in range(cols)])
+    vecs += draw(st.lists(st.lists(scalar.map(f.coerce), min_size=cols,
+                                   max_size=cols), max_size=2))
+    return f, rows, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_annihilator_cases())
+@example((Q, [[2, 3, 0], [4, 6, 0]],  # rank 1
+          [[Fraction(0)] * 3, [Fraction(3, 2), Fraction(-1), Fraction(5, 7)],
+           [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]]))
+@example((F3, [[1, 2, 0], [2, 1, 0]], [[0, 0, 0], [1, 1, 2], [1, 0, 0]]))
+def test_annihilates_matches_dense_mul_vec(case):
+    # over Q the vector's denominators are cleared once and the rows summed
+    # in ints; a multiple of a vector is annihilated exactly when it is
+    f, rows, vecs = case
+    ech = Echelon(f, len(rows[0]))
+    for row in rows:
+        ech.add(row)
+    for v in vecs:
+        want = all(f.is_zero(x) for x in dense_mul_vec(f, rows, v))
+        assert ech.annihilates(v) is want
+
+
 # p = 2 and 3, then primes whose (p-1)^2 needs 62, 122 and 130 bits, so
 # that the packed F_p rows of `Echelon` take 1-, 16- and 32-byte slots
 WIDE_FIELDS = (F2, F3, Field.prime(2**31 - 1), Field.prime(2**61 - 1),

@@ -536,8 +536,8 @@ def test_psi_char0():
     for i in range(-6, 7):
         for j in range(-6, 7):
             for s in range(-6, 7):
-                want = Fraction(2 if i + j + s == 1 else 0)
-                assert psi_cyclic_char0(i, j, s) == want
+                got = psi_cyclic_char0(i, j, s)  # exact in ints
+                assert type(got) is int and got == 2 * (i + j + s == 1)
 
 
 def test_psi_charp_oracle():

@@ -413,18 +413,21 @@ def _audit_cases(rep):
     return cases
 
 
-def _osborn_plus_deg4_report():
-    A = plus(osborn(1, 1, 3, 1))
+def _osborn_plus_deg4_report(p):
+    A = plus(osborn(1, 1, p, 1))
     return identity_space(4, A, [tuple(A.basis(i) for i in t) for t in
                                  itertools.product(A.indices, repeat=4)],
                           "balanced_first")
 
 
-@pytest.mark.parametrize("make", [reference_deg4_report, _osborn_plus_deg4_report],
-                         ids=["reference", "osborn_plus_F3"])
+@pytest.mark.parametrize("make", [reference_deg4_report,
+                                  lambda: _osborn_plus_deg4_report(3),
+                                  lambda: _osborn_plus_deg4_report(5)],
+                         ids=["reference", "osborn_plus_F3", "osborn_plus_F5"])
 def test_verify_gives_the_frozen_audit_verdict(make):
     # the audit on the catalog laws answers as the audit on the frozen
-    # solutions and coordinate relations did, which now live in the tests
+    # solutions and coordinate relations did, which now live in the tests;
+    # over F_p the law vectors are coerced before they meet the echelon
     for rep, want in _audit_cases(make()):
         assert frozen_audit(rep) is want
         assert verify_reference_solutions(rep) is want
@@ -442,6 +445,11 @@ def test_verify_reads_the_laws_in_the_report_order():
     assert not frozen_audit(rep)
     with pytest.raises(identcheck.ReportMismatchError):
         verify_reference_solutions(identity_space(3, A, []))
+    # the monomials must be those of the report's order, whose cached law
+    # vectors the audit reads
+    rep.monomials.reverse()
+    with pytest.raises(identcheck.ReportMismatchError, match="of its order"):
+        verify_reference_solutions(rep)
 
 
 def test_frozen_deg4_tables_agree_with_the_catalog_laws():
@@ -1571,5 +1579,5 @@ def test_identity_space_reads_the_cached_basis(monkeypatch):
     for name in ("canonical_commutative", "rename_tree", "mu_vector",
                  "catalog", "multilinear_monomials"):
         monkeypatch.setattr(freepoly, name, _refuse)
-    monkeypatch.setattr(identcheck, "mu_vector", _refuse)
+    assert not hasattr(identcheck, "mu_vector")  # it reads basis.laws only
     assert _space(5, A, range(3)).to_json_dict() == first
